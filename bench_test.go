@@ -83,12 +83,6 @@ func BenchmarkPaddingMode(b *testing.B) { runFigure(b, bench.RunPadding) }
 // variants, bulk loading, journaling).
 func BenchmarkAblations(b *testing.B) { runFigure(b, bench.RunAblations) }
 
-// BenchmarkServedThroughput measures statements/second through the
-// network server's epoch-padded scheduler at epoch sizes 1, 8, and 64
-// (DESIGN.md §6), with concurrent clients over loopback TCP — serial
-// and with the Parallelism-4 engine behind a 4-worker epoch pool.
-func BenchmarkServedThroughput(b *testing.B) { runFigure(b, bench.RunServed) }
-
 // BenchmarkParallelSpeedup measures the partition-parallel operators'
 // wall-clock against worker-pool sizes 1/2/4/8 (DESIGN.md §9).
 func BenchmarkParallelSpeedup(b *testing.B) { runFigure(b, bench.RunParallel) }

@@ -8,12 +8,10 @@
 //	oblidb-bench -fig 7 -fig 13      # selected figures
 //	oblidb-bench -all -full          # paper-scale data (slow)
 //	oblidb-bench -all -scale 0.02    # custom scale
-//	oblidb-bench -json BENCH_9.json  # machine-readable perf trajectory
-//	oblidb-bench -compare BENCH_9.json           # fresh run vs baseline
-//	oblidb-bench -compare BENCH_9.json -against new.json -threshold 1.3
 //
 // Absolute timings depend on this machine; the reproduced artifact is the
-// relative shape of each figure.
+// relative shape of each figure. End-to-end served-path numbers, and any
+// performance claim, come from the benchmark/ directory instead.
 package main
 
 import (
@@ -60,30 +58,10 @@ func main() {
 	full := flag.Bool("full", false, "paper-scale data (equivalent to -scale 1; slow)")
 	scale := flag.Float64("scale", 0.1, "fraction of paper-scale data")
 	seed := flag.Uint64("seed", 0, "data generation seed (0 = default)")
-	jsonPath := flag.String("json", "", "write the machine-readable perf trajectory (BENCH_<n>.json) to this path and exit")
-	comparePath := flag.String("compare", "", "diff the perf trajectory against this baseline BENCH_<n>.json and exit non-zero past -threshold")
-	againstPath := flag.String("against", "", "with -compare: use this saved run instead of measuring now")
-	threshold := flag.Float64("threshold", 1.5, "with -compare: slowdown over baseline that counts as a regression")
 	flag.Parse()
 
 	if *full {
 		*scale = 1
-	}
-	if *comparePath != "" {
-		opts := bench.Options{Scale: *scale, Out: os.Stdout, Seed: *seed}
-		if err := bench.Compare(opts, *comparePath, *againstPath, *threshold); err != nil {
-			fmt.Fprintf(os.Stderr, "oblidb-bench: compare: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonPath != "" {
-		opts := bench.Options{Scale: *scale, Out: os.Stdout, Seed: *seed}
-		if err := bench.WriteBenchJSON(opts, *jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "oblidb-bench: json: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 	if *all {
 		figs = append([]string{}, bench.Order...)

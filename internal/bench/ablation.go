@@ -11,7 +11,7 @@ import (
 	"oblidb/internal/crypt"
 	"oblidb/internal/enclave"
 	"oblidb/internal/exec"
-	"oblidb/internal/obtree"
+	"oblidb/internal/indexed"
 	"oblidb/internal/oram"
 	"oblidb/internal/storage"
 	"oblidb/internal/table"
@@ -207,9 +207,9 @@ func ablationBulkLoad(o Options) error {
 	for i := range rows {
 		rows[i] = workload.NewRow(int64(i))
 	}
-	mk := func() (*obtree.Tree, error) {
+	mk := func() (*indexed.Table, error) {
 		e := enclave.MustNew(enclave.Config{Seed: o.seed()})
-		return obtree.New(e, "abl.idx", workload.Schema(), 0, n+4, obtree.Options{})
+		return indexed.New(e, "abl.idx", workload.Schema(), 0, n+4, indexed.Options{RowsPerBlock: 1})
 	}
 	t1, err := mk()
 	if err != nil {

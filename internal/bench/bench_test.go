@@ -22,9 +22,9 @@ func TestAllFiguresSmoke(t *testing.T) {
 	for _, want := range []string{
 		"Figure 2", "Figure 3", "Figure 6", "Figure 7", "Figure 8",
 		"Figure 9", "Figure 10", "Figure 11", "Figure 12", "Figure 13",
-		"Figure 14", "Padding mode", "Served throughput", "Parallel speedup",
+		"Figure 14", "Padding mode", "Parallel speedup",
 		"Opaque Oblivious", "ObliDB (indexed)", "Spark SQL (plain)",
-		"HIRB", "planner pick", "Dummy share", "Speedup @4",
+		"HIRB", "planner pick", "Speedup @4",
 		"Indexed access method", "index point",
 	} {
 		if !strings.Contains(out, want) {

@@ -15,8 +15,7 @@ import (
 // point and small-range queries answered by a full flat scan versus the
 // ORAM-backed index, as the table grows. The crossover is the planner's
 // whole reason to exist — at small n the flat pass wins, at large n the
-// O(log² n) index does — and the point-lookup speedup at the largest
-// size is the number BENCH_8.json pins for future PRs.
+// O(log² n) index does.
 
 // indexedSizes returns the figure's size sweep (paper counts, scaled).
 func indexedSizes(o Options) []int {
@@ -25,10 +24,10 @@ func indexedSizes(o Options) []int {
 
 // indexedCell is one measured (operation, size, method) point.
 type indexedCell struct {
-	Op      string  `json:"op"`     // "point" | "range1pct"
-	Rows    int     `json:"rows"`   // table size n
-	Method  string  `json:"method"` // "flat" | "indexed"
-	NsPerOp float64 `json:"ns_per_op"`
+	Op      string // "point" | "range1pct"
+	Rows    int    // table size n
+	Method  string // "flat" | "indexed"
+	NsPerOp float64
 }
 
 // indexedPair builds the two storage representations of the same n-row

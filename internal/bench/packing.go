@@ -1,17 +1,11 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"sync"
 	"time"
 
-	"oblidb/client"
 	"oblidb/internal/core"
 	"oblidb/internal/enclave"
-	"oblidb/internal/server"
 	"oblidb/internal/storage"
 	"oblidb/internal/table"
 	"oblidb/internal/workload"
@@ -20,9 +14,7 @@ import (
 // This file measures block packing (DESIGN.md §12): the same oblivious
 // operations at R = 1 (the paper's one-record-per-block geometry) versus
 // packed geometries, where every full-table pass costs one AEAD
-// open/seal per sealed block instead of per row. The speedup column is
-// part of the bench trajectory future perf PRs compare against
-// (BENCH_8.json, which also carries the access-method sweep).
+// open/seal per sealed block instead of per row.
 
 // packingGeometries lists the packing factors the figure sweeps: the
 // paper geometry, two fixed intermediate points, and the engine's
@@ -57,10 +49,10 @@ func packedTable(e *enclave.Enclave, name string, rows, r int) (*storage.Flat, e
 
 // packingCell is one measured (operation, R) point.
 type packingCell struct {
-	Op      string  `json:"op"`
-	Rows    int     `json:"rows"`
-	R       int     `json:"rows_per_block"`
-	NsPerOp float64 `json:"ns_per_op"`
+	Op      string
+	Rows    int
+	R       int
+	NsPerOp float64
 }
 
 // measurePacking times the scan / select / insert trio at geometry r.
@@ -150,197 +142,4 @@ func RunPacking(o Options) error {
 	o.printf("   sealed block, dividing AEAD calls, trace events, and allocations per\n")
 	o.printf("   full-table pass by R — §3's block is the sealed unit, not the row)\n\n")
 	return nil
-}
-
-// servedCell is one served-throughput measurement at a geometry.
-type servedCell struct {
-	R            int     `json:"rows_per_block"`
-	Stmts        int     `json:"stmts"`
-	StmtsPerSec  float64 `json:"stmts_per_sec"`
-	EpochSize    int     `json:"epoch_size"`
-	NsPerStmt    float64 `json:"ns_per_stmt"`
-	ClientsCount int     `json:"clients"`
-}
-
-// measureServed runs the loopback server benchmark at geometry r (0 =
-// engine default) and epoch size 8. Alongside the throughput cell it
-// returns the server's end-of-run metrics snapshot.
-func measureServed(o Options, r int) (servedCell, map[string]any, error) {
-	const clients = 4
-	const epochSize = 8
-	perClient := o.n(200)
-	perClient -= perClient % 2
-	srv, err := server.New(server.Config{
-		Engine:        core.Config{ObliviousMemory: o.obliviousMemory(), Seed: o.seed(), RowsPerBlock: r},
-		EpochSize:     epochSize,
-		EpochInterval: time.Millisecond,
-	})
-	if err != nil {
-		return servedCell{}, nil, err
-	}
-	defer srv.Close()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.ListenAndServe("127.0.0.1:0") }()
-	for srv.Addr() == nil {
-		select {
-		case err := <-serveErr:
-			return servedCell{}, nil, err
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	addr := srv.Addr().String()
-	setup, err := client.Dial(addr)
-	if err != nil {
-		return servedCell{}, nil, err
-	}
-	if _, err := setup.Exec(fmt.Sprintf(
-		"CREATE TABLE s (k INTEGER, payload VARCHAR(32)) CAPACITY = %d", 4*clients*perClient+64)); err != nil {
-		return servedCell{}, nil, err
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	start := time.Now()
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c, err := client.Dial(addr)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer c.Close()
-			for i := 0; i < perClient; i += 2 {
-				k := w*perClient + i
-				if _, err := c.Exec(fmt.Sprintf("INSERT INTO s VALUES (%d, 'payload-%016d')", k, k)); err != nil {
-					errs <- err
-					return
-				}
-				if _, err := c.Exec(fmt.Sprintf("SELECT COUNT(*) FROM s WHERE k = %d", k)); err != nil {
-					errs <- err
-					return
-				}
-			}
-			errs <- nil
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return servedCell{}, nil, err
-		}
-	}
-	total := clients * perClient
-	cell := servedCell{
-		R:            r,
-		Stmts:        total,
-		StmtsPerSec:  float64(total) / elapsed.Seconds(),
-		EpochSize:    epochSize,
-		NsPerStmt:    float64(elapsed.Nanoseconds()) / float64(total),
-		ClientsCount: clients,
-	}
-	// The full metrics snapshot of the served run: epoch occupancy,
-	// padding ratio, enclave I/O, plan-cache behavior — the telemetry a
-	// perf PR wants next to the throughput number it changed.
-	return cell, srv.Metrics().Snapshot(), nil
-}
-
-// BenchReport is the machine-readable perf trajectory one PR leaves for
-// the next (BENCH_<n>.json): the packed-storage figures plus served
-// throughput at the paper geometry and the default packing.
-type BenchReport struct {
-	Bench    string        `json:"bench"`
-	GOOS     string        `json:"goos"`
-	GOARCH   string        `json:"goarch"`
-	DefaultR int           `json:"default_rows_per_block"`
-	Packing  []packingCell `json:"packing"`
-	Served   []servedCell  `json:"served"`
-	// Indexed is the access-method figure: point and 1% range reads via
-	// flat scan vs the ORAM index across the size sweep, and the
-	// point-lookup speedup at the largest size — the number this PR's
-	// trajectory pins (flat pays O(n) per point read, the index
-	// O(log² n), so the gap widens with n).
-	Indexed             []indexedCell `json:"indexed"`
-	IndexedPointSpeedup float64       `json:"indexed_point_speedup"`
-	// Concurrency is the read-concurrency figure: served read-heavy
-	// throughput as Workers sweeps 1 → 8 with a modeled untrusted-store
-	// latency (DESIGN.md §16), and the Workers=4 speedup over serial —
-	// the number this PR's trajectory pins.
-	Concurrency          []concurrencyCell `json:"concurrency"`
-	ConcurrencySpeedupW4 float64           `json:"concurrency_speedup_w4"`
-	// Metrics is the served run's full metrics snapshot at the default
-	// geometry (the same catalog /metrics exposes), so the trajectory
-	// records occupancy, padding, enclave I/O, and plan-cache behavior
-	// next to the throughput numbers.
-	Metrics map[string]any `json:"metrics"`
-}
-
-// measureReport runs every trajectory measurement — packing and served
-// throughput at R ∈ {1, default}, the access-method sweep, and the read
-// concurrency sweep — into one BenchReport.
-func measureReport(o Options) (BenchReport, error) {
-	def := storage.DefaultRowsPerBlock(workload.Schema())
-	rows := o.n(100000)
-	rep := BenchReport{
-		Bench:    "access-methods",
-		GOOS:     runtime.GOOS,
-		GOARCH:   runtime.GOARCH,
-		DefaultR: def,
-	}
-	for _, r := range []int{1, def} {
-		cs, err := measurePacking(o, rows, r)
-		if err != nil {
-			return rep, err
-		}
-		rep.Packing = append(rep.Packing, cs...)
-		sc, snap, err := measureServed(o, r)
-		if err != nil {
-			return rep, err
-		}
-		sc.R = r
-		rep.Served = append(rep.Served, sc)
-		rep.Metrics = snap
-	}
-	for _, n := range indexedSizes(o) {
-		cs, err := measureIndexed(o, n)
-		if err != nil {
-			return rep, err
-		}
-		rep.Indexed = append(rep.Indexed, cs...)
-		if n == indexedSizes(o)[len(indexedSizes(o))-1] {
-			if ip := indexedNs(cs, "point", "indexed"); ip > 0 {
-				rep.IndexedPointSpeedup = float64(indexedNs(cs, "point", "flat")) / float64(ip)
-			}
-		}
-	}
-	ccells, err := measureConcurrency(o)
-	if err != nil {
-		return rep, err
-	}
-	rep.Concurrency = ccells
-	for _, c := range ccells {
-		if c.Workers == 4 {
-			rep.ConcurrencySpeedupW4 = c.Speedup
-		}
-	}
-	return rep, nil
-}
-
-// WriteBenchJSON runs the full trajectory measurement and writes
-// BENCH_<n>.json-style output to path. CI uploads it as an artifact so
-// subsequent PRs have a trajectory to compare against.
-func WriteBenchJSON(o Options, path string) error {
-	rep, err := measureReport(o)
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	o.printf("wrote %s (default R=%d)\n", path, rep.DefaultR)
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -5,14 +5,13 @@
 // storage answers every query with a full scan; indexed storage answers
 // point and range queries in O(height + result blocks) ORAM operations.
 //
-// The layout differs from internal/obtree (one row per record block) in
-// one way: record blocks hold R rows each, packed with the internal/table
-// codec, exactly like PR 5's packed flat blocks. A row is addressed by
-// rowID = blockID*R + slot; the rowID doubles as the leaf-entry sequence
-// tiebreaker, so the B+ tree algorithms — and crucially their public
-// padding targets — carry over from obtree unchanged: reading or writing
-// one row is still exactly one ORAM access (of the block holding its
-// slot).
+// Record blocks hold R rows each, packed with the internal/table codec
+// exactly like packed flat blocks; R = 1 is the paper's one-record-per-
+// block geometry. A row is addressed by rowID = blockID*R + slot; the
+// rowID doubles as the leaf-entry sequence tiebreaker, so the B+ tree
+// algorithms — and crucially their public padding targets — do not
+// depend on R: reading or writing one row is exactly one ORAM access (of
+// the block holding its slot).
 //
 // Block ids partition the ORAM address space: [0, dataBlocks) are record
 // blocks, [dataBlocks, capacity) are tree nodes. Both partitions are

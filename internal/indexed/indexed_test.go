@@ -53,6 +53,9 @@ func TestInsertLookupAcrossPackings(t *testing.T) {
 	for _, r := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("R=%d", r), func(t *testing.T) {
 			tbl := newTable(t, 64, Options{RowsPerBlock: r}, nil)
+			if _, ok, err := tbl.Lookup(1); err != nil || ok {
+				t.Fatalf("lookup in empty table: ok=%v err=%v", ok, err)
+			}
 			for i := int64(0); i < 40; i++ {
 				if err := tbl.Insert(trow(i * 2)); err != nil {
 					t.Fatalf("insert %d: %v", i, err)
@@ -310,6 +313,46 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 	}
 	if tbl.NumRows() != 110 {
 		t.Fatalf("NumRows = %d, want 110", tbl.NumRows())
+	}
+}
+
+// TestFixedAccessCounts is the §3.2 obliviousness property: every
+// operation of a given type performs a fixed number of logical ORAM
+// accesses determined only by the public tree height — splits, merges,
+// hits, misses and duplicates are all invisible. (What one logical access
+// costs in untrusted blocks is the ORAM's own property, pinned in
+// internal/oram.)
+func TestFixedAccessCounts(t *testing.T) {
+	tbl := newTable(t, 300, Options{RowsPerBlock: 3}, nil)
+	rng := rand.New(rand.NewPCG(3, 3))
+	for i := 0; i < 260; i++ {
+		hPre := tbl.Height()
+		if err := tbl.Insert(trow(int64(rng.IntN(100)))); err != nil {
+			t.Fatal(err)
+		}
+		if want := insertTarget(hPre, tbl.Height()); tbl.ops != want {
+			t.Fatalf("insert %d at heights %d→%d: %d accesses, want %d", i, hPre, tbl.Height(), tbl.ops, want)
+		}
+	}
+	h := tbl.Height()
+	dst := make(table.Row, 2)
+	for _, k := range []int64{0, 50, 99, -5, 1000} {
+		if _, _, err := tbl.Lookup(k); err != nil || tbl.ops != lookupTarget(h) {
+			t.Fatalf("lookup(%d): %d accesses, want %d (err %v)", k, tbl.ops, lookupTarget(h), err)
+		}
+		if _, err := tbl.LookupInto(k, dst); err != nil || tbl.ops != lookupTarget(h) {
+			t.Fatalf("LookupInto(%d): %d accesses, want %d (err %v)", k, tbl.ops, lookupTarget(h), err)
+		}
+		if _, err := tbl.UpdateByKey(k, func(r table.Row) table.Row { return r }); err != nil || tbl.ops != updateTarget(h) {
+			t.Fatalf("update(%d): %d accesses, want %d (err %v)", k, tbl.ops, updateTarget(h), err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		hPre := tbl.Height()
+		k := int64(rng.IntN(120)) // some misses
+		if _, err := tbl.Delete(k); err != nil || tbl.ops != deleteTarget(hPre) {
+			t.Fatalf("delete(%d) at height %d: %d accesses, want %d (err %v)", k, hPre, tbl.ops, deleteTarget(hPre), err)
+		}
 	}
 }
 

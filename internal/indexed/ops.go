@@ -104,6 +104,9 @@ func lookupTarget(h int) int { return h + 2 }
 // lookupEntry locates the first entry with the given key, returning its
 // rowID. The access count so far is h or h+1; callers pad.
 func (t *Table) lookupEntry(key int64) (uint32, bool, error) {
+	if t.height == 0 {
+		return 0, false, nil
+	}
 	path, err := t.descend(key, -1)
 	if err != nil {
 		return 0, false, err

@@ -1,10 +1,11 @@
-package obtree
+package obtree_test
 
 import (
 	"math/rand/v2"
 	"testing"
 
 	"oblidb/internal/enclave"
+	"oblidb/internal/indexed"
 	"oblidb/internal/table"
 )
 
@@ -85,7 +86,7 @@ func TestBulkLoadCapacity(t *testing.T) {
 		t.Fatal("over-capacity bulk load accepted")
 	}
 	e := enclave.MustNew(enclave.Config{})
-	tree2, err := New(e, "t2", treeSchema(), 0, 8, Options{})
+	tree2, err := indexed.New(e, "t2", treeSchema(), 0, 8, indexed.Options{RowsPerBlock: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

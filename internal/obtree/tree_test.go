@@ -1,13 +1,14 @@
-package obtree
+package obtree_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sort"
 	"testing"
 
 	"oblidb/internal/enclave"
-	"oblidb/internal/oram"
+	"oblidb/internal/indexed"
 	"oblidb/internal/table"
 	"oblidb/internal/trace"
 )
@@ -19,10 +20,10 @@ func treeSchema() *table.Schema {
 	)
 }
 
-func newTree(t *testing.T, maxRows int, tr *trace.Tracer) *Tree {
+func newTree(t *testing.T, maxRows int, tr *trace.Tracer) *indexed.Table {
 	t.Helper()
 	e := enclave.MustNew(enclave.Config{Tracer: tr})
-	tree, err := New(e, "idx", treeSchema(), 0, maxRows, Options{})
+	tree, err := indexed.New(e, "idx", treeSchema(), 0, maxRows, indexed.Options{RowsPerBlock: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,13 +38,13 @@ func trow(k int64) table.Row {
 func TestNewValidation(t *testing.T) {
 	e := enclave.MustNew(enclave.Config{})
 	s := treeSchema()
-	if _, err := New(e, "i", s, 5, 10, Options{}); err == nil {
+	if _, err := indexed.New(e, "i", s, 5, 10, indexed.Options{RowsPerBlock: 1}); err == nil {
 		t.Error("out-of-range key column accepted")
 	}
-	if _, err := New(e, "i", s, 1, 10, Options{}); err == nil {
+	if _, err := indexed.New(e, "i", s, 1, 10, indexed.Options{RowsPerBlock: 1}); err == nil {
 		t.Error("string key column accepted")
 	}
-	if _, err := New(e, "i", s, 0, 0, Options{}); err == nil {
+	if _, err := indexed.New(e, "i", s, 0, 0, indexed.Options{RowsPerBlock: 1}); err == nil {
 		t.Error("zero maxRows accepted")
 	}
 }
@@ -218,7 +219,7 @@ func TestModel(t *testing.T) {
 	}
 	// Final full-content check via range scan.
 	var keys []int64
-	if _, err := tree.RangeScan(minInt64, maxInt64, func(r table.Row) error {
+	if _, err := tree.RangeScan(math.MinInt64, math.MaxInt64, func(r table.Row) error {
 		keys = append(keys, r[0].AsInt())
 		return nil
 	}); err != nil {
@@ -291,124 +292,9 @@ func TestScanRawMatchesRangeScan(t *testing.T) {
 	}
 }
 
-// TestFixedAccessCounts is the §3.2 obliviousness property: every
-// operation of a given type performs a fixed number of ORAM accesses
-// determined only by the (public) tree height — splits, merges, hits, and
-// misses are all invisible.
-func TestFixedAccessCounts(t *testing.T) {
-	tr := trace.New()
-	tr.EnableCounts()
-	tree := newTree(t, 300, tr)
-	perOp := tree.ORAM().(*oram.ORAM).AccessesPerOp()
-
-	counts := func(f func() error) int {
-		before := tr.TotalCount()
-		if err := f(); err != nil {
-			t.Fatal(err)
-		}
-		return int(tr.TotalCount() - before)
-	}
-
-	rng := rand.New(rand.NewPCG(3, 3))
-	// Grow the tree, checking every insert at unchanged height costs the
-	// same.
-	byHeight := map[[2]int]int{}
-	for i := 0; i < 260; i++ {
-		hPre := tree.Height()
-		k := int64(rng.IntN(100))
-		n := counts(func() error { return tree.Insert(trow(k)) })
-		sig := [2]int{hPre, tree.Height()}
-		if prev, seen := byHeight[sig]; seen && prev != n {
-			t.Fatalf("insert at height %v cost %d accesses, previously %d", sig, n, prev)
-		}
-		byHeight[sig] = n
-		if n != insertTarget(sig[0], sig[1])*perOp {
-			t.Fatalf("insert cost %d, want %d", n, insertTarget(sig[0], sig[1])*perOp)
-		}
-	}
-
-	h := tree.Height()
-	// Lookups: hit, miss, and deep-duplicate all cost the same.
-	want := lookupTarget(h) * perOp
-	for _, k := range []int64{0, 50, 99, -5, 1000} {
-		if n := counts(func() error { _, _, err := tree.Lookup(k); return err }); n != want {
-			t.Fatalf("lookup(%d) cost %d accesses, want %d", k, n, want)
-		}
-	}
-
-	// Updates.
-	wantU := updateTarget(h) * perOp
-	for _, k := range []int64{0, 99, -7} {
-		n := counts(func() error {
-			_, err := tree.UpdateByKey(k, func(r table.Row) table.Row { return r })
-			return err
-		})
-		if n != wantU {
-			t.Fatalf("update(%d) cost %d accesses, want %d", k, n, wantU)
-		}
-	}
-
-	// Deletes: hit and miss cost the same while height is unchanged.
-	for i := 0; i < 50; i++ {
-		hPre := tree.Height()
-		k := int64(rng.IntN(120)) // some misses
-		n := counts(func() error { _, err := tree.Delete(k); return err })
-		if n != deleteTarget(hPre)*perOp {
-			t.Fatalf("delete(%d) cost %d accesses, want %d", k, n, deleteTarget(hPre)*perOp)
-		}
-	}
-}
-
-func TestRingORAMTree(t *testing.T) {
-	// §8: "any other ORAM could replace it with no other changes to the
-	// system" — the full index works over Ring ORAM.
-	e := enclave.MustNew(enclave.Config{})
-	tree, err := New(e, "idx", treeSchema(), 0, 120, Options{RingORAM: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tree.Close()
-	rows := make([]table.Row, 80)
-	for i := range rows {
-		rows[i] = trow(int64(i))
-	}
-	if err := tree.BulkLoad(rows); err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 80; i += 7 {
-		if _, ok, err := tree.Lookup(i); !ok || err != nil {
-			t.Fatalf("lookup %d: ok=%v err=%v", i, ok, err)
-		}
-	}
-	for i := int64(0); i < 20; i++ {
-		if err := tree.Insert(trow(1000 + i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := int64(0); i < 10; i++ {
-		if ok, err := tree.Delete(i); !ok || err != nil {
-			t.Fatalf("delete %d: ok=%v err=%v", i, ok, err)
-		}
-	}
-	if tree.NumRows() != 90 {
-		t.Fatalf("NumRows = %d, want 90", tree.NumRows())
-	}
-	n, err := tree.RangeScan(minInt64, maxInt64, func(table.Row) error { return nil })
-	if err != nil || n != 90 {
-		t.Fatalf("range scan found %d rows: %v", n, err)
-	}
-	seen := 0
-	if err := tree.ScanRaw(func(table.Row) error { seen++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if seen != 90 {
-		t.Fatalf("raw scan found %d rows, want 90", seen)
-	}
-}
-
 func TestRecursiveORAMTree(t *testing.T) {
 	e := enclave.MustNew(enclave.Config{})
-	tree, err := New(e, "idx", treeSchema(), 0, 64, Options{RecursiveORAM: true})
+	tree, err := indexed.New(e, "idx", treeSchema(), 0, 64, indexed.Options{RecursiveORAM: true, RowsPerBlock: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

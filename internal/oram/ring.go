@@ -306,7 +306,7 @@ func (r *Ring) UpdateInto(id int, dst []byte, fn func([]byte) []byte) ([]byte, e
 }
 
 // DummyAccess reads a random block. The result lands in an internal
-// scratch buffer so padded operations (obtree/indexed lookups that pad to
+// scratch buffer so padded operations (indexed lookups that pad to
 // worst-case counts) stay allocation-free.
 func (r *Ring) DummyAccess() error {
 	var err error

@@ -114,9 +114,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"transient store faults injected by the configured fault schedule", faultCount)
 
 	m.framesIn = r.CounterVec("oblidb_frames_received_total", "protocol frames received by type", "type")
-	m.framesOut = r.CounterVec("oblidb_frames_sent_total", "protocol frames sent by type", "type")
+	m.framesOut = r.CounterVec("oblidb_frames_sent_total", "protocol frames sent by type, counted when the write starts", "type")
 	m.bytesIn = r.Counter("oblidb_net_read_bytes_total", "protocol bytes received, including frame headers")
-	m.bytesOut = r.Counter("oblidb_net_written_bytes_total", "protocol bytes sent, including frame headers")
+	m.bytesOut = r.Counter("oblidb_net_written_bytes_total", "protocol bytes sent, including frame headers, counted when the write starts")
 
 	// Transactions and the durable journal. Counts of transaction
 	// control and journal activity are functions of (public) statement

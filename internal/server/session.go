@@ -103,12 +103,16 @@ func (ss *session) serve() {
 	}
 }
 
-// writeResp encodes and writes one response frame, counting it. With
+// writeResp encodes and writes one response frame, counting it. The
+// frame is counted before the write starts: a client holding its reply
+// may scrape /metrics at once, and must see that reply counted. With
 // WriteDeadline configured, a client that stops draining its socket
 // fails the write within the deadline and is evicted, instead of
 // holding the writer goroutine (and its buffered responses) forever.
 func (ss *session) writeResp(r *wire.Response) error {
 	payload := wire.EncodeResponse(r)
+	ss.srv.m.framesOut.WithCounter(frameTypeName(r.Type)).Inc()
+	ss.srv.m.bytesOut.Add(uint64(len(payload)) + 4)
 	if d := ss.srv.cfg.WriteDeadline; d > 0 {
 		_ = ss.conn.SetWriteDeadline(time.Now().Add(d))
 	}
@@ -120,8 +124,6 @@ func (ss *session) writeResp(r *wire.Response) error {
 		}
 		return err
 	}
-	ss.srv.m.framesOut.WithCounter(frameTypeName(r.Type)).Inc()
-	ss.srv.m.bytesOut.Add(uint64(len(payload)) + 4)
 	return nil
 }
 

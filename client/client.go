@@ -426,9 +426,9 @@ func (c *Conn) callOnce(ctx context.Context, req *wire.Request) (*wire.Response,
 }
 
 // respError turns a TError frame into an error carrying the server's
-// stable code (wire v5 extension), so oblidb.ErrorCodeOf and
-// oblidb.Retriable work on client-surfaced errors. Frames without a
-// code (older servers, client-mistake rejections) stay untyped.
+// stable code, so oblidb.ErrorCodeOf and oblidb.Retriable work on
+// client-surfaced errors. Frames with code 0 (client-mistake
+// rejections) stay untyped.
 func respError(r *wire.Response) error {
 	if code := oberr.Code(r.ErrCode); code != oberr.CodeUnknown {
 		return oberr.New(code, "oblidb: %s", r.Err)
@@ -692,8 +692,8 @@ func (c *Conn) Rollback(ctx context.Context) error {
 	return err
 }
 
-// ServerStats fetches the server's public counters, including (from v3
-// servers) the full metrics snapshot in Stats.MetricsJSON.
+// ServerStats fetches the server's public counters, including the full
+// metrics snapshot in Stats.MetricsJSON.
 func (c *Conn) ServerStats() (Stats, error) {
 	resp, _, err := c.call(context.Background(), &wire.Request{Type: wire.TStats},
 		callPolicy{retry: true, readOnly: true})

@@ -196,7 +196,7 @@ func run(in io.Reader, out io.Writer, memory, pad int, showTime bool, connect st
 					fmt.Fprintf(out, "error: no prepared statement %q (use \\prepare)\n", name)
 					continue
 				}
-				res, err := routeLocal(exec, &tx, st, args)
+				res, err := tx.Route(sql.Local(exec), st, args)
 				if err != nil {
 					fmt.Fprintln(out, "error:", err)
 					continue
@@ -306,8 +306,8 @@ func run(in io.Reader, out io.Writer, memory, pad int, showTime bool, connect st
 	}
 }
 
-// runLocal executes one statement line in the embedded engine,
-// honoring the shell's transaction state.
+// runLocal executes one statement line in the embedded engine through
+// the shell's transaction state.
 func runLocal(x *sql.Executor, tx *sql.TxState, line string) (*core.Result, error) {
 	prep, err := x.PrepareOneShot(line)
 	if err != nil {
@@ -316,64 +316,14 @@ func runLocal(x *sql.Executor, tx *sql.TxState, line string) (*core.Result, erro
 	if prep.NumParams() > 0 {
 		return nil, fmt.Errorf("statement has parameters; use \\prepare and \\exec")
 	}
-	return routeLocal(x, tx, prep, nil)
+	return tx.Route(sql.Local(x), prep, nil)
 }
 
-// routeLocal dispatches one prepared statement through the shell's
-// transaction state: BEGIN/COMMIT/ROLLBACK drive the state, writes
-// inside an open transaction are buffered until COMMIT (acknowledging
-// 0 affected rows now), and reads run immediately against the
-// pre-transaction snapshot.
-func routeLocal(x *sql.Executor, tx *sql.TxState, prep *sql.Prepared, args []table.Value) (*core.Result, error) {
-	stmt := prep.Stmt()
-	switch {
-	case sql.IsBegin(stmt):
-		if err := tx.Begin(); err != nil {
-			return nil, err
-		}
-		return ackResult(), nil
-	case sql.IsCommit(stmt):
-		items, err := tx.Take()
-		if err != nil {
-			return nil, err
-		}
-		return x.ExecTx(items)
-	case sql.IsRollback(stmt):
-		if err := tx.Rollback(); err != nil {
-			return nil, err
-		}
-		return ackResult(), nil
-	case tx.Active() && sql.IsDDL(stmt):
-		return nil, fmt.Errorf("DDL cannot run inside a transaction")
-	case tx.Active() && sql.IsWrite(stmt):
-		if len(args) != prep.NumParams() {
-			return nil, fmt.Errorf("statement has %d parameter(s), got %d argument(s)",
-				prep.NumParams(), len(args))
-		}
-		if err := tx.Buffer(prep, args); err != nil {
-			return nil, err
-		}
-		return ackResult(), nil
-	default:
-		return prep.Exec(args)
-	}
-}
-
-// ackResult is the zero-affected acknowledgment for statements the
-// transaction state absorbs.
-func ackResult() *core.Result {
-	return &core.Result{Cols: []string{"affected"},
-		Rows: []table.Row{{table.Int(0)}}, Affected: true}
-}
-
-// printMetricsJSON renders a server's metrics snapshot (the wire.Stats
-// v3 extension): one line per family, names sorted, values rendered
-// compactly. Histograms show count and sum; labeled families list
-// label=value pairs.
+// printMetricsJSON renders a server's metrics snapshot
+// (wire.Stats.MetricsJSON): one line per family, names sorted, values
+// rendered compactly. Histograms show count and sum; labeled families
+// list label=value pairs.
 func printMetricsJSON(out io.Writer, metricsJSON string) {
-	if metricsJSON == "" {
-		return // pre-v3 server
-	}
 	var snap map[string]any
 	if err := json.Unmarshal([]byte(metricsJSON), &snap); err != nil {
 		fmt.Fprintf(out, "  metrics: unreadable snapshot: %v\n", err)

@@ -115,3 +115,38 @@ func TestPrintResultTruncatesLongResults(t *testing.T) {
 		t.Fatalf("long result not truncated:\n%s", out.String())
 	}
 }
+
+// TestShellEmbeddedTransactions drives the embedded engine through the
+// shared transaction router: buffered writes stay invisible until
+// COMMIT, ROLLBACK discards them, and DDL inside a transaction fails.
+func TestShellEmbeddedTransactions(t *testing.T) {
+	steps := []struct{ stmt, want string }{
+		{"CREATE TABLE t (id INTEGER, name VARCHAR(8))", "affected\n0"},
+		{"INSERT INTO t VALUES (1, 'a')", "affected\n1"},
+		{"BEGIN", "affected\n0"},
+		{"INSERT INTO t VALUES (2, 'b')", "affected\n0"},
+		{"SELECT COUNT(*) FROM t", "COUNT(*)\n1"}, // the pre-transaction snapshot
+		{"COMMIT", "affected\n1"},
+		{"SELECT COUNT(*) FROM t", "COUNT(*)\n2"},
+		{"BEGIN", "affected\n0"},
+		{"DELETE FROM t", "affected\n0"},
+		{"CREATE TABLE u (a INTEGER)", "error: sql: DDL cannot run inside a transaction"},
+		{"ROLLBACK", "affected\n0"},
+		{"SELECT COUNT(*) FROM t", "COUNT(*)\n2"},
+	}
+	var script strings.Builder
+	for _, s := range steps {
+		script.WriteString(s.stmt + "\n")
+	}
+	// Each statement's output follows its prompt; chunk 0 is the banner
+	// and the last chunk is the EOF prompt.
+	chunks := strings.Split(driveShell(t, script.String(), ""), "oblidb> ")
+	if len(chunks) != len(steps)+2 {
+		t.Fatalf("got %d prompts for %d statements:\n%s", len(chunks)-1, len(steps), strings.Join(chunks, "oblidb> "))
+	}
+	for i, s := range steps {
+		if got := strings.TrimSpace(chunks[i+1]); got != s.want {
+			t.Errorf("%s: got %q, want %q", s.stmt, got, s.want)
+		}
+	}
+}

@@ -195,47 +195,22 @@ func (c *memConn) run(ctx context.Context, query string, args []driver.NamedValu
 	if err != nil {
 		return nil, err
 	}
-	if c.tx.Active() {
-		prep, err := c.exec.Prepare(query)
-		if err != nil {
-			return nil, err
-		}
-		return c.routeTx(prep, vals)
+	prep, err := c.exec.PrepareOneShot(query)
+	if err != nil {
+		return nil, err
 	}
-	return c.exec.ExecuteArgs(query, vals)
+	return c.route(prep, vals)
 }
 
-// routeTx executes one statement issued while this connection's
-// transaction is open: writes are buffered until Commit (each
-// acknowledging 0 affected rows), reads run immediately against the
-// pre-transaction snapshot, and statements that cannot ride a deferred
-// transaction are rejected.
-func (c *memConn) routeTx(prep *sqlexec.Prepared, vals []table.Value) (*core.Result, error) {
-	stmt := prep.Stmt()
-	switch {
-	case sqlexec.IsTxControl(stmt):
+// route sends one statement through the connection's transaction
+// router: inside a transaction, writes are buffered until Commit and
+// reads see the pre-transaction snapshot. Transaction control must use
+// the database/sql Tx API.
+func (c *memConn) route(prep *sqlexec.Prepared, vals []table.Value) (*core.Result, error) {
+	if sqlexec.IsTxControl(prep.Stmt()) {
 		return nil, errors.New("oblidb driver: use the database/sql Tx API for transaction control")
-	case sqlexec.IsDDL(stmt):
-		return nil, errors.New("oblidb driver: DDL cannot run inside a transaction")
-	case sqlexec.IsWrite(stmt):
-		if len(vals) != prep.NumParams() {
-			return nil, fmt.Errorf("oblidb driver: statement has %d parameter(s), got %d argument(s)",
-				prep.NumParams(), len(vals))
-		}
-		if err := c.tx.Buffer(prep, vals); err != nil {
-			return nil, err
-		}
-		return deferredAck(), nil
-	default:
-		return prep.Exec(vals)
 	}
-}
-
-// deferredAck is the result a buffered write reports: 0 affected rows
-// now, with the transaction's total surfacing at Commit.
-func deferredAck() *core.Result {
-	return &core.Result{Cols: []string{"affected"},
-		Rows: []table.Row{{table.Int(0)}}, Affected: true}
+	return c.tx.Route(sqlexec.Local(c.exec), prep, vals)
 }
 
 func (c *memConn) Ping(ctx context.Context) error {
@@ -271,11 +246,7 @@ type memTx struct{ conn *memConn }
 var _ driver.Tx = (*memTx)(nil)
 
 func (t *memTx) Commit() error {
-	items, err := t.conn.tx.Take()
-	if err != nil {
-		return err
-	}
-	_, err = t.conn.exec.ExecTx(items)
+	_, err := t.conn.tx.Commit(sqlexec.Local(t.conn.exec))
 	return err
 }
 
@@ -316,10 +287,7 @@ func (s *memStmt) run(ctx context.Context, vals []table.Value) (*core.Result, er
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if s.conn.tx.Active() {
-		return s.conn.routeTx(s.prep, vals)
-	}
-	return s.prep.Exec(vals)
+	return s.conn.route(s.prep, vals)
 }
 
 func (s *memStmt) Exec(args []driver.Value) (driver.Result, error) {

@@ -87,7 +87,9 @@ type Config struct {
 	// into up to this many equal padded partitions executed concurrently
 	// (the per-query count is chosen by the planner from public sizes
 	// alone). 0 or 1 keeps the engine serial; -1 uses GOMAXPROCS. The
-	// pool size is public configuration, like the epoch cadence.
+	// pool size is public configuration, like the epoch cadence. It
+	// cannot be combined with ReadConcurrency > 1: partitioned operators
+	// run only on the serial context, which reads then never take.
 	Parallelism int
 	// RowsPerBlock is the packing factor R: how many records each sealed
 	// block holds. Every full-table pass costs one AEAD open/seal per
@@ -107,7 +109,8 @@ type Config struct {
 	// database lock, each on its own enclave replica (own sealer, PRNG
 	// stream, tracer, scratch). 0 or 1 keeps reads on the exclusive lock
 	// — the serial engine, byte-identical traces; -1 uses GOMAXPROCS.
-	// The pool size is public configuration, like the epoch cadence.
+	// The pool size is public configuration, like the epoch cadence. The
+	// server fans each epoch's read runs out to this many goroutines.
 	ReadConcurrency int
 	// ReadTracers, if non-nil, must hold one tracer per read-slot
 	// context; each slot's untrusted accesses are recorded there. Tests
@@ -143,8 +146,8 @@ type Config struct {
 // ReadConcurrency ≤ 1 reads also take the exclusive side and run on the
 // engine's own context, preserving the serial engine's byte-identical
 // traces. Statement-internal partition parallelism
-// (Config.Parallelism) is unchanged and orthogonal; it stays exclusive
-// to the serial context. Exported methods lock and delegate to
+// (Config.Parallelism) stays exclusive to the serial context, so Open
+// accepts only one of the two pools. Exported methods lock and delegate to
 // unexported, unlocked variants; internal cross-calls use the unlocked
 // variants so the mutex is never taken reentrantly. See DESIGN.md §16.
 type DB struct {
@@ -351,6 +354,18 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.Padding.Enabled && cfg.Padding.PadRows <= 0 {
 		return nil, fmt.Errorf("core: padding mode needs a positive PadRows")
 	}
+	p, rc := cfg.Parallelism, cfg.ReadConcurrency
+	if p < 0 {
+		p = runtime.GOMAXPROCS(0)
+	}
+	if rc < 0 {
+		rc = runtime.GOMAXPROCS(0)
+	}
+	if p > 1 && rc > 1 {
+		// Partitioned operators run only on the serial context, which no
+		// read takes once read slots exist: the pool would never run.
+		return nil, fmt.Errorf("core: Parallelism %d and ReadConcurrency %d cannot both exceed 1", p, rc)
+	}
 	enc, err := enclave.New(enclave.Config{
 		ObliviousMemory: cfg.ObliviousMemory,
 		Tracer:          cfg.Tracer,
@@ -363,10 +378,6 @@ func Open(cfg Config) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{enc: enc, cfg: cfg, tables: make(map[string]*Table)}
-	p := cfg.Parallelism
-	if p < 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
 	if p > 1 {
 		db.workers, err = enc.Split(p, cfg.WorkerTracers)
 		if err != nil {
@@ -376,10 +387,6 @@ func Open(cfg Config) (*DB, error) {
 		return nil, fmt.Errorf("core: WorkerTracers set on a serial engine")
 	}
 	db.serialCtx = &execCtx{db: db, enc: enc, serial: true}
-	rc := cfg.ReadConcurrency
-	if rc < 0 {
-		rc = runtime.GOMAXPROCS(0)
-	}
 	if rc > 1 {
 		if cfg.ReadTracers != nil && len(cfg.ReadTracers) != rc {
 			return nil, fmt.Errorf("core: ReadTracers has %d tracers for %d read slots", len(cfg.ReadTracers), rc)

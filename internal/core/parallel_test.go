@@ -32,6 +32,20 @@ func sortedIDs(res *Result) []int64 {
 	return out
 }
 
+// TestOpenRejectsBothPools: partitioned operators need the serial
+// context, which no read takes once read slots exist, so a config that
+// asks for both pools would silently run only one.
+func TestOpenRejectsBothPools(t *testing.T) {
+	if _, err := Open(Config{Parallelism: 4, ReadConcurrency: 4}); err == nil {
+		t.Fatal("Parallelism 4 with ReadConcurrency 4 accepted")
+	}
+	for _, cfg := range []Config{{Parallelism: 4, ReadConcurrency: 1}, {Parallelism: 1, ReadConcurrency: 4}} {
+		if _, err := Open(cfg); err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+	}
+}
+
 func TestParallelEngineMatchesSerial(t *testing.T) {
 	const n = 256
 	serial := MustOpen(Config{})

@@ -171,7 +171,7 @@ func (db *DB) runPlan(ec *execCtx, n plan.Node, b plan.Binder) (*Result, error) 
 		if err := db.insertRows(x.Table, rows); err != nil {
 			return nil, err
 		}
-		return affectedResult(len(rows)), nil
+		return AffectedResult(len(rows)), nil
 	case *plan.Update:
 		t, err := db.lookup(x.Table)
 		if err != nil {
@@ -189,7 +189,7 @@ func (db *DB) runPlan(ec *execCtx, n plan.Node, b plan.Binder) (*Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		return affectedResult(count), nil
+		return AffectedResult(count), nil
 	case *plan.Delete:
 		t, err := db.lookup(x.Table)
 		if err != nil {
@@ -203,7 +203,7 @@ func (db *DB) runPlan(ec *execCtx, n plan.Node, b plan.Binder) (*Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		return affectedResult(count), nil
+		return AffectedResult(count), nil
 	case *plan.Tx:
 		// BEGIN/COMMIT/ROLLBACK compile to a plan node so EXPLAIN and the
 		// plan cache treat them uniformly, but they carry session state the
@@ -503,9 +503,4 @@ func engineRange(k *plan.KeyRange) *KeyRange {
 		return nil
 	}
 	return &KeyRange{Lo: k.Lo, Hi: k.Hi}
-}
-
-// affectedResult is the one-row result DML returns.
-func affectedResult(n int) *Result {
-	return &Result{Cols: []string{"affected"}, Rows: []table.Row{{table.Int(int64(n))}}, Affected: true}
 }

@@ -24,6 +24,12 @@ type Result struct {
 	Affected bool
 }
 
+// AffectedResult is the one-row result DDL and DML return, and the
+// zero-affected acknowledgment of transaction control.
+func AffectedResult(n int) *Result {
+	return &Result{Cols: []string{"affected"}, Rows: []table.Row{{table.Int(int64(n))}}, Affected: true}
+}
+
 // SelectOptions configures a selection query.
 type SelectOptions struct {
 	// KeyRange restricts the query via the table's index when one exists:

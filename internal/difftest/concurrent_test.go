@@ -10,10 +10,10 @@ import (
 )
 
 // TestDifferentialConcurrentReads extends the matrix with the
-// concurrent-read engines behind server.Config.Workers: the same seeded
+// concurrent-read engines the server fans epochs out on: the same seeded
 // workloads, but every run of consecutive queries executes across
 // goroutines on an engine whose read-slot pool is 2 or 4 wide — the
-// exact shape RunEpoch drives at Workers ∈ {2, 4} — while a chaff
+// exact shape RunEpoch drives at ReadConcurrency ∈ {2, 4} — while a chaff
 // writer hammers a table the queries never read, so shared-side reads
 // genuinely race exclusive-side writes on the engine lock. Workload
 // DML applies between runs, like the epoch scheduler's mutation

@@ -6,8 +6,8 @@
 // host fault injected below the enclave boundary must surface to a
 // remote client as the SAME stable code it was born with, so the
 // client (or an application) can decide mechanically whether retrying
-// can help. Codes therefore travel across the wire (TError frames
-// carry them as a trailing extension) and each code has a fixed
+// can help. Codes therefore travel across the wire (every TError frame
+// carries one after its message) and each code has a fixed
 // Retriable classification.
 //
 // Nothing here may depend on data values: a code describes the kind of

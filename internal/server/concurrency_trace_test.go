@@ -14,9 +14,10 @@ import (
 )
 
 // These tests pin the concurrency tentpole's observability claim: a
-// server at Workers=4 publishes exactly the observable stream of the
-// serial server — same epoch slot stream, and the same engine-level
-// untrusted-access profile — for the same workload. The workload is
+// server running four read slots at once (Engine.ReadConcurrency 4)
+// publishes exactly the observable stream of the serial server — same
+// epoch slot stream, and the same engine-level untrusted-access profile
+// — for the same workload. The workload is
 // queued with deterministic arrival order (one statement at a time,
 // confirmed via Pending before the next submit) so the only variable
 // between the two runs is how many slots execute concurrently.
@@ -56,7 +57,6 @@ func driveWorkload(t *testing.T, workers int, setup func(t *testing.T, x *sql.Ex
 	srv, addr := startServer(t, server.Config{
 		EpochSize: epochSize,
 		Manual:    true,
-		Workers:   workers,
 		Engine:    eng,
 		Tracer:    trace.New(), // enables ObservedStream recording
 	})

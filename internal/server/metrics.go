@@ -263,8 +263,8 @@ func frameTypeName(t byte) string {
 // listener exposes at /metrics and /debug/vars.
 func (s *Server) Metrics() *metrics.Registry { return s.m.reg }
 
-// metricsJSON renders the registry snapshot for the wire.Stats v3
-// extension. Map keys marshal sorted, so the encoding is deterministic.
+// metricsJSON renders the registry snapshot for wire.Stats.MetricsJSON.
+// Map keys marshal sorted, so the encoding is deterministic.
 func (s *Server) metricsJSON() string {
 	data, err := json.Marshal(s.m.reg.Snapshot())
 	if err != nil {

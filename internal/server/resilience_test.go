@@ -107,7 +107,7 @@ func TestAdmissionOverloadTyped(t *testing.T) {
 	if resp := rc.recv(); resp.Type != wire.TResult || resp.ID != 3 {
 		t.Fatalf("retry after overload: got type=%d id=%d", resp.Type, resp.ID)
 	}
-	// The rejection is visible in the audited counter (v3 MetricsJSON).
+	// The rejection is visible in the audited counter (MetricsJSON).
 	if mj := srv.Stats().MetricsJSON; !strings.Contains(mj, "oblidb_admission_rejected_total") {
 		t.Fatal("admission rejection counter missing from metrics snapshot")
 	}

@@ -17,10 +17,9 @@
 //
 // All engine access funnels through the epoch scheduler. By default it
 // executes an epoch's slots serially on one goroutine; with
-// Config.Workers > 1 the slots are dispatched to a worker pool, and the
-// engine's own locking plus its intra-query partition parallelism
-// (core.Config.Parallelism) turn the extra cores into throughput. See
-// the concurrency note on core.DB.
+// core.Config.ReadConcurrency > 1 runs of read slots are dispatched to
+// that many goroutines, each on its own read-slot context. See the
+// concurrency note on core.DB.
 package server
 
 import (
@@ -44,26 +43,22 @@ import (
 
 // Config configures a server.
 type Config struct {
-	// Engine configures the underlying database.
+	// Engine configures the underlying database. Its ReadConcurrency also
+	// sets how many slots of one epoch execute at once (0 or 1: serially,
+	// in arrival order). Above 1, maximal runs of consecutive read slots
+	// (SELECTs and padding dummies) fan out to that many goroutines, each
+	// on its own read-slot context; mutation slots and transaction
+	// commits are barriers, executing serially in arrival order between
+	// runs. Statements within one read run may complete in any order —
+	// the protocol already answers by request id, not arrival order — so
+	// clients that need ordering await each result. The observable
+	// stream is unchanged: exactly EpochSize slot executions per epoch,
+	// with slot events recorded before any slot runs.
 	Engine core.Config
 	// EpochSize is the number of statement slots per epoch (default 8).
 	EpochSize int
 	// EpochInterval is the fixed cadence between epochs (default 5ms).
 	EpochInterval time.Duration
-	// Workers is the number of statement slots of one epoch executed
-	// concurrently (default 1: slots run serially in arrival order).
-	// With Workers > 1, maximal runs of consecutive read slots (SELECTs
-	// and padding dummies) are dispatched to a goroutine pool and
-	// execute truly in parallel on the engine's read-slot contexts
-	// (core.Config.ReadConcurrency, defaulted to Workers); mutation
-	// slots and transaction commits are barriers, executing serially in
-	// arrival order between runs. Statements within one read run may
-	// complete in any order — the protocol already answers by request
-	// id, not arrival order — so clients that need ordering await each
-	// result. The observable stream is unchanged: exactly EpochSize slot
-	// executions per epoch, with slot events recorded before any slot
-	// runs.
-	Workers int
 	// ContentionProfiling enables the runtime's mutex and block
 	// profiles (runtime.SetMutexProfileFraction, SetBlockProfileRate)
 	// so /debug/pprof/mutex and /debug/pprof/block on the debug
@@ -197,11 +192,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SlowStatementEpochs <= 0 {
 		cfg.SlowStatementEpochs = 8
 	}
-	if cfg.Workers > 1 && cfg.Engine.ReadConcurrency == 0 {
-		// Concurrent slots need concurrent read contexts, or the pool
-		// would serialize on the engine's exclusive lock.
-		cfg.Engine.ReadConcurrency = cfg.Workers
-	}
 	if cfg.ContentionProfiling {
 		runtime.SetMutexProfileFraction(5)
 		runtime.SetBlockProfileRate(int(time.Microsecond))
@@ -265,7 +255,7 @@ func New(cfg Config) (*Server, error) {
 	go s.schedule()
 	s.log.Info("server started",
 		"epoch_size", cfg.EpochSize, "epoch_interval", cfg.EpochInterval,
-		"workers", cfg.Workers, "manual", cfg.Manual)
+		"read_concurrency", db.ReadConcurrency(), "manual", cfg.Manual)
 	return s, nil
 }
 
@@ -329,10 +319,7 @@ collect:
 			s.cfg.Tracer.Record(s.slotRegion, trace.Write, slot)
 		}
 	}
-	workers := s.cfg.Workers
-	if workers > size {
-		workers = size
-	}
+	workers := min(s.db.ReadConcurrency(), size)
 	if workers <= 1 {
 		for slot := 0; slot < size; slot++ {
 			s.executeSlot(slot, batch)
@@ -633,8 +620,8 @@ func (s *Server) Pending() int { return len(s.jobs) }
 
 // Stats reports the server's public counters, including the SQL layer's
 // plan-cache counters, the engine's per-algorithm pick tallies (plan
-// choices are already-conceded leakage, §2.3), and — as the v3
-// MetricsJSON extension — the full metric-registry snapshot.
+// choices are already-conceded leakage, §2.3), and the full
+// metric-registry snapshot as MetricsJSON.
 func (s *Server) Stats() wire.Stats {
 	cache := s.exec.CacheStats()
 	picks := enginePicks(s.db.PlanStats())

@@ -520,14 +520,13 @@ func TestGracefulShutdown(t *testing.T) {
 }
 
 // TestPooledEpochExecution drives the worker-pool epoch executor with a
-// parallel engine: results must match direct serial execution and the
-// observable stream must stay one full epoch per RunEpoch.
+// concurrent-read engine: results must match direct serial execution
+// and the observable stream must stay one full epoch per RunEpoch.
 func TestPooledEpochExecution(t *testing.T) {
 	tr := trace.New()
 	srv, addr := startServer(t, server.Config{
-		Engine:    core.Config{Parallelism: 4},
+		Engine:    core.Config{ReadConcurrency: 4},
 		EpochSize: 8,
-		Workers:   4,
 		Manual:    true,
 		Tracer:    tr,
 	})

@@ -210,27 +210,27 @@ func (ss *session) handle(req *wire.Request) {
 				Err: fmt.Sprintf("server: no prepared statement %d", req.Handle)})
 			return
 		}
-		if len(req.Args) != ps.NumParams() {
-			ss.send(&wire.Response{Type: wire.TError, ID: req.ID,
-				Err: fmt.Sprintf("server: statement has %d parameter(s), got %d argument(s)",
-					ps.NumParams(), len(req.Args))})
-			return
-		}
 		ss.route(req.ID, ps, req.Args)
 	case wire.TClosePrepared:
 		delete(ss.prepared, req.Handle)
 	case wire.TStats:
 		ss.send(&wire.Response{Type: wire.TStatsResult, ID: req.ID, Stats: ss.srv.Stats()})
-	case wire.TBegin:
-		ss.begin(req.ID)
-	case wire.TCommit:
-		ss.commit(req.ID)
-	case wire.TRollback:
-		ss.rollback(req.ID)
+	case wire.TBegin, wire.TCommit, wire.TRollback:
+		stmt := txFrames[req.Type]
+		res, err := ss.tx.Control(ss.slots(req.ID), stmt)
+		ss.answer(req.ID, stmt, res, err)
 	default:
 		ss.send(&wire.Response{Type: wire.TError, ID: req.ID,
 			Err: fmt.Sprintf("server: unknown request type %d", req.Type)})
 	}
+}
+
+// txFrames maps the transaction-control frames onto the statements they
+// stand for, so both spellings take the same path through the router.
+var txFrames = map[byte]sql.Statement{
+	wire.TBegin:    &sql.Begin{},
+	wire.TCommit:   &sql.Commit{},
+	wire.TRollback: &sql.Rollback{},
 }
 
 // checkReserved rejects DDL and mutations against the server-owned pad
@@ -257,87 +257,52 @@ func checkReserved(stmt sql.Statement) error {
 	return nil
 }
 
-// route dispatches a checked statement: transaction control runs here
-// in the session (BEGIN/ROLLBACK never touch the engine; COMMIT becomes
-// one epoch-slot job), writes inside an open transaction are buffered,
-// and everything else — including reads inside a transaction, which see
-// the pre-transaction snapshot — takes the normal epoch path.
+// route sends a checked statement through the session's transaction
+// router, here in the reader: a wrong-arity statement, DDL inside a
+// transaction, BEGIN, ROLLBACK and buffered writes are all answered
+// without taking an epoch slot.
 func (ss *session) route(id uint32, prep *sql.Prepared, args []table.Value) {
-	stmt := prep.Stmt()
-	switch {
-	case sql.IsBegin(stmt):
-		ss.begin(id)
-	case sql.IsCommit(stmt):
-		ss.commit(id)
-	case sql.IsRollback(stmt):
-		ss.rollback(id)
-	case ss.tx.Active() && sql.IsDDL(stmt):
-		ss.send(&wire.Response{Type: wire.TError, ID: id,
-			Err: "server: DDL cannot run inside a transaction"})
-	case ss.tx.Active() && sql.IsWrite(stmt):
-		if err := ss.tx.Buffer(prep, args); err != nil {
-			ss.send(errResp(id, err))
-			return
-		}
-		// Deferred writes acknowledge 0 affected rows at buffer time; the
-		// COMMIT result carries the transaction's total.
-		ss.ack(id)
-	default:
-		ss.enqueue(id, prep, args)
+	res, err := ss.tx.Route(ss.slots(id), prep, args)
+	ss.answer(id, prep.Stmt(), res, err)
+}
+
+// slots is the router's Runner for request id: a statement to run, or a
+// COMMIT's buffered writes, becomes one epoch-slot job that replies
+// itself. An empty transaction still rides a slot, so commits look
+// alike.
+func (ss *session) slots(id uint32) sql.Runner {
+	return sql.Runner{
+		Run: func(prep *sql.Prepared, args []table.Value) (*core.Result, error) {
+			return nil, ss.srv.submit(&job{sess: ss, id: id, prep: prep, args: args})
+		},
+		Commit: func(items []sql.TxItem) (*core.Result, error) {
+			return nil, ss.srv.submit(&job{sess: ss, id: id, commit: true, txItems: items})
+		},
 	}
 }
 
-// begin opens this session's transaction.
-func (ss *session) begin(id uint32) {
-	if err := ss.tx.Begin(); err != nil {
-		ss.send(errResp(id, err))
-		return
-	}
-	ss.srv.m.txBegun.Inc()
-	ss.ack(id)
-}
-
-// commit queues the buffered writes as one atomic epoch-slot job. An
-// empty transaction still rides a slot, so commits look alike.
-func (ss *session) commit(id uint32) {
-	items, err := ss.tx.Take()
+// answer replies to what the router settled in the session and counts
+// transaction control. A nil result is a queued job; its slot replies.
+func (ss *session) answer(id uint32, stmt sql.Statement, res *core.Result, err error) {
 	if err != nil {
 		ss.send(errResp(id, err))
 		return
 	}
-	if err := ss.srv.submit(&job{sess: ss, id: id, commit: true, txItems: items}); err != nil {
-		ss.send(errResp(id, err))
-	}
-}
-
-// rollback discards the buffered writes.
-func (ss *session) rollback(id uint32) {
-	if err := ss.tx.Rollback(); err != nil {
-		ss.send(errResp(id, err))
+	if res == nil {
 		return
 	}
-	ss.srv.m.txRolledBack.Inc()
-	ss.ack(id)
-}
-
-// ack answers a session-level statement with the zero-affected result.
-func (ss *session) ack(id uint32) {
-	ss.send(&wire.Response{Type: wire.TResult, ID: id, Result: &wire.Result{
-		Cols: []string{"affected"}, Rows: []table.Row{{table.Int(0)}}, Affected: true}})
-}
-
-// enqueue hands a prepared statement and its bound arguments to the
-// scheduler.
-func (ss *session) enqueue(id uint32, prep *sql.Prepared, args []table.Value) {
-	if err := ss.srv.submit(&job{sess: ss, id: id, prep: prep, args: args}); err != nil {
-		ss.send(errResp(id, err))
+	switch sql.KindOf(stmt) {
+	case "begin":
+		ss.srv.m.txBegun.Inc()
+	case "rollback":
+		ss.srv.m.txRolledBack.Inc()
 	}
+	ss.reply(id, res, nil)
 }
 
-// errResp builds a TError frame carrying the error's stable code (the
-// wire v5 extension), so clients can branch on retriability without
-// parsing message strings. Untyped errors carry code 0 (unknown) —
-// never retriable.
+// errResp builds a TError frame carrying the error's stable code, so
+// clients can branch on retriability without parsing message strings.
+// Untyped errors carry code 0 (unknown) — never retriable.
 func errResp(id uint32, err error) *wire.Response {
 	return &wire.Response{Type: wire.TError, ID: id,
 		Err: err.Error(), ErrCode: uint16(oberr.CodeOf(err))}

@@ -11,6 +11,7 @@ import (
 	"oblidb/internal/crypt"
 	"oblidb/internal/server"
 	"oblidb/internal/wal"
+	"oblidb/internal/wire"
 )
 
 func openServerLog(t *testing.T, path string, key []byte) *wal.Log {
@@ -137,6 +138,39 @@ func TestServedTransactions(t *testing.T) {
 	if st.TxBegun != 4 || st.TxCommitted != 2 || st.TxRolledBack != 2 {
 		t.Fatalf("tx stats = begun %d committed %d rolled back %d, want 4/2/2",
 			st.TxBegun, st.TxCommitted, st.TxRolledBack)
+	}
+}
+
+// TestTransactionErrorsTakeNoEpoch pins where the router runs: in the
+// session reader, before anything is queued. On a Manual server that
+// never runs an epoch, a wrong-arity execution and DDL inside a
+// transaction still get their error replies, and BEGIN and ROLLBACK
+// their acknowledgments.
+func TestTransactionErrorsTakeNoEpoch(t *testing.T) {
+	srv, addr := startServer(t, server.Config{Manual: true})
+	rc := dialRaw(t, addr)
+	expect := func(id uint32, typ byte, errPart string) {
+		t.Helper()
+		resp := rc.recv()
+		if resp.ID != id || resp.Type != typ || !strings.Contains(resp.Err, errPart) {
+			t.Fatalf("request %d: got id=%d type=%d err=%q, want type %d with %q",
+				id, resp.ID, resp.Type, resp.Err, typ, errPart)
+		}
+	}
+
+	rc.send(&wire.Request{Type: wire.TPrepare, ID: 1, SQL: "SELECT COUNT(*) FROM oblidb_pad WHERE k = $1"})
+	expect(1, wire.TPrepared, "")
+	rc.send(&wire.Request{Type: wire.TExecPrepared, ID: 2, Handle: 1})
+	expect(2, wire.TError, "parameter")
+	rc.send(&wire.Request{Type: wire.TBegin, ID: 3})
+	expect(3, wire.TResult, "")
+	rc.send(&wire.Request{Type: wire.TExec, ID: 4, SQL: "CREATE TABLE nope (a INTEGER)"})
+	expect(4, wire.TError, "DDL")
+	rc.send(&wire.Request{Type: wire.TRollback, ID: 5})
+	expect(5, wire.TResult, "")
+
+	if st := srv.Stats(); st.Epochs != 0 || srv.Pending() != 0 {
+		t.Fatalf("%d epoch(s) run, %d statement(s) queued; want none", st.Epochs, srv.Pending())
 	}
 }
 

@@ -74,7 +74,7 @@ func TestPlaceholderParseErrors(t *testing.T) {
 
 func TestExecuteArgsSelect(t *testing.T) {
 	_, x := bindTestDB(t)
-	res, err := x.ExecuteArgs("SELECT name FROM t WHERE id = $1", []table.Value{table.Int(2)})
+	res, err := x.Execute("SELECT name FROM t WHERE id = $1", table.Int(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestExecuteArgsSelect(t *testing.T) {
 		t.Fatalf("got %v", res.Rows)
 	}
 	// Same shape, different argument, via the anonymous spelling.
-	res, err = x.ExecuteArgs("SELECT name FROM t WHERE id = ?", []table.Value{table.Int(3)})
+	res, err = x.Execute("SELECT name FROM t WHERE id = ?", table.Int(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,26 +93,26 @@ func TestExecuteArgsSelect(t *testing.T) {
 
 func TestExecuteArgsInsertUpdateDelete(t *testing.T) {
 	_, x := bindTestDB(t)
-	res, err := x.ExecuteArgs("INSERT INTO t VALUES ($1, $2, $3)",
-		[]table.Value{table.Int(4), table.Int(40), table.Str("dave")})
+	res, err := x.Execute("INSERT INTO t VALUES ($1, $2, $3)",
+		table.Int(4), table.Int(40), table.Str("dave"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rows[0][0].AsInt() != 1 {
 		t.Fatalf("affected = %v", res.Rows[0][0])
 	}
-	if _, err := x.ExecuteArgs("UPDATE t SET v = $1 WHERE name = $2",
-		[]table.Value{table.Int(44), table.Str("dave")}); err != nil {
+	if _, err := x.Execute("UPDATE t SET v = $1 WHERE name = $2",
+		table.Int(44), table.Str("dave")); err != nil {
 		t.Fatal(err)
 	}
-	out, err := x.ExecuteArgs("SELECT v FROM t WHERE id = ?", []table.Value{table.Int(4)})
+	out, err := x.Execute("SELECT v FROM t WHERE id = ?", table.Int(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Rows) != 1 || out.Rows[0][0].AsInt() != 44 {
 		t.Fatalf("got %v", out.Rows)
 	}
-	del, err := x.ExecuteArgs("DELETE FROM t WHERE id = $1", []table.Value{table.Int(4)})
+	del, err := x.Execute("DELETE FROM t WHERE id = $1", table.Int(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +133,10 @@ func TestBindingArityErrors(t *testing.T) {
 		{"SELECT * FROM t", []table.Value{table.Int(1)}},
 	}
 	for _, c := range cases {
-		if _, err := x.ExecuteArgs(c.src, c.args); err == nil {
-			t.Errorf("ExecuteArgs(%q, %d args) unexpectedly succeeded", c.src, len(c.args))
+		if _, err := x.Execute(c.src, c.args...); err == nil {
+			t.Errorf("Execute(%q, %d args) unexpectedly succeeded", c.src, len(c.args))
 		} else if !strings.Contains(err.Error(), "parameter") && !strings.Contains(err.Error(), "argument") {
-			t.Errorf("ExecuteArgs(%q): unhelpful error %v", c.src, err)
+			t.Errorf("Execute(%q): unhelpful error %v", c.src, err)
 		}
 	}
 }
@@ -145,11 +145,11 @@ func TestNullArgumentErrsCleanly(t *testing.T) {
 	_, x := bindTestDB(t)
 	// NULL travels the binding path but no operator accepts it: the
 	// comparison errors instead of panicking or silently matching.
-	if _, err := x.ExecuteArgs("SELECT * FROM t WHERE id = $1", []table.Value{table.Null()}); err == nil {
+	if _, err := x.Execute("SELECT * FROM t WHERE id = $1", table.Null()); err == nil {
 		t.Fatal("comparing against NULL unexpectedly succeeded")
 	}
-	if _, err := x.ExecuteArgs("INSERT INTO t VALUES ($1, $2, $3)",
-		[]table.Value{table.Int(9), table.Null(), table.Str("x")}); err == nil {
+	if _, err := x.Execute("INSERT INTO t VALUES ($1, $2, $3)",
+		table.Int(9), table.Null(), table.Str("x")); err == nil {
 		t.Fatal("inserting NULL unexpectedly succeeded")
 	}
 }
@@ -164,7 +164,7 @@ func TestPlanCacheShapeSharing(t *testing.T) {
 		"SELECT name FROM t WHERE id = $1",
 		"SELECT name FROM t WHERE id = ?", // repeat: must hit
 	} {
-		if _, err := x.ExecuteArgs(src, []table.Value{table.Int(1)}); err != nil {
+		if _, err := x.Execute(src, table.Int(1)); err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
 	}
@@ -177,19 +177,19 @@ func TestPlanCacheShapeSharing(t *testing.T) {
 	}
 
 	// The two distinct spellings share one parsed statement.
-	s1, n1, err := x.Stmt("SELECT name FROM t WHERE id = ?")
+	p1, err := x.Prepare("SELECT name FROM t WHERE id = ?")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, n2, err := x.Stmt("SELECT name FROM t WHERE id = $1")
+	p2, err := x.Prepare("SELECT name FROM t WHERE id = $1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1 != s2 {
+	if p1.Stmt() != p2.Stmt() {
 		t.Error("spelling variants of one shape did not share a cached parse")
 	}
-	if n1 != 1 || n2 != 1 {
-		t.Errorf("numParams = %d, %d; want 1, 1", n1, n2)
+	if p1.NumParams() != 1 || p2.NumParams() != 1 {
+		t.Errorf("numParams = %d, %d; want 1, 1", p1.NumParams(), p2.NumParams())
 	}
 }
 
@@ -219,7 +219,7 @@ func TestPlaceholderDoesNotNarrowKeyRange(t *testing.T) {
 	literalUsedIndex := db.LastPlan.UsedIndex
 
 	// Parameterized shape: must NOT use the (value-derived) index range.
-	res, err := x.ExecuteArgs("SELECT v FROM k WHERE id = $1", []table.Value{table.Int(2)})
+	res, err := x.Execute("SELECT v FROM k WHERE id = $1", table.Int(2))
 	if err != nil {
 		t.Fatal(err)
 	}

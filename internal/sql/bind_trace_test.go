@@ -38,12 +38,12 @@ func tracedExec(t *testing.T, shape string, arg table.Value) *trace.Tracer {
 			t.Fatalf("%s: %v", stmt, err)
 		}
 	}
-	stmt, _, err := x.Stmt(shape)
+	prep, err := x.Prepare(shape)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr.Reset()
-	if _, err := x.ExecuteStmtArgs(stmt, []table.Value{arg}); err != nil {
+	if _, err := prep.Exec([]table.Value{arg}); err != nil {
 		t.Fatal(err)
 	}
 	return tr
@@ -96,12 +96,12 @@ func TestBoundArgsTraceIdenticalUpdate(t *testing.T) {
 				t.Fatalf("%s: %v", stmt, err)
 			}
 		}
-		stmt, _, err := x.Stmt(shape)
+		prep, err := x.Prepare(shape)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr.Reset()
-		if _, err := x.ExecuteStmtArgs(stmt, []table.Value{table.Int(set), table.Int(match)}); err != nil {
+		if _, err := prep.Exec([]table.Value{table.Int(set), table.Int(match)}); err != nil {
 			t.Fatal(err)
 		}
 		return tr

@@ -63,15 +63,11 @@ func New(db *core.DB) *Executor {
 // DB returns the underlying engine.
 func (x *Executor) DB() *core.DB { return x.db }
 
-// Execute parses and runs one statement with no bound arguments. DDL
-// and DML return a one-row result reporting the affected count.
-func (x *Executor) Execute(src string) (*core.Result, error) {
-	return x.ExecuteArgs(src, nil)
-}
-
-// ExecuteArgs parses (or recalls from the plan cache) one statement and
-// executes it with the given arguments bound to its placeholders.
-func (x *Executor) ExecuteArgs(src string, args []table.Value) (*core.Result, error) {
+// Execute parses (or recalls from the plan cache) one statement and
+// runs it with args bound to its placeholders. DDL and DML return a
+// one-row result reporting the affected count. Like PrepareOneShot, it
+// keeps a literal-only statement out of the shape cache.
+func (x *Executor) Execute(src string, args ...table.Value) (*core.Result, error) {
 	entry, err := x.plan(src, false)
 	if err != nil {
 		return nil, err
@@ -115,11 +111,7 @@ func (x *Executor) plan(src string, cacheLiterals bool) (*planEntry, error) {
 		x.mu.Unlock()
 		return entry, nil
 	} else {
-		if len(x.plans) >= planCacheLimit {
-			x.plans = make(map[string]*planEntry)
-			x.bySrc = make(map[string]string)
-		}
-		x.plans[key] = entry
+		x.storeLocked(key, entry)
 	}
 	if len(x.bySrc) < 4*planCacheLimit {
 		x.bySrc[src] = key
@@ -128,14 +120,13 @@ func (x *Executor) plan(src string, cacheLiterals bool) (*planEntry, error) {
 	return entry, nil
 }
 
-// entryFor finds or creates the cache entry sharing stmt's shape, so
-// raw-statement callers (ExecuteStmt, EXPLAIN) reuse one compiled plan
-// per shape. cacheLiterals follows plan's policy: without it, a
-// zero-placeholder statement gets a transient entry instead of
-// occupying (and at the limit, wiping) the shared cache — the EXPLAIN
-// path passes false so a stream of distinct literal EXPLAINs cannot
-// evict the plan-once/execute-many shapes.
-func (x *Executor) entryFor(stmt Statement, cacheLiterals bool) *planEntry {
+// entryFor finds the cache entry sharing stmt's shape, so EXPLAIN shows
+// (and shares) the compiled plan executions of that shape replay. A
+// shape not yet cached gets an entry only if it has placeholders: like
+// a one-shot execution, a literal EXPLAIN gets a transient entry, so a
+// stream of distinct literal EXPLAINs cannot evict the
+// plan-once/execute-many shapes.
+func (x *Executor) entryFor(stmt Statement) *planEntry {
 	key := stmt.(fmt.Stringer).String()
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -143,15 +134,20 @@ func (x *Executor) entryFor(stmt Statement, cacheLiterals bool) *planEntry {
 		return entry
 	}
 	entry := &planEntry{stmt: stmt, numParams: NumParams(stmt)}
-	if entry.numParams == 0 && !cacheLiterals {
-		return entry
+	if entry.numParams > 0 {
+		x.storeLocked(key, entry)
 	}
+	return entry
+}
+
+// storeLocked caches entry under its shape key, clearing the cache
+// wholesale when it is full (see planCacheLimit). x.mu must be held.
+func (x *Executor) storeLocked(key string, entry *planEntry) {
 	if len(x.plans) >= planCacheLimit {
 		x.plans = make(map[string]*planEntry)
 		x.bySrc = make(map[string]string)
 	}
 	x.plans[key] = entry
-	return entry
 }
 
 // Prepared is a cached statement shape ready for repeated execution:
@@ -194,17 +190,6 @@ func (p *Prepared) Exec(args []table.Value) (*core.Result, error) {
 	return p.x.execEntry(p.entry, args)
 }
 
-// Stmt returns the cached parsed statement and its parameter count for
-// src. It is the prepare step paired with ExecuteBound; Prepare is the
-// richer form that also hands back the shape's compiled-plan entry.
-func (x *Executor) Stmt(src string) (Statement, int, error) {
-	entry, err := x.plan(src, true)
-	if err != nil {
-		return nil, 0, err
-	}
-	return entry.stmt, entry.numParams, nil
-}
-
 // PlanCacheStats reports the cache's size and hit/miss counters.
 func (x *Executor) PlanCacheStats() (entries int, hits, misses uint64) {
 	x.mu.Lock()
@@ -234,53 +219,14 @@ func (x *Executor) CacheStats() CacheStats {
 	}
 }
 
-func (x *Executor) execEntry(entry *planEntry, args []table.Value) (*core.Result, error) {
-	if len(args) != entry.numParams {
-		return nil, fmt.Errorf("sql: statement has %d parameter(s), got %d argument(s)", entry.numParams, len(args))
-	}
-	return x.runEntry(entry, args)
-}
-
-// ExecuteStmt runs an already-parsed statement with no bound arguments.
-// Servers use it to execute prepared statements without re-parsing;
-// parsing happens inside the enclave and touches no untrusted memory,
-// so splitting it from execution changes nothing about the trace.
-func (x *Executor) ExecuteStmt(stmt Statement) (*core.Result, error) {
-	return x.ExecuteStmtArgs(stmt, nil)
-}
-
-// ExecuteStmtArgs runs an already-parsed statement with arguments bound
-// to its placeholders. Binding is strict: the argument count must equal
-// the statement's parameter count. The values are visible only to the
-// in-enclave expression evaluator — never to the planner or any code
-// that touches untrusted memory — so two executions of one statement
-// shape with different arguments produce identical traces whenever the
-// public parameters (table and output sizes) match.
-func (x *Executor) ExecuteStmtArgs(stmt Statement, args []table.Value) (*core.Result, error) {
-	return x.ExecuteBound(stmt, NumParams(stmt), args)
-}
-
-// ExecuteBound is ExecuteStmtArgs for callers that computed the
-// statement's parameter count once at prepare time. It looks the
-// statement's cache entry up by shape (one String render per call) so
-// repeated executions share a compiled plan; callers on a hot path
-// should hold a *Prepared instead, which pins the entry and skips the
-// lookup entirely. numParams must be NumParams(stmt).
-func (x *Executor) ExecuteBound(stmt Statement, numParams int, args []table.Value) (*core.Result, error) {
-	if len(args) != numParams {
-		return nil, fmt.Errorf("sql: statement has %d parameter(s), got %d argument(s)", numParams, len(args))
-	}
-	// cacheLiterals=false: like one-shot Execute, a literal statement
-	// arriving here must not occupy (or at the limit, wipe) the shared
-	// shape cache; cached shapes are still found and replayed.
-	return x.runEntry(x.entryFor(stmt, false), args)
-}
-
-// runEntry dispatches after arity checking: DDL and EXPLAIN execute
+// execEntry checks the arity, then dispatches: DDL and EXPLAIN execute
 // directly (they are catalog operations), everything else compiles into
 // (or replays) the entry's physical plan and runs it through the
 // engine's plan interpreter.
-func (x *Executor) runEntry(entry *planEntry, args []table.Value) (*core.Result, error) {
+func (x *Executor) execEntry(entry *planEntry, args []table.Value) (*core.Result, error) {
+	if err := checkArity(entry.numParams, len(args)); err != nil {
+		return nil, err
+	}
 	switch s := entry.stmt.(type) {
 	case *CreateTable:
 		// DDL invalidates compiled plans via the engine's catalog epoch
@@ -291,7 +237,7 @@ func (x *Executor) runEntry(entry *planEntry, args []table.Value) (*core.Result,
 		if err := x.db.DropTable(s.Name); err != nil {
 			return nil, err
 		}
-		return affected(0), nil
+		return core.AffectedResult(0), nil
 	case *Explain:
 		return x.explainStmt(s)
 	}
@@ -300,6 +246,15 @@ func (x *Executor) runEntry(entry *planEntry, args []table.Value) (*core.Result,
 		return nil, err
 	}
 	return x.db.ExecutePlan(root, newBinder(args))
+}
+
+// checkArity is the one binding check: the argument count must equal
+// the statement's parameter count.
+func checkArity(numParams, numArgs int) error {
+	if numArgs != numParams {
+		return fmt.Errorf("sql: statement has %d parameter(s), got %d argument(s)", numParams, numArgs)
+	}
+	return nil
 }
 
 // compiledPlan returns the entry's compiled plan, compiling on first
@@ -335,7 +290,7 @@ func (x *Executor) compiledPlan(entry *planEntry) (plan.Node, error) {
 // one-shot. Annotation and rendering run together under the engine
 // mutex (ExplainPlan) because the plan is shared.
 func (x *Executor) explainStmt(s *Explain) (*core.Result, error) {
-	entry := x.entryFor(s.Stmt, false)
+	entry := x.entryFor(s.Stmt)
 	root, err := x.compiledPlan(entry)
 	if err != nil {
 		return nil, err
@@ -345,10 +300,6 @@ func (x *Executor) explainStmt(s *Explain) (*core.Result, error) {
 		res.Rows = append(res.Rows, table.Row{table.Str(line)})
 	}
 	return res, nil
-}
-
-func affected(n int) *core.Result {
-	return &core.Result{Cols: []string{"affected"}, Rows: []table.Row{{table.Int(int64(n))}}, Affected: true}
 }
 
 func (x *Executor) createTable(s *CreateTable) (*core.Result, error) {
@@ -373,7 +324,7 @@ func (x *Executor) createTable(s *CreateTable) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return affected(0), nil
+	return core.AffectedResult(0), nil
 }
 
 func resolveJoinCols(s *Select, lt, rt *core.Table) (string, string, error) {

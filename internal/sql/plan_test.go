@@ -384,7 +384,7 @@ func TestExplainOfLiteralsStaysOutOfCache(t *testing.T) {
 // zero arguments — the plan is pure shape, so there is nothing to bind.
 func TestExplainBindsNothing(t *testing.T) {
 	x := planExec(t)
-	res, err := x.ExecuteArgs("EXPLAIN SELECT * FROM t WHERE id = $1 AND v < $2", nil)
+	res, err := x.Execute("EXPLAIN SELECT * FROM t WHERE id = $1 AND v < $2")
 	if err != nil {
 		t.Fatal(err)
 	}

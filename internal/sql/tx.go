@@ -1,26 +1,31 @@
 package sql
 
 import (
+	"errors"
 	"fmt"
 
 	"oblidb/internal/core"
 	"oblidb/internal/table"
 )
 
-// This file is the SQL layer's transaction support. Transactions are
-// *deferred*: writes issued between BEGIN and COMMIT are buffered as
-// prepared statements plus their bound arguments, and COMMIT hands the
-// whole batch to the engine's ExecutePlanTx, which applies it atomically
-// under one hold of the database mutex (and one durable journal commit).
-// Reads inside a transaction execute immediately against the pre-
-// transaction snapshot — they do not see the buffered writes, the same
-// trade Obladi makes to keep epoch batching intact (PAPERS.md): the
-// server commits ride the existing epoch slots unchanged, so an open
-// transaction is invisible in the padded statement stream.
+// This file is the SQL layer's transaction support and the one statement
+// router every surface shares. Transactions are *deferred*: writes
+// issued between BEGIN and COMMIT are buffered as prepared statements
+// plus their bound arguments, and COMMIT hands the whole batch to the
+// engine's ExecutePlanTx, which applies it atomically under one hold of
+// the database mutex (and one durable journal commit). Reads inside a
+// transaction execute immediately against the pre-transaction snapshot —
+// they do not see the buffered writes, the same trade Obladi makes to
+// keep epoch batching intact (PAPERS.md): the server commits ride the
+// existing epoch slots unchanged, so an open transaction is invisible in
+// the padded statement stream.
 //
 // Transaction state is per-session (a server connection, a driver conn,
-// an oblidb.Tx), never per-Executor — the Executor is shared across
-// sessions.
+// an oblidb.Tx, the shell's embedded engine), never per-Executor — the
+// Executor is shared across sessions. Every session sends its statements
+// through TxState.Route; what differs between surfaces is only how a
+// statement runs now and how a COMMIT batch applies, which each supplies
+// as a Runner.
 
 // IsBegin reports whether stmt is BEGIN.
 func IsBegin(stmt Statement) bool { _, ok := stmt.(*Begin); return ok }
@@ -56,11 +61,29 @@ func IsDDL(stmt Statement) bool {
 	return false
 }
 
+var errDDLInTx = errors.New("sql: DDL cannot run inside a transaction")
+
 // TxItem is one buffered write: the prepared statement and the argument
 // values it was issued with.
 type TxItem struct {
 	Prep *Prepared
 	Args []table.Value
+}
+
+// Runner is what a surface supplies to Route: Run executes a statement
+// now, Commit applies a committed transaction's buffered writes. In
+// process they are Prepared.Exec and Executor.ExecTx (see Local). The
+// server instead queues either as an epoch-slot job that answers the
+// client itself, and returns a nil result.
+type Runner struct {
+	Run    func(prep *Prepared, args []table.Value) (*core.Result, error)
+	Commit func(items []TxItem) (*core.Result, error)
+}
+
+// Local is the in-process Runner: statements execute at once and a
+// committed transaction applies through x.ExecTx.
+func Local(x *Executor) Runner {
+	return Runner{Run: (*Prepared).Exec, Commit: x.ExecTx}
 }
 
 // TxState is one session's transaction: whether one is open and the
@@ -77,6 +100,52 @@ func (t *TxState) Active() bool { return t.active }
 // Pending reports how many writes are buffered.
 func (t *TxState) Pending() int { return len(t.items) }
 
+// Route dispatches one statement of the session. The argument count
+// must match the statement's placeholders. BEGIN, COMMIT and ROLLBACK
+// go to Control. Inside a transaction DDL is rejected, and writes are
+// buffered until COMMIT, each acknowledged with zero affected rows.
+// Everything else goes to r.Run, including reads inside a transaction,
+// which see the pre-transaction snapshot.
+func (t *TxState) Route(r Runner, prep *Prepared, args []table.Value) (*core.Result, error) {
+	if err := checkArity(prep.NumParams(), len(args)); err != nil {
+		return nil, err
+	}
+	switch stmt := prep.Stmt(); {
+	case IsTxControl(stmt):
+		return t.Control(r, stmt)
+	case t.active && IsDDL(stmt):
+		return nil, errDDLInTx
+	case t.active && IsWrite(stmt):
+		if err := t.Buffer(prep, args); err != nil {
+			return nil, err
+		}
+		return core.AffectedResult(0), nil
+	}
+	return r.Run(prep, args)
+}
+
+// Control applies BEGIN, COMMIT or ROLLBACK, whether it arrived as SQL
+// text through Route or from a transaction API or protocol frame. BEGIN
+// and ROLLBACK answer with the zero-affected acknowledgment; COMMIT's
+// result is r.Commit's.
+func (t *TxState) Control(r Runner, stmt Statement) (*core.Result, error) {
+	var err error
+	switch stmt.(type) {
+	case *Begin:
+		err = t.Begin()
+	case *Commit:
+		return t.Commit(r)
+	case *Rollback:
+		err = t.Rollback()
+	default:
+		err = fmt.Errorf("sql: %s is not transaction control", KindOf(stmt))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return core.AffectedResult(0), nil
+}
+
 // Begin opens a transaction.
 func (t *TxState) Begin() error {
 	if t.active {
@@ -87,15 +156,13 @@ func (t *TxState) Begin() error {
 	return nil
 }
 
-// Buffer defers one write until COMMIT. The statement must be DML (the
-// caller routes reads around the buffer and rejects DDL with a clearer
-// message than this one).
+// Buffer defers one write until COMMIT. The statement must be DML.
 func (t *TxState) Buffer(prep *Prepared, args []table.Value) error {
 	if !t.active {
 		return fmt.Errorf("sql: no open transaction")
 	}
 	if IsDDL(prep.Stmt()) {
-		return fmt.Errorf("sql: DDL cannot run inside a transaction")
+		return errDDLInTx
 	}
 	if !IsWrite(prep.Stmt()) {
 		return fmt.Errorf("sql: only INSERT, UPDATE, and DELETE can be buffered")
@@ -104,8 +171,7 @@ func (t *TxState) Buffer(prep *Prepared, args []table.Value) error {
 	return nil
 }
 
-// Take closes the transaction and returns its buffered writes for
-// ExecTx — the COMMIT path.
+// Take closes the transaction and returns its buffered writes.
 func (t *TxState) Take() ([]TxItem, error) {
 	if !t.active {
 		return nil, fmt.Errorf("sql: no open transaction")
@@ -114,6 +180,16 @@ func (t *TxState) Take() ([]TxItem, error) {
 	t.items = nil
 	t.active = false
 	return items, nil
+}
+
+// Commit closes the transaction and hands its buffered writes to
+// r.Commit. An empty transaction still commits, so commits look alike.
+func (t *TxState) Commit(r Runner) (*core.Result, error) {
+	items, err := t.Take()
+	if err != nil {
+		return nil, err
+	}
+	return r.Commit(items)
 }
 
 // Rollback closes the transaction, discarding its buffered writes.
@@ -153,5 +229,5 @@ func (x *Executor) ExecTx(items []TxItem) (*core.Result, error) {
 			total += int(r.Rows[0][0].AsInt())
 		}
 	}
-	return affected(total), nil
+	return core.AffectedResult(total), nil
 }

@@ -300,3 +300,75 @@ func TestExplainTx(t *testing.T) {
 		t.Fatalf("EXPLAIN BEGIN output: %s", text)
 	}
 }
+
+// TestTxRouteDispatch pins the router's decisions with a recording
+// Runner: what runs now, what is buffered, what is answered in the
+// session, and what reaches Commit.
+func TestTxRouteDispatch(t *testing.T) {
+	x := newExec(t)
+	seed(t, x)
+	var ran []string
+	var committed []TxItem
+	r := Runner{
+		Run: func(p *Prepared, args []table.Value) (*core.Result, error) {
+			ran = append(ran, p.Kind())
+			return p.Exec(args)
+		},
+		Commit: func(items []TxItem) (*core.Result, error) {
+			committed = items
+			return x.ExecTx(items)
+		},
+	}
+	var st TxState
+	route := func(q string, args ...table.Value) (*core.Result, error) {
+		t.Helper()
+		return st.Route(r, txPrep(t, x, q), args)
+	}
+	isAck := func(res *core.Result, err error) bool {
+		return err == nil && res.Affected && res.Rows[0][0].AsInt() == 0
+	}
+
+	// Outside a transaction every statement runs now, writes included.
+	if _, err := route("INSERT INTO emp VALUES (7, 'gus', 'eng', 95)"); err != nil {
+		t.Fatal(err)
+	}
+	// Arity is checked before anything runs.
+	if _, err := route("SELECT * FROM emp WHERE id = ?"); err == nil {
+		t.Fatal("wrong arity routed")
+	}
+	if strings.Join(ran, ",") != "insert" {
+		t.Fatalf("ran %v, want [insert]", ran)
+	}
+
+	if !isAck(route("BEGIN")) {
+		t.Fatal("BEGIN not acknowledged")
+	}
+	if !isAck(route("DELETE FROM emp WHERE id = ?", table.Int(7))) || st.Pending() != 1 {
+		t.Fatalf("write inside a transaction not buffered (pending %d)", st.Pending())
+	}
+	if res, err := route("SELECT * FROM emp WHERE id = 7"); err != nil || len(res.Rows) != 1 {
+		t.Fatalf("read inside a transaction: %v rows, %v; want the pre-transaction row", res, err)
+	}
+	if _, err := route("CREATE TABLE other (a INTEGER)"); err == nil || !strings.Contains(err.Error(), "DDL") {
+		t.Fatalf("DDL inside a transaction: %v", err)
+	}
+	if strings.Join(ran, ",") != "insert,select" {
+		t.Fatalf("ran %v, want [insert select]", ran)
+	}
+	res, err := route("COMMIT")
+	if err != nil || res.Rows[0][0].AsInt() != 1 || len(committed) != 1 || st.Active() {
+		t.Fatalf("COMMIT: %v, %v; %d item(s) committed", res, err, len(committed))
+	}
+	if n := countRows(t, x, "SELECT * FROM emp WHERE id = 7"); n != 0 {
+		t.Fatal("committed delete not applied")
+	}
+	for _, q := range []string{"COMMIT", "ROLLBACK"} {
+		if _, err := route(q); err == nil {
+			t.Fatalf("%s without BEGIN succeeded", q)
+		}
+	}
+	sel, _ := Parse("SELECT * FROM emp")
+	if _, err := st.Control(r, sel); err == nil {
+		t.Fatal("Control accepted a SELECT")
+	}
+}

@@ -19,7 +19,7 @@ func FuzzWireFrame(f *testing.F) {
 		table.Int(7), table.Float(-0.5), table.Str("x"), table.Bool(false), table.Null(),
 	}}))
 	f.Add(EncodeResponse(&Response{Type: TPrepared, ID: 12, Handle: 9, NumParams: 2}))
-	f.Add([]byte{TExecPrepared, 0, 0, 0, 9, 0, 0, 0, 3}) // protocol-v1 body: handle only
+	f.Add([]byte{TExecPrepared, 0, 0, 0, 9, 0, 0, 0, 3}) // no argument count: must be rejected
 	f.Add(EncodeRequest(&Request{Type: TStats, ID: 9}))
 	f.Add(EncodeResponse(&Response{Type: TError, ID: 4, Err: "no such table"}))
 	f.Add(EncodeResponse(&Response{Type: TPrepared, ID: 5, Handle: 8}))

@@ -33,20 +33,18 @@ const (
 	TPrepare byte = 2
 	// TExecPrepared executes a prepared handle with bound arguments
 	// (body: uint32 handle, uvarint argument count, then one tagged
-	// value per argument — int64, float64, string, bool, or null). A
-	// body that ends after the handle means zero arguments, which keeps
-	// protocol-v1 frames decodable.
+	// value per argument — int64, float64, string, bool, or null).
 	TExecPrepared byte = 3
 	// TClosePrepared releases a prepared handle (body: uint32 handle).
 	TClosePrepared byte = 4
 	// TStats requests server statistics (empty body).
 	TStats byte = 5
-	// TBegin opens a transaction on this session (v4; empty body).
+	// TBegin opens a transaction on this session (empty body).
 	TBegin byte = 6
-	// TCommit commits the session's open transaction (v4; empty body).
-	// The result carries the transaction's total affected-row count.
+	// TCommit commits the session's open transaction (empty body). The
+	// result carries the transaction's total affected-row count.
 	TCommit byte = 7
-	// TRollback discards the session's open transaction (v4; empty body).
+	// TRollback discards the session's open transaction (empty body).
 	TRollback byte = 8
 
 	// TResult answers an Exec with a materialized result.
@@ -79,8 +77,7 @@ type Result struct {
 	Cols []string
 	Rows []table.Row
 	// Affected marks a DDL/DML outcome result (single cell = affected
-	// row count). Encoded as a trailing flag byte; protocol-v1 frames
-	// without it decode as false.
+	// row count). Encoded as a flag byte after the rows.
 	Affected bool
 }
 
@@ -101,9 +98,8 @@ type Stats struct {
 	// UptimeMillis is milliseconds since the server started serving.
 	UptimeMillis uint64
 
-	// Plan-cache and optimizer counters (a v2 extension; v1 frames
-	// decode with zeros). PlanEntries is the number of cached statement
-	// shapes; PlanHits/PlanMisses count parse-cache lookups;
+	// Plan-cache and optimizer counters. PlanEntries is the number of
+	// cached statement shapes; PlanHits/PlanMisses count parse-cache lookups;
 	// PlanCompiles/PlanCompileSkips count plan compilations vs
 	// executions that replayed a compiled plan.
 	PlanEntries                    uint32
@@ -113,15 +109,13 @@ type Stats struct {
 	// "select.Hash" or "join.Opaque" or "sort", sorted by name.
 	Picks []AlgPick
 
-	// MetricsJSON is the server's full metrics snapshot, JSON-encoded
-	// (a v3 extension; v1/v2 frames decode with ""). It carries the
-	// same leakage-audited registry the /metrics endpoint exposes, so a
+	// MetricsJSON is the server's full metrics snapshot, JSON-encoded.
+	// It carries the same leakage-audited registry the /metrics endpoint exposes, so a
 	// client behind a firewall still gets the whole catalog through the
 	// protocol it already speaks.
 	MetricsJSON string
 
-	// Transaction and journal counters (a v4 extension; older frames
-	// decode with zeros). The Tx counters tally BEGIN/COMMIT/ROLLBACK
+	// Transaction and journal counters. The Tx counters tally BEGIN/COMMIT/ROLLBACK
 	// traffic the client already generated; the Wal counters describe
 	// the durable journal — all zero when the server runs without one.
 	TxBegun, TxCommitted, TxRolledBack, TxAborted uint64
@@ -140,9 +134,9 @@ type Response struct {
 	Type byte
 	ID   uint32
 	Err  string // TError
-	// ErrCode is the stable oberr.Code of a TError (a v5 extension;
-	// older frames decode with 0 = unknown). Clients branch on it for
-	// retry decisions, so codes are never renumbered.
+	// ErrCode is the stable oberr.Code of a TError (0 = unknown).
+	// Clients branch on it for retry decisions, so codes are never
+	// renumbered.
 	ErrCode   uint16
 	Result    *Result // TResult
 	Handle    uint32  // TPrepared
@@ -258,6 +252,16 @@ func (d *dec) str() string {
 	return v
 }
 
+// end finishes a decode. Every field is read unconditionally, so a
+// frame shorter than its layout has already failed; one with bytes left
+// over fails here.
+func (d *dec) end() error {
+	if d.err == nil && len(d.b) != 0 {
+		d.fail(fmt.Sprintf("%d trailing byte(s)", len(d.b)))
+	}
+	return d.err
+}
+
 func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
 func (d *dec) i64() int64   { return int64(d.u64()) }
 
@@ -290,25 +294,15 @@ func DecodeRequest(payload []byte) (*Request, error) {
 		r.SQL = d.str()
 	case TExecPrepared:
 		r.Handle = d.u32()
-		// Protocol v1 ended here; an empty remainder is zero arguments.
-		if d.err == nil && len(d.b) > 0 {
-			n := d.uvarint()
+		if n := d.uvarint(); n > 0 {
 			// Cap preallocation by what the remaining payload could
 			// encode (≥1 byte per value) so a lying count cannot force
 			// a huge allocation.
-			capHint := n
-			if maxVals := len(d.b); capHint > maxVals {
-				capHint = maxVals
+			args := make([]table.Value, 0, min(n, len(d.b)))
+			for i := 0; i < n && d.err == nil; i++ {
+				args = append(args, d.value())
 			}
-			if n > 0 {
-				args := make([]table.Value, 0, capHint)
-				for i := 0; i < n && d.err == nil; i++ {
-					args = append(args, d.value())
-				}
-				if d.err == nil {
-					r.Args = args
-				}
-			}
+			r.Args = args
 		}
 	case TClosePrepared:
 		r.Handle = d.u32()
@@ -316,7 +310,7 @@ func DecodeRequest(payload []byte) (*Request, error) {
 	default:
 		return nil, fmt.Errorf("wire: unknown request type %d", r.Type)
 	}
-	return r, d.err
+	return r, d.end()
 }
 
 // EncodeResponse serializes a response payload.
@@ -327,7 +321,6 @@ func EncodeResponse(r *Response) []byte {
 	switch r.Type {
 	case TError:
 		e.str(r.Err)
-		// v5 extension: the stable error code.
 		e.uvarint(int(r.ErrCode))
 	case TPrepared:
 		e.u32(r.Handle)
@@ -341,7 +334,6 @@ func EncodeResponse(r *Response) []byte {
 		e.u64(r.Stats.Dummy)
 		e.u32(r.Stats.Sessions)
 		e.u64(r.Stats.UptimeMillis)
-		// v2 extension: plan-cache and optimizer counters.
 		e.u32(r.Stats.PlanEntries)
 		e.u64(r.Stats.PlanHits)
 		e.u64(r.Stats.PlanMisses)
@@ -352,9 +344,7 @@ func EncodeResponse(r *Response) []byte {
 			e.str(p.Name)
 			e.u64(p.Count)
 		}
-		// v3 extension: the full metrics snapshot as JSON.
 		e.str(r.Stats.MetricsJSON)
-		// v4 extension: transaction and journal counters.
 		e.u64(r.Stats.TxBegun)
 		e.u64(r.Stats.TxCommitted)
 		e.u64(r.Stats.TxRolledBack)
@@ -374,70 +364,47 @@ func DecodeResponse(payload []byte) (*Response, error) {
 	switch r.Type {
 	case TError:
 		r.Err = d.str()
-		// Protocol v4 ended here; the remainder is the v5 error code.
-		if d.err == nil && len(d.b) > 0 {
-			r.ErrCode = uint16(d.uvarint())
-		}
+		r.ErrCode = uint16(d.uvarint())
 	case TPrepared:
 		r.Handle = d.u32()
-		// Protocol v1 ended here; an empty remainder is zero parameters.
-		if d.err == nil && len(d.b) > 0 {
-			r.NumParams = uint32(d.uvarint())
-		}
+		r.NumParams = uint32(d.uvarint())
 	case TResult:
 		r.Result = decodeResult(d)
 	case TStatsResult:
-		r.Stats.Epochs = d.u64()
-		r.Stats.EpochSize = d.u32()
-		r.Stats.Real = d.u64()
-		r.Stats.Dummy = d.u64()
-		r.Stats.Sessions = d.u32()
-		r.Stats.UptimeMillis = d.u64()
-		// Protocol v1 ended here; the remainder is the plan-cache and
-		// optimizer extension.
-		if d.err == nil && len(d.b) > 0 {
-			r.Stats.PlanEntries = d.u32()
-			r.Stats.PlanHits = d.u64()
-			r.Stats.PlanMisses = d.u64()
-			r.Stats.PlanCompiles = d.u64()
-			r.Stats.PlanCompileSkips = d.u64()
-			n := d.uvarint()
-			capHint := n
-			if maxPicks := len(d.b) / 9; capHint > maxPicks {
-				capHint = maxPicks
+		st := &r.Stats
+		st.Epochs = d.u64()
+		st.EpochSize = d.u32()
+		st.Real = d.u64()
+		st.Dummy = d.u64()
+		st.Sessions = d.u32()
+		st.UptimeMillis = d.u64()
+		st.PlanEntries = d.u32()
+		st.PlanHits = d.u64()
+		st.PlanMisses = d.u64()
+		st.PlanCompiles = d.u64()
+		st.PlanCompileSkips = d.u64()
+		if n := d.uvarint(); n > 0 {
+			// A pick is at least 9 bytes (name length + u64 count).
+			picks := make([]AlgPick, 0, min(n, len(d.b)/9))
+			for i := 0; i < n && d.err == nil; i++ {
+				name := d.str()
+				picks = append(picks, AlgPick{Name: name, Count: d.u64()})
 			}
-			if n > 0 && d.err == nil {
-				picks := make([]AlgPick, 0, capHint)
-				for i := 0; i < n && d.err == nil; i++ {
-					name := d.str()
-					picks = append(picks, AlgPick{Name: name, Count: d.u64()})
-				}
-				if d.err == nil {
-					r.Stats.Picks = picks
-				}
-			}
-			// Protocol v2 ended here; the remainder is the v3 metrics
-			// snapshot.
-			if d.err == nil && len(d.b) > 0 {
-				r.Stats.MetricsJSON = d.str()
-				// Protocol v3 ended here; the remainder is the v4
-				// transaction and journal counters.
-				if d.err == nil && len(d.b) > 0 {
-					r.Stats.TxBegun = d.u64()
-					r.Stats.TxCommitted = d.u64()
-					r.Stats.TxRolledBack = d.u64()
-					r.Stats.TxAborted = d.u64()
-					r.Stats.WalEntries = d.u64()
-					r.Stats.WalCommits = d.u64()
-					r.Stats.WalCheckpoints = d.u64()
-					r.Stats.WalBytes = d.u64()
-				}
-			}
+			st.Picks = picks
 		}
+		st.MetricsJSON = d.str()
+		st.TxBegun = d.u64()
+		st.TxCommitted = d.u64()
+		st.TxRolledBack = d.u64()
+		st.TxAborted = d.u64()
+		st.WalEntries = d.u64()
+		st.WalCommits = d.u64()
+		st.WalCheckpoints = d.u64()
+		st.WalBytes = d.u64()
 	default:
 		return nil, fmt.Errorf("wire: unknown response type %d", r.Type)
 	}
-	return r, d.err
+	return r, d.end()
 }
 
 // Value kind tags on the wire (independent of table.Kind's numbering so
@@ -533,10 +500,6 @@ func decodeResult(d *dec) *Result {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	// Protocol v1 ended at the rows; the trailing byte is the
-	// affected-count flag.
-	if d.err == nil && len(d.b) > 0 {
-		res.Affected = d.byte() != 0
-	}
+	res.Affected = d.byte() != 0
 	return res
 }

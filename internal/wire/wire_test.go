@@ -35,18 +35,52 @@ func TestFrameRejectsOversize(t *testing.T) {
 	}
 }
 
+// requestCases and responseCases are one frame of each layout; the
+// round-trip and strictness tests all run over them.
+var requestCases = []*Request{
+	{Type: TExec, ID: 7, SQL: "SELECT * FROM t WHERE k = 1"},
+	{Type: TPrepare, ID: 8, SQL: "INSERT INTO t VALUES (1, 'x')"},
+	{Type: TExecPrepared, ID: 9, Handle: 3},
+	{Type: TExecPrepared, ID: 12, Handle: 4, Args: []table.Value{
+		table.Int(-7), table.Float(2.5), table.Str("al'ice"), table.Bool(true), table.Null(),
+	}},
+	{Type: TClosePrepared, ID: 10, Handle: 3},
+	{Type: TStats, ID: 11},
+}
+
+var responseCases = []*Response{
+	{Type: TError, ID: 1, Err: "core: no table \"t\""},
+	{Type: TError, ID: 7, Err: "server: admission queue full", ErrCode: 3},
+	{Type: TPrepared, ID: 2, Handle: 42},
+	{Type: TPrepared, ID: 6, Handle: 43, NumParams: 3},
+	{Type: TStatsResult, ID: 3, Stats: Stats{
+		Epochs: 10, EpochSize: 8, Real: 3, Dummy: 77, Sessions: 2, UptimeMillis: 1234,
+	}},
+	{Type: TStatsResult, ID: 9, Stats: Stats{
+		Epochs: 2, EpochSize: 4, Real: 1, Dummy: 7, Sessions: 1, UptimeMillis: 55,
+		PlanEntries: 3, PlanHits: 9, PlanMisses: 4, PlanCompiles: 3, PlanCompileSkips: 6,
+		Picks:       []AlgPick{{Name: "join.Hash", Count: 2}, {Name: "select.Small", Count: 11}, {Name: "sort", Count: 5}},
+		MetricsJSON: `{"oblidb_epochs_total":2}`,
+		TxBegun:     6, TxCommitted: 4, TxRolledBack: 1, TxAborted: 1,
+		WalEntries: 250, WalCommits: 40, WalCheckpoints: 2, WalBytes: 4096,
+	}},
+	{Type: TResult, ID: 4, Result: &Result{
+		Cols: []string{"k", "name", "score", "ok"},
+		Rows: []table.Row{
+			{table.Int(-5), table.Str("alice"), table.Float(1.5), table.Bool(true)},
+			{table.Int(9), table.Str(""), table.Float(-0.25), table.Bool(false)},
+		},
+	}},
+	{Type: TResult, ID: 5, Result: &Result{Cols: []string{"affected"}}},
+	{Type: TResult, ID: 8, Result: &Result{
+		Cols:     []string{"affected"},
+		Rows:     []table.Row{{table.Int(3)}},
+		Affected: true,
+	}},
+}
+
 func TestRequestRoundTrip(t *testing.T) {
-	reqs := []*Request{
-		{Type: TExec, ID: 7, SQL: "SELECT * FROM t WHERE k = 1"},
-		{Type: TPrepare, ID: 8, SQL: "INSERT INTO t VALUES (1, 'x')"},
-		{Type: TExecPrepared, ID: 9, Handle: 3},
-		{Type: TExecPrepared, ID: 12, Handle: 4, Args: []table.Value{
-			table.Int(-7), table.Float(2.5), table.Str("al'ice"), table.Bool(true), table.Null(),
-		}},
-		{Type: TClosePrepared, ID: 10, Handle: 3},
-		{Type: TStats, ID: 11},
-	}
-	for _, req := range reqs {
+	for _, req := range requestCases {
 		got, err := DecodeRequest(EncodeRequest(req))
 		if err != nil {
 			t.Fatalf("decode %d: %v", req.Type, err)
@@ -58,34 +92,7 @@ func TestRequestRoundTrip(t *testing.T) {
 }
 
 func TestResponseRoundTrip(t *testing.T) {
-	resps := []*Response{
-		{Type: TError, ID: 1, Err: "core: no table \"t\""},
-		{Type: TError, ID: 7, Err: "server: admission queue full", ErrCode: 3},
-		{Type: TPrepared, ID: 2, Handle: 42},
-		{Type: TPrepared, ID: 6, Handle: 43, NumParams: 3},
-		{Type: TStatsResult, ID: 3, Stats: Stats{
-			Epochs: 10, EpochSize: 8, Real: 3, Dummy: 77, Sessions: 2, UptimeMillis: 1234,
-		}},
-		{Type: TStatsResult, ID: 9, Stats: Stats{
-			Epochs: 2, EpochSize: 4, Real: 1, Dummy: 7, Sessions: 1, UptimeMillis: 55,
-			PlanEntries: 3, PlanHits: 9, PlanMisses: 4, PlanCompiles: 3, PlanCompileSkips: 6,
-			Picks: []AlgPick{{Name: "join.Hash", Count: 2}, {Name: "select.Small", Count: 11}, {Name: "sort", Count: 5}},
-		}},
-		{Type: TResult, ID: 4, Result: &Result{
-			Cols: []string{"k", "name", "score", "ok"},
-			Rows: []table.Row{
-				{table.Int(-5), table.Str("alice"), table.Float(1.5), table.Bool(true)},
-				{table.Int(9), table.Str(""), table.Float(-0.25), table.Bool(false)},
-			},
-		}},
-		{Type: TResult, ID: 5, Result: &Result{Cols: []string{"affected"}}},
-		{Type: TResult, ID: 8, Result: &Result{
-			Cols:     []string{"affected"},
-			Rows:     []table.Row{{table.Int(3)}},
-			Affected: true,
-		}},
-	}
-	for _, resp := range resps {
+	for _, resp := range responseCases {
 		got, err := DecodeResponse(EncodeResponse(resp))
 		if err != nil {
 			t.Fatalf("decode %d: %v", resp.Type, err)
@@ -118,6 +125,42 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsTruncatedFrames pins the one layout: every field is
+// read unconditionally, so every strict prefix of an encoding fails.
+func TestDecodeRejectsTruncatedFrames(t *testing.T) {
+	for _, req := range requestCases {
+		b := EncodeRequest(req)
+		for n := 0; n < len(b); n++ {
+			if _, err := DecodeRequest(b[:n]); err == nil {
+				t.Errorf("request %d: %d-byte prefix of %d decoded", req.Type, n, len(b))
+			}
+		}
+	}
+	for _, resp := range responseCases {
+		b := EncodeResponse(resp)
+		for n := 0; n < len(b); n++ {
+			if _, err := DecodeResponse(b[:n]); err == nil {
+				t.Errorf("response %d: %d-byte prefix of %d decoded", resp.Type, n, len(b))
+			}
+		}
+	}
+}
+
+// TestDecodeRejectsTrailingBytes: a frame longer than its layout fails
+// too, so no reader can mistake an unknown extension for a known frame.
+func TestDecodeRejectsTrailingBytes(t *testing.T) {
+	for _, req := range requestCases {
+		if _, err := DecodeRequest(append(EncodeRequest(req), 0)); err == nil {
+			t.Errorf("request %d with a trailing byte decoded", req.Type)
+		}
+	}
+	for _, resp := range responseCases {
+		if _, err := DecodeResponse(append(EncodeResponse(resp), 0)); err == nil {
+			t.Errorf("response %d with a trailing byte decoded", resp.Type)
+		}
+	}
+}
+
 func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := DecodeRequest([]byte{99, 0, 0, 0, 0}); err == nil {
 		t.Fatal("unknown request type accepted")
@@ -143,78 +186,10 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestLegacyPreparedFramesDecode pins protocol-v1 compatibility: frames
-// whose TExecPrepared body ends at the handle (and TPrepared at the
-// handle) still decode, as zero arguments / zero parameters.
-func TestLegacyPreparedFramesDecode(t *testing.T) {
-	req, err := DecodeRequest([]byte{TExecPrepared, 0, 0, 0, 9, 0, 0, 0, 3})
-	if err != nil {
-		t.Fatalf("legacy TExecPrepared: %v", err)
-	}
-	if req.Handle != 3 || len(req.Args) != 0 {
-		t.Fatalf("legacy TExecPrepared decoded to %+v", req)
-	}
-	resp, err := DecodeResponse([]byte{TPrepared, 0, 0, 0, 2, 0, 0, 0, 42})
-	if err != nil {
-		t.Fatalf("legacy TPrepared: %v", err)
-	}
-	if resp.Handle != 42 || resp.NumParams != 0 {
-		t.Fatalf("legacy TPrepared decoded to %+v", resp)
-	}
-}
-
-// TestLegacyErrorFrameDecodes pins the v5 TError extension: a v4-style
-// frame ending at the message string still decodes, with ErrCode 0
-// (unknown) — and a v5 frame truncated mid-code errors instead of
-// panicking.
-func TestLegacyErrorFrameDecodes(t *testing.T) {
-	legacy := &enc{}
-	legacy.byte(TError)
-	legacy.u32(5)
-	legacy.str("boom")
-	resp, err := DecodeResponse(legacy.b)
-	if err != nil {
-		t.Fatalf("legacy TError: %v", err)
-	}
-	if resp.Err != "boom" || resp.ErrCode != 0 {
-		t.Fatalf("legacy TError decoded to %+v", resp)
-	}
-	// A multi-byte varint cut after its continuation byte must error.
-	if _, err := DecodeResponse(append(legacy.b, 0xff)); err == nil {
-		t.Fatal("truncated v5 error code accepted")
-	}
-}
-
-// TestLegacyStatsFrameDecodes pins the v1 TStatsResult layout: a frame
-// ending after UptimeMillis decodes with zeroed plan-cache counters and
-// no picks.
-func TestLegacyStatsFrameDecodes(t *testing.T) {
-	payload := []byte{TStatsResult, 0, 0, 0, 7}
-	payload = append(payload, 0, 0, 0, 0, 0, 0, 0, 10)  // Epochs
-	payload = append(payload, 0, 0, 0, 8)               // EpochSize
-	payload = append(payload, 0, 0, 0, 0, 0, 0, 0, 3)   // Real
-	payload = append(payload, 0, 0, 0, 0, 0, 0, 0, 77)  // Dummy
-	payload = append(payload, 0, 0, 0, 2)               // Sessions
-	payload = append(payload, 0, 0, 0, 0, 0, 0, 4, 210) // UptimeMillis
-	resp, err := DecodeResponse(payload)
-	if err != nil {
-		t.Fatalf("legacy TStatsResult: %v", err)
-	}
-	if resp.Stats.Epochs != 10 || resp.Stats.EpochSize != 8 || resp.Stats.UptimeMillis != 1234 {
-		t.Fatalf("legacy TStatsResult decoded to %+v", resp.Stats)
-	}
-	if resp.Stats.PlanEntries != 0 || resp.Stats.PlanHits != 0 || resp.Stats.Picks != nil {
-		t.Fatalf("v1 frame grew plan fields: %+v", resp.Stats)
-	}
-}
-
-// TestStatsFrameVersionMatrix pins the three TStatsResult generations
-// against golden frames: a v3 frame round-trips MetricsJSON, a v2 frame
-// (ending after the picks) decodes with MetricsJSON empty, and a v1
-// frame (ending after UptimeMillis) decodes with every extension
-// zeroed. Encoding v3 then truncating at the documented boundaries
-// reproduces exactly what a v2 or v1 peer would have sent, so the
-// truncation points themselves are part of the pin.
+// TestStatsFrameVersionMatrix pins the TStatsResult layout against the
+// shorter frames earlier servers sent: the full frame round-trips
+// MetricsJSON and the picks, while a frame ending after the picks or
+// after UptimeMillis is an error, not a frame with zeroed extensions.
 func TestStatsFrameVersionMatrix(t *testing.T) {
 	full := &Response{Type: TStatsResult, ID: 9, Stats: Stats{
 		Epochs: 10, EpochSize: 8, Real: 3, Dummy: 77, Sessions: 2, UptimeMillis: 1234,
@@ -224,71 +199,32 @@ func TestStatsFrameVersionMatrix(t *testing.T) {
 	}}
 	payload := EncodeResponse(full)
 
-	// v1 boundary: type+id (5) + u64 + u32 + u64 + u64 + u32 + u64.
-	v1End := 5 + 8 + 4 + 8 + 8 + 4 + 8
-	// v2 boundary: v1 + plan counters (u32 + 4×u64) + picks (uvarint
+	// Header end: type+id (5) + u64 + u32 + u64 + u64 + u32 + u64.
+	headerEnd := 5 + 8 + 4 + 8 + 8 + 4 + 8
+	// Picks end: header + plan counters (u32 + 4×u64) + picks (uvarint
 	// count, then per pick a uvarint-length name and a u64 count).
-	v2End := v1End + 4 + 4*8 + 1
+	picksEnd := headerEnd + 4 + 4*8 + 1
 	for _, p := range full.Stats.Picks {
-		v2End += 1 + len(p.Name) + 8
+		picksEnd += 1 + len(p.Name) + 8
 	}
 
-	// v3: full round-trip.
 	resp, err := DecodeResponse(payload)
 	if err != nil {
-		t.Fatalf("v3 frame: %v", err)
+		t.Fatalf("full frame: %v", err)
 	}
-	if resp.Stats.MetricsJSON != full.Stats.MetricsJSON {
-		t.Fatalf("v3 MetricsJSON = %q, want %q", resp.Stats.MetricsJSON, full.Stats.MetricsJSON)
+	if !reflect.DeepEqual(resp.Stats, full.Stats) {
+		t.Fatalf("full round trip: got %+v, want %+v", resp.Stats, full.Stats)
 	}
-	if len(resp.Stats.Picks) != 2 || resp.Stats.Picks[0].Name != "select.Hash" {
-		t.Fatalf("v3 picks = %+v", resp.Stats.Picks)
-	}
-
-	// v2: same header and plan fields, no metrics.
-	resp, err = DecodeResponse(payload[:v2End])
-	if err != nil {
-		t.Fatalf("v2 frame: %v", err)
-	}
-	if resp.Stats.PlanHits != 20 || len(resp.Stats.Picks) != 2 {
-		t.Fatalf("v2 frame lost plan fields: %+v", resp.Stats)
-	}
-	if resp.Stats.MetricsJSON != "" {
-		t.Fatalf("v2 frame grew MetricsJSON %q", resp.Stats.MetricsJSON)
-	}
-
-	// v1: header only.
-	resp, err = DecodeResponse(payload[:v1End])
-	if err != nil {
-		t.Fatalf("v1 frame: %v", err)
-	}
-	if resp.Stats.Epochs != 10 || resp.Stats.Dummy != 77 || resp.Stats.UptimeMillis != 1234 {
-		t.Fatalf("v1 frame decoded to %+v", resp.Stats)
-	}
-	if resp.Stats.PlanEntries != 0 || resp.Stats.Picks != nil || resp.Stats.MetricsJSON != "" {
-		t.Fatalf("v1 frame grew extensions: %+v", resp.Stats)
-	}
-}
-
-// TestTxControlFramesRoundTrip pins the v4 transaction-control request
-// frames: empty bodies, just type and ID.
-func TestTxControlFramesRoundTrip(t *testing.T) {
-	for _, typ := range []byte{TBegin, TCommit, TRollback} {
-		req := &Request{Type: typ, ID: 21}
-		got, err := DecodeRequest(EncodeRequest(req))
-		if err != nil {
-			t.Fatalf("decode %d: %v", typ, err)
-		}
-		if !reflect.DeepEqual(got, req) {
-			t.Fatalf("round trip %d: got %+v, want %+v", typ, got, req)
+	for _, end := range []int{picksEnd, headerEnd} {
+		if _, err := DecodeResponse(payload[:end]); err == nil {
+			t.Fatalf("stats frame cut at byte %d of %d decoded", end, len(payload))
 		}
 	}
 }
 
-// TestStatsFrameV4Tail pins the v4 TStatsResult extension: eight u64
-// transaction/journal counters after MetricsJSON. A v4 frame round-trips
-// them; the same frame truncated at the v3 boundary decodes with the
-// tail zeroed, exactly what a v3 peer would have sent.
+// TestStatsFrameV4Tail pins the eight u64 transaction/journal counters
+// after MetricsJSON: a full frame round-trips them, and the same frame
+// without them is an error, not a frame with the tail zeroed.
 func TestStatsFrameV4Tail(t *testing.T) {
 	full := &Response{Type: TStatsResult, ID: 4, Stats: Stats{
 		Epochs: 10, EpochSize: 8, Real: 3, Dummy: 77, Sessions: 2, UptimeMillis: 1234,
@@ -306,23 +242,28 @@ func TestStatsFrameV4Tail(t *testing.T) {
 
 	resp, err := DecodeResponse(payload)
 	if err != nil {
-		t.Fatalf("v4 frame: %v", err)
+		t.Fatalf("full frame: %v", err)
 	}
 	if !reflect.DeepEqual(resp.Stats, full.Stats) {
-		t.Fatalf("v4 round trip: got %+v, want %+v", resp.Stats, full.Stats)
+		t.Fatalf("full round trip: got %+v, want %+v", resp.Stats, full.Stats)
 	}
+	// The tail is exactly the last 8 u64s.
+	if _, err := DecodeResponse(payload[:len(payload)-8*8]); err == nil {
+		t.Fatal("stats frame without its Tx/Wal tail decoded")
+	}
+}
 
-	// v3 boundary: everything up to and including MetricsJSON — the v4
-	// tail is exactly the last 8 u64s.
-	v3End := len(payload) - 8*8
-	resp, err = DecodeResponse(payload[:v3End])
-	if err != nil {
-		t.Fatalf("v3 frame: %v", err)
-	}
-	if resp.Stats.MetricsJSON != full.Stats.MetricsJSON {
-		t.Fatalf("v3 frame lost MetricsJSON: %+v", resp.Stats)
-	}
-	if resp.Stats.TxBegun != 0 || resp.Stats.WalEntries != 0 || resp.Stats.WalBytes != 0 {
-		t.Fatalf("v3 frame grew v4 fields: %+v", resp.Stats)
+// TestTxControlFramesRoundTrip pins the transaction-control request
+// frames: empty bodies, just type and ID.
+func TestTxControlFramesRoundTrip(t *testing.T) {
+	for _, typ := range []byte{TBegin, TCommit, TRollback} {
+		req := &Request{Type: typ, ID: 21}
+		got, err := DecodeRequest(EncodeRequest(req))
+		if err != nil {
+			t.Fatalf("decode %d: %v", typ, err)
+		}
+		if !reflect.DeepEqual(got, req) {
+			t.Fatalf("round trip %d: got %+v, want %+v", typ, got, req)
+		}
 	}
 }

@@ -170,7 +170,7 @@ func (db *DB) ExecContext(ctx context.Context, query string, args ...any) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	return db.sqlExec.ExecuteArgs(query, vals)
+	return db.sqlExec.Execute(query, vals...)
 }
 
 // Query runs one SQL statement with bound arguments and returns a

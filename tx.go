@@ -3,10 +3,8 @@ package oblidb
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"oblidb/internal/sql"
-	"oblidb/internal/table"
 )
 
 // Tx is a deferred transaction: INSERT/UPDATE/DELETE issued on it are
@@ -53,29 +51,14 @@ func (tx *Tx) ExecContext(ctx context.Context, query string, args ...any) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	prep, err := tx.db.sqlExec.Prepare(query)
+	prep, err := tx.db.sqlExec.PrepareOneShot(query)
 	if err != nil {
 		return nil, err
 	}
-	stmt := prep.Stmt()
-	switch {
-	case sql.IsTxControl(stmt):
+	if sql.IsTxControl(prep.Stmt()) {
 		return nil, errors.New("oblidb: use the Tx methods for transaction control")
-	case sql.IsDDL(stmt):
-		return nil, errors.New("oblidb: DDL cannot run inside a transaction")
-	case sql.IsWrite(stmt):
-		if len(vals) != prep.NumParams() {
-			return nil, fmt.Errorf("oblidb: statement has %d parameter(s), got %d argument(s)",
-				prep.NumParams(), len(vals))
-		}
-		if err := tx.st.Buffer(prep, vals); err != nil {
-			return nil, err
-		}
-		return &Result{Cols: []string{"affected"},
-			Rows: []table.Row{{table.Int(0)}}, Affected: true}, nil
-	default:
-		return prep.Exec(vals)
 	}
+	return tx.st.Route(sql.Local(tx.db.sqlExec), prep, vals)
 }
 
 // Query runs a read inside the transaction. It sees the
@@ -100,11 +83,7 @@ func (tx *Tx) Commit(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	tx.done = true
-	items, err := tx.st.Take()
-	if err != nil {
-		return nil, err
-	}
-	return tx.db.sqlExec.ExecTx(items)
+	return tx.st.Commit(sql.Local(tx.db.sqlExec))
 }
 
 // Rollback discards the buffered writes.

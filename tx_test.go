@@ -2,6 +2,7 @@ package oblidb
 
 import (
 	"context"
+	"fmt"
 	"testing"
 )
 
@@ -98,5 +99,41 @@ func TestTxRejectsDDLAndControl(t *testing.T) {
 	}
 	if _, err := tx.ExecContext(ctx, `INSERT INTO users VALUES (?, ?, ?)`, 1); err == nil {
 		t.Fatal("arity mismatch accepted")
+	}
+}
+
+// TestTxLiteralsKeepShapeCache: literal statements inside a Tx are
+// one-shots, so a long literal transaction cannot fill the shape cache
+// and evict a prepared shape.
+func TestTxLiteralsKeepShapeCache(t *testing.T) {
+	db := apiDB(t)
+	ctx := context.Background()
+	const shape = `SELECT name FROM users WHERE id = ?`
+	if _, err := db.Prepare(shape); err != nil {
+		t.Fatal(err)
+	}
+	before := db.CacheStats()
+	tx, err := db.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		q := fmt.Sprintf(`INSERT INTO users VALUES (%d, 'u%d', %d)`, 100+i, i, i)
+		if _, err := tx.ExecContext(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	after := db.CacheStats()
+	if after.Entries != before.Entries {
+		t.Fatalf("shape cache went from %d to %d entries", before.Entries, after.Entries)
+	}
+	if _, err := db.Prepare(shape); err != nil {
+		t.Fatal(err)
+	}
+	if hits := db.CacheStats().Hits; hits != after.Hits+1 {
+		t.Fatalf("re-preparing the shape missed the cache (hits %d -> %d)", after.Hits, hits)
 	}
 }

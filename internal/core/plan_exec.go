@@ -278,16 +278,20 @@ func (db *DB) runCollect(ec *execCtx, c *plan.Collect, b plan.Binder) (*Result, 
 	if err := b.Err(); err != nil {
 		return nil, err
 	}
+	// Lower the projection before the collect pass, so its resolution
+	// errors return before any row is decrypted for the client.
+	var mapper func(table.Row) (table.Row, error)
+	if items != nil {
+		if mapper, err = b.Project(items, t.schema, names); err != nil {
+			return nil, err
+		}
+	}
 	raw, err := db.collect(ec, t)
 	if err != nil {
 		return nil, err
 	}
 	if items == nil {
 		return raw, nil
-	}
-	mapper, err := b.Project(items, raw.Cols, names)
-	if err != nil {
-		return nil, err
 	}
 	out := &Result{Cols: make([]string, len(items))}
 	for i, it := range items {

@@ -240,47 +240,71 @@ type group struct {
 	states []aggState
 }
 
+// groupTable is grouped aggregation's in-enclave hash table: buckets
+// keyed by the text of key.String(), charged 4 bytes apiece to e's
+// oblivious memory (reserved counts the bytes to release).
+type groupTable struct {
+	e         *enclave.Enclave
+	specs     []AggSpec
+	maxGroups int
+	groups    map[string]*group
+	reserved  int
+	// mk is the reused buffer each row's key text renders into: the
+	// lookup through string(mk) does not allocate, and the key string is
+	// copied only when a group is created. (A map keyed by table.Value
+	// would merge -0 with 0 and split NaNs.)
+	mk []byte
+}
+
+func newGroupTable(e *enclave.Enclave, specs []AggSpec, maxGroups int) *groupTable {
+	return &groupTable{e: e, specs: specs, maxGroups: maxGroups, groups: make(map[string]*group)}
+}
+
+// add folds one matching row into its group, creating the group on
+// first sight.
+func (t *groupTable) add(key table.Value, row table.Row) error {
+	t.mk = key.AppendLiteral(t.mk[:0])
+	g, ok := t.groups[string(t.mk)]
+	if !ok {
+		if len(t.groups) >= t.maxGroups {
+			return fmt.Errorf("exec: more than %d groups; use the sort-based fallback", t.maxGroups)
+		}
+		// The paper charges 4 bytes of oblivious memory per group.
+		if err := t.e.Reserve(4); err != nil {
+			return fmt.Errorf("exec: group table exceeded oblivious memory: %w", err)
+		}
+		t.reserved += 4
+		// The key outlives the scanned row; detach it from the scratch.
+		g = &group{key: key.Clone(), states: make([]aggState, len(t.specs))}
+		for j, s := range t.specs {
+			g.states[j].spec = s
+		}
+		t.groups[string(t.mk)] = g
+	}
+	for j := range g.states {
+		if err := g.states[j].add(row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // groupScan is the scan phase of grouped aggregation: one read per
-// block, buckets in an in-enclave hash table charged 4 bytes apiece to
-// e's oblivious memory. It returns the buckets and the bytes reserved;
-// the caller releases them once done with the buckets.
+// block, buckets in an in-enclave groupTable. It returns the buckets and
+// the bytes reserved; the caller releases them once done with the
+// buckets.
 func groupScan(e *enclave.Enclave, in Input, pred table.Pred, groupBy GroupBy, specs []AggSpec, maxGroups int) (map[string]*group, int, error) {
-	groups := make(map[string]*group)
-	reserved := 0
+	t := newGroupTable(e, specs, maxGroups)
 	err := ForEachRow(in, func(_ int, row table.Row, used bool) error {
 		if !used || !pred(row) {
 			return nil
 		}
-		key := groupBy(row)
-		mk := key.String()
-		g, ok := groups[mk]
-		if !ok {
-			if len(groups) >= maxGroups {
-				return fmt.Errorf("exec: more than %d groups; use the sort-based fallback", maxGroups)
-			}
-			// The paper charges 4 bytes of oblivious memory per group.
-			if err := e.Reserve(4); err != nil {
-				return fmt.Errorf("exec: group table exceeded oblivious memory: %w", err)
-			}
-			reserved += 4
-			// The key outlives the scanned row; detach it from the scratch.
-			g = &group{key: key.Clone(), states: make([]aggState, len(specs))}
-			for j, s := range specs {
-				g.states[j].spec = s
-			}
-			groups[mk] = g
-		}
-		for j := range g.states {
-			if err := g.states[j].add(row); err != nil {
-				return err
-			}
-		}
-		return nil
+		return t.add(groupBy(row), row)
 	})
 	if err != nil {
-		return nil, reserved, err
+		return nil, t.reserved, err
 	}
-	return groups, reserved, nil
+	return t.groups, t.reserved, nil
 }
 
 // mergeGroups folds src's buckets into dst (both in-enclave).

@@ -226,3 +226,28 @@ func TestGroupAggregateFused(t *testing.T) {
 		t.Fatalf("fused grouped agg wrong: %v", rows)
 	}
 }
+
+// TestGroupAddExistingGroupZeroAllocs pins grouped aggregation's per-row
+// path: a row whose group already exists renders its key into the
+// reused buffer, looks it up and folds in without allocating.
+func TestGroupAddExistingGroupZeroAllocs(t *testing.T) {
+	e := enclave.MustNew(enclave.Config{})
+	gt := newGroupTable(e, []AggSpec{{Kind: AggSum, Col: 0}, {Kind: AggCount}}, 8)
+	defer e.Release(gt.reserved)
+	for _, key := range []table.Value{table.Str("10.0.0.1"), table.Int(7), table.Float(2.5)} {
+		row := table.Row{table.Int(3), key}
+		if err := gt.add(key, row); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if err := gt.add(key, row); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("adding a %s row to its existing group allocates %v times", key.Kind, n)
+		}
+	}
+	if len(gt.groups) != 3 {
+		t.Fatalf("%d groups, want 3", len(gt.groups))
+	}
+}

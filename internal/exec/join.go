@@ -3,7 +3,6 @@ package exec
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"oblidb/internal/enclave"
@@ -102,12 +101,23 @@ func joinKey(v table.Value) int64 {
 		}
 		return int64(bits)
 	case table.KindString:
-		h := fnv.New64a()
-		h.Write([]byte(v.AsString()))
-		return int64(h.Sum64())
+		// FNV-64a, as hash/fnv computes it, without its allocations.
+		s := v.AsString()
+		h := uint64(fnvOffset64)
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= fnvPrime64
+		}
+		return int64(h)
 	}
 	return 0
 }
+
+// FNV-64a's offset basis and prime.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
 // hashJoin is the §4.3 oblivious hash join: build an in-enclave hash table
 // from as many rows of t1 as oblivious memory holds, then stream t2,
@@ -137,49 +147,123 @@ func hashJoin(e *enclave.Enclave, t1, t2 Input, col1, col2 int, outSchema *table
 		return nil, err
 	}
 	w := out.NewBlockWriter()
-	matches := 0
-	build := make(map[int64]table.Row, chunkRows)
-	t1r := NewRowReader(t1)
-	probeBuf := t2.Schema().NewBlockBuf(t2.RowsPerBlock())
-	for c := 0; c < numChunks; c++ {
-		clear(build)
-		// Each chunk's probe pass may read the same underlying table as
-		// t1 (a self-join), clobbering the scratch the reader's cached
-		// rows alias; drop the cache at every (public) chunk boundary.
-		t1r.Invalidate()
-		lo, hi := c*chunkRows, min((c+1)*chunkRows, t1Rows)
-		for i := lo; i < hi; i++ {
-			row, used, err := t1r.Read(i)
-			if err != nil {
-				return nil, err
-			}
-			if used {
-				build[joinKey(row[col1])] = row.Clone()
-			}
-		}
-		err := ForEachRowInto(t2, probeBuf, func(_ int, row table.Row, used bool) error {
-			var joined table.Row
-			if used {
-				if b, ok := build[joinKey(row[col2])]; ok && b[col1].Equal(row[col2]) {
-					joined = append(append(make(table.Row, 0, len(b)+len(row)), b...), row...)
-				}
-			}
-			// One output slot per comparison: the joined row or a dummy.
-			if joined != nil {
-				matches++
-				return w.Append(joined, true)
-			}
-			return w.Append(nil, false)
-		})
-		if err != nil {
-			return nil, err
-		}
+	// Each chunk's probe pass may read the same underlying table as t1
+	// (a self-join), clobbering the scratch the reader's cached rows
+	// alias, so the build reader refetches at every chunk boundary.
+	h := newHashTable(t1.Schema(), t2.Schema(), col1, col2, chunkRows)
+	matches, err := hashJoinChunks(h, NewRowReader(t1), t1Rows, true, t2, w)
+	if err != nil {
+		return nil, err
 	}
 	if err := w.Flush(); err != nil {
 		return nil, err
 	}
 	out.BumpRows(matches)
 	return out, nil
+}
+
+// hashTable is one chunk of the hash join's build side, held in
+// oblivious memory: used build rows are encoded into an arena of exactly
+// chunkRows records — the bytes the operator reserves — and indexed by
+// join key (a later row with an equal key replaces an earlier one).
+type hashTable struct {
+	schema     *table.Schema
+	col1, col2 int
+	arena      []byte
+	slots      map[int64]int
+	hit        table.Row // decode scratch for a probe hit
+	joined     table.Row // output scratch: the build row, then the probe row
+}
+
+func newHashTable(s1, s2 *table.Schema, col1, col2, chunkRows int) *hashTable {
+	return &hashTable{
+		schema: s1, col1: col1, col2: col2,
+		arena:  make([]byte, chunkRows*s1.RecordSize()),
+		slots:  make(map[int64]int, chunkRows),
+		hit:    make(table.Row, s1.NumColumns()),
+		joined: make(table.Row, s1.NumColumns()+s2.NumColumns()),
+	}
+}
+
+// add encodes a used build row into chunk slot i.
+func (h *hashTable) add(i int, row table.Row) error {
+	if err := h.schema.EncodeRecordAt(h.arena, i, row); err != nil {
+		return err
+	}
+	h.slots[joinKey(row[h.col1])] = i
+	return nil
+}
+
+// probe returns the joined row for a used probe-side row, or nil when no
+// build row matches. The joined row is scratch, valid until the next
+// probe; the output writers encode it on Append.
+func (h *hashTable) probe(row table.Row) (table.Row, error) {
+	i, ok := h.slots[joinKey(row[h.col2])]
+	if !ok {
+		return nil, nil
+	}
+	if _, err := h.schema.DecodeRecordInto(h.hit, h.arena, i); err != nil {
+		return nil, err
+	}
+	if !h.hit[h.col1].Equal(row[h.col2]) {
+		return nil, nil
+	}
+	n := copy(h.joined, h.hit)
+	copy(h.joined[n:], row)
+	return h.joined, nil
+}
+
+// rowAppender is a sequential output fill: storage.BlockWriter or a
+// worker's storage.RangeWriter.
+type rowAppender interface {
+	Append(r table.Row, used bool) error
+}
+
+// hashJoinChunks is the build/probe loop of the hash join, shared by the
+// serial and partition-parallel operators: for each chunk of the build
+// side's buildRows slots, fill h from build, then stream probe through
+// it, appending one output slot — joined or dummy — per probe slot.
+// refetch drops build's block cache at every (public) chunk boundary. It
+// returns the number of joined rows.
+func hashJoinChunks(h *hashTable, build *RowReader, buildRows int, refetch bool, probe Input, w rowAppender) (int, error) {
+	chunkRows := len(h.arena) / h.schema.RecordSize()
+	probeBuf := probe.Schema().NewBlockBuf(probe.RowsPerBlock())
+	matches := 0
+	for lo := 0; lo < buildRows; lo += chunkRows {
+		clear(h.slots)
+		if refetch {
+			build.Invalidate()
+		}
+		for i := lo; i < min(lo+chunkRows, buildRows); i++ {
+			row, used, err := build.Read(i)
+			if err != nil {
+				return 0, err
+			}
+			if used {
+				if err := h.add(i-lo, row); err != nil {
+					return 0, err
+				}
+			}
+		}
+		err := ForEachRowInto(probe, probeBuf, func(_ int, row table.Row, used bool) error {
+			if used {
+				joined, err := h.probe(row)
+				if err != nil {
+					return err
+				}
+				if joined != nil {
+					matches++
+					return w.Append(joined, true)
+				}
+			}
+			// One output slot per comparison: the joined row or a dummy.
+			return w.Append(nil, false)
+		})
+		if err != nil {
+			return 0, err
+		}
+	}
+	return matches, nil
 }
 
 // Tags ordering the combined array: for equal keys the primary row must

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"testing"
 
@@ -243,5 +244,58 @@ func TestZeroOMJoinNoObliviousMemory(t *testing.T) {
 	}
 	if out.NumRows() != 3 {
 		t.Fatalf("0-OM join under zero memory: %d rows, want 3", out.NumRows())
+	}
+}
+
+// TestJoinKeyMatchesFNV pins joinKey's inlined FNV-64a to hash/fnv: the
+// sort-merge joins order by this key, so it must stay bit-identical.
+func TestJoinKeyMatchesFNV(t *testing.T) {
+	for _, s := range []string{"", "a", "http://url000000042.com", "héllo, 世界", "\x00\xff"} {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		if got, want := joinKey(table.Str(s)), int64(h.Sum64()); got != want {
+			t.Errorf("joinKey(%q) = %d, hash/fnv gives %d", s, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { joinKey(table.Str("http://url000000042.com")) }); n != 0 {
+		t.Errorf("joinKey allocates %v times per call", n)
+	}
+}
+
+// TestHashJoinProbeZeroAllocs pins the hash join's per-row probe: key
+// lookup, decoding the build row out of the arena and composing the
+// joined row all reuse scratch.
+func TestHashJoinProbeZeroAllocs(t *testing.T) {
+	s1 := table.MustSchema(
+		table.Column{Name: "url", Kind: table.KindString, Width: 24},
+		table.Column{Name: "rank", Kind: table.KindInt},
+	)
+	s2 := table.MustSchema(
+		table.Column{Name: "dest", Kind: table.KindString, Width: 24},
+		table.Column{Name: "rev", Kind: table.KindFloat},
+	)
+	h := newHashTable(s1, s2, 0, 0, 4)
+	for i := 0; i < 4; i++ {
+		if err := h.add(i, table.Row{table.Str(fmt.Sprintf("url%d", i)), table.Int(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe := table.Row{table.Str("url2"), table.Float(1.5)}
+	joined, err := h.probe(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(joined) != 4 || joined[0].AsString() != "url2" || joined[1].AsInt() != 2 || joined[3].AsFloat() != 1.5 {
+		t.Fatalf("joined row %v", joined)
+	}
+	if miss, _ := h.probe(table.Row{table.Str("urlX"), table.Float(0)}); miss != nil {
+		t.Fatalf("probe miss returned %v", miss)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := h.probe(probe); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("probe allocates %v times per row", n)
 	}
 }

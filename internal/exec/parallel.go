@@ -388,37 +388,12 @@ func ParallelHashJoin(e *enclave.Enclave, workers []*enclave.Enclave, t1, t2 *st
 		if err != nil {
 			return err
 		}
-		build := make(map[int64]table.Row, chunkRows)
-		probeBuf := view.Schema().NewBlockBuf(view.RowsPerBlock())
-		for c := 0; c < chunks; c++ {
-			clear(build)
-			lo, hi := c*chunkRows, min((c+1)*chunkRows, t1.Capacity())
-			for i := lo; i < hi; i++ {
-				row, used, err := bcast.Read(i)
-				if err != nil {
-					return err
-				}
-				if used {
-					build[joinKey(row[col1])] = row.Clone()
-				}
-			}
-			err := ForEachRowInto(view, probeBuf, func(_ int, row table.Row, used bool) error {
-				var joined table.Row
-				if used {
-					if b, ok := build[joinKey(row[col2])]; ok && b[col1].Equal(row[col2]) {
-						joined = append(append(make(table.Row, 0, len(b)+len(row)), b...), row...)
-					}
-				}
-				if joined != nil {
-					matches[p]++
-					return w.Append(joined, true)
-				}
-				return w.Append(nil, false)
-			})
-			if err != nil {
-				return err
-			}
+		h := newHashTable(t1.Schema(), view.Schema(), col1, col2, chunkRows)
+		m, err := hashJoinChunks(h, bcast, t1.Capacity(), false, view, w)
+		if err != nil {
+			return err
 		}
+		matches[p] = m
 		return w.Flush()
 	})
 	if err != nil {

@@ -27,7 +27,7 @@ import (
 )
 
 // Expr is an opaque statement-shape expression (the sql package's AST).
-// Plans store expressions unbound; a Binder evaluates them at execution
+// Plans store expressions unbound; a Binder lowers them at execution
 // time with that execution's arguments.
 type Expr = any
 
@@ -333,7 +333,10 @@ type JoinNames struct {
 // Binder supplies the execution-time expression services a plan needs.
 // The SQL layer implements it; this execution's argument values live
 // only inside the Binder, so nothing the interpreter or planner touches
-// can depend on them. Compiled predicates defer evaluation errors —
+// can depend on them. Each compiling method lowers its expressions once
+// per execution and returns resolution errors (unknown column, unbound
+// parameter, unknown function) at once: they depend only on shape and
+// schema. The compiled callbacks defer runtime evaluation errors —
 // operators must run their full padded access sequence regardless — so
 // the interpreter checks Err after operators complete.
 type Binder interface {
@@ -345,11 +348,11 @@ type Binder interface {
 	GroupKey(e Expr, s *table.Schema, names *JoinNames) (exec.GroupBy, error)
 	// Column resolves a column-reference expression to its index in s.
 	Column(e Expr, s *table.Schema, names *JoinNames) (int, error)
-	// Project compiles projection items against the collected result's
-	// column names, returning the per-row mapper. names carries the join
-	// naming context of the collected rows (nil outside joins), so
+	// Project compiles projection items against rows of s, the collected
+	// result's schema, returning the per-row mapper. names carries the
+	// join naming context of the collected rows (nil outside joins), so
 	// qualified references resolve against the joined layout.
-	Project(items []ProjItem, cols []string, names *JoinNames) (func(table.Row) (table.Row, error), error)
+	Project(items []ProjItem, s *table.Schema, names *JoinNames) (func(table.Row) (table.Row, error), error)
 	// RowValues evaluates one INSERT row's constant expressions with
 	// this execution's arguments bound.
 	RowValues(exprs []Expr) (table.Row, error)

@@ -10,17 +10,20 @@ import (
 )
 
 // binder implements plan.Binder: it carries one execution's bound
-// argument values and compiles the plan's opaque shape expressions into
-// callbacks the interpreter's operators evaluate inside the enclave.
-// Argument values exist only here — never in the plan, the cache key,
-// or anything the planner reads — so binding cannot influence what the
-// host observes.
+// argument values and lowers the plan's opaque shape expressions, once
+// per execution, into closures the interpreter's operators evaluate
+// inside the enclave. Argument values exist only here — never in the
+// plan, the cache key, or anything the planner reads — so binding
+// cannot influence what the host observes.
 //
-// Evaluation errors are deferred (operators must run their full padded
-// access sequence regardless of row-level failures): the first error
-// sticks and surfaces through Err, which the interpreter checks after
-// operators complete. The capture is mutex-guarded because partition-
-// parallel operators evaluate one predicate from several workers.
+// Resolution errors (unknown column, unbound parameter, unknown
+// function) depend only on shape and schema and return from the
+// lowering methods. Runtime evaluation errors are deferred (operators
+// must run their full padded access sequence regardless of row-level
+// failures): the first error sticks and surfaces through Err, which the
+// interpreter checks after operators complete. The capture is
+// mutex-guarded because partition-parallel operators evaluate one
+// predicate from several workers.
 type binder struct {
 	args []table.Value
 
@@ -48,7 +51,7 @@ func (b *binder) Err() error {
 // resolverFor builds an expression resolver for a schema, with join
 // naming context when the rows come from a join.
 func (b *binder) resolverFor(s *table.Schema, names *plan.JoinNames) *resolver {
-	r := newResolver(s).withArgs(b.args)
+	r := &resolver{schema: s, rightStart: -1, args: b.args}
 	if names != nil {
 		r.leftTable = names.Left
 		r.rightTable = names.Right
@@ -66,18 +69,28 @@ func asExpr(e plan.Expr) (Expr, error) {
 	return x, nil
 }
 
+// lower compiles a plan expression against rows of s with this
+// execution's arguments captured (see resolver.lower). Resolution errors
+// return here, before the operator that evaluates the expression runs.
+func (b *binder) lower(pe plan.Expr, s *table.Schema, names *plan.JoinNames) (evalFn, error) {
+	e, err := asExpr(pe)
+	if err != nil {
+		return nil, err
+	}
+	return b.resolverFor(s, names).lower(e)
+}
+
 // Pred compiles a filter condition into a predicate over rows of s.
 func (b *binder) Pred(cond plan.Expr, s *table.Schema, names *plan.JoinNames) (table.Pred, error) {
 	if cond == nil {
 		return table.All, nil
 	}
-	e, err := asExpr(cond)
+	f, err := b.lower(cond, s, names)
 	if err != nil {
 		return nil, err
 	}
-	res := b.resolverFor(s, names)
 	return func(row table.Row) bool {
-		v, err := res.eval(e, row)
+		v, err := f(row)
 		if err != nil {
 			b.capture(err)
 			return false
@@ -88,13 +101,12 @@ func (b *binder) Pred(cond plan.Expr, s *table.Schema, names *plan.JoinNames) (t
 
 // GroupKey compiles the grouping expression into a per-row key.
 func (b *binder) GroupKey(ge plan.Expr, s *table.Schema, names *plan.JoinNames) (exec.GroupBy, error) {
-	e, err := asExpr(ge)
+	f, err := b.lower(ge, s, names)
 	if err != nil {
 		return nil, err
 	}
-	res := b.resolverFor(s, names)
 	return func(r table.Row) table.Value {
-		v, err := res.eval(e, r)
+		v, err := f(r)
 		if err != nil {
 			b.capture(err)
 		}
@@ -115,31 +127,24 @@ func (b *binder) Column(ce plan.Expr, s *table.Schema, names *plan.JoinNames) (i
 	return b.resolverFor(s, names).resolve(cr)
 }
 
-// Project compiles projection items against the collected result's
-// columns. Positional items (Col >= 0) pass the input column through;
-// expression items re-resolve against the raw column names, as the
-// projection always ran (a trace-neutral, in-enclave computation).
-func (b *binder) Project(items []plan.ProjItem, cols []string, names *plan.JoinNames) (func(table.Row) (table.Row, error), error) {
-	sCols := make([]table.Column, len(cols))
-	for i, name := range cols {
-		sCols[i] = table.Column{Name: name, Kind: table.KindInt}
-	}
-	schema, err := table.NewSchema(sCols...)
-	if err != nil {
-		return nil, err
-	}
-	res := b.resolverFor(schema, names)
-	exprs := make([]Expr, len(items))
+// Project compiles projection items against rows of s, the collected
+// result's schema. Positional items (Col >= 0) pass the input column
+// through; expression items lower against s (the projection is a
+// trace-neutral, in-enclave computation).
+func (b *binder) Project(items []plan.ProjItem, s *table.Schema, names *plan.JoinNames) (func(table.Row) (table.Row, error), error) {
+	fns := make([]evalFn, len(items))
 	for i, it := range items {
 		if it.Col >= 0 {
-			if it.Col >= len(cols) {
+			if it.Col >= s.NumColumns() {
 				return nil, fmt.Errorf("sql: projection column %d out of range", it.Col)
 			}
 			continue
 		}
-		if exprs[i], err = asExpr(it.E); err != nil {
+		f, err := b.lower(it.E, s, names)
+		if err != nil {
 			return nil, err
 		}
+		fns[i] = f
 	}
 	return func(r table.Row) (table.Row, error) {
 		out := make(table.Row, len(items))
@@ -148,7 +153,7 @@ func (b *binder) Project(items []plan.ProjItem, cols []string, names *plan.JoinN
 				out[i] = r[it.Col]
 				continue
 			}
-			v, err := res.eval(exprs[i], r)
+			v, err := fns[i](r)
 			if err != nil {
 				return nil, err
 			}
@@ -178,24 +183,23 @@ func (b *binder) RowValues(exprs []plan.Expr) (table.Row, error) {
 
 // Updater compiles SET clauses into an in-place row updater over s.
 func (b *binder) Updater(sets []plan.SetExpr, s *table.Schema) (table.Updater, error) {
-	res := b.resolverFor(s, nil)
 	cols := make([]int, len(sets))
-	exprs := make([]Expr, len(sets))
+	fns := make([]evalFn, len(sets))
 	for i, set := range sets {
 		c := s.ColIndex(set.Column)
 		if c < 0 {
 			return nil, fmt.Errorf("sql: no column %q", set.Column)
 		}
 		cols[i] = c
-		e, err := asExpr(set.Value)
+		f, err := b.lower(set.Value, s, nil)
 		if err != nil {
 			return nil, err
 		}
-		exprs[i] = e
+		fns[i] = f
 	}
 	return func(r table.Row) table.Row {
-		for i := range sets {
-			v, err := res.eval(exprs[i], r)
+		for i, f := range fns {
+			v, err := f(r)
 			if err != nil {
 				b.capture(err)
 				return r

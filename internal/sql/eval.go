@@ -3,19 +3,21 @@ package sql
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"oblidb/internal/core"
 	"oblidb/internal/table"
 )
 
-// resolver maps column references to row indices. For joins the right
-// table's duplicate-named columns carry the "r_" prefix the engine's
-// JoinedSchema assigns.
+// resolver lowers expressions against one row layout. For joins the
+// right table's duplicate-named columns carry the "r_" prefix the
+// engine's JoinedSchema assigns.
 type resolver struct {
+	// schema is the row layout; nil for constant contexts (INSERT
+	// values), where every column reference is a resolution error.
 	schema *table.Schema
 	// rightTable and leftTable are the join's source names ("" outside
-	// joins); rightStart is the first right-side column index.
+	// joins); rightStart is the first right-side column index (-1
+	// outside joins).
 	leftTable, rightTable string
 	rightStart            int
 	// args are the bound parameter values ($1 = args[0]). They live
@@ -25,15 +27,10 @@ type resolver struct {
 	args []table.Value
 }
 
-func newResolver(s *table.Schema) *resolver { return &resolver{schema: s, rightStart: -1} }
-
-// withArgs attaches bound parameter values to the resolver.
-func (r *resolver) withArgs(args []table.Value) *resolver {
-	r.args = args
-	return r
-}
-
 func (r *resolver) resolve(c *ColumnRef) (int, error) {
+	if r.schema == nil {
+		return -1, fmt.Errorf("sql: no column %q", c.Column)
+	}
 	if c.Table != "" && r.rightStart >= 0 {
 		// Qualified reference inside a join: search the matching side.
 		if strings.EqualFold(c.Table, r.rightTable) {
@@ -59,8 +56,45 @@ func (r *resolver) resolve(c *ColumnRef) (int, error) {
 	return -1, fmt.Errorf("sql: no column %q", c.Column)
 }
 
-// eval evaluates an expression against a row, inside the enclave.
-func (r *resolver) eval(e Expr, row table.Row) (table.Value, error) {
+// evalFn is a lowered expression: it evaluates against one row inside
+// the enclave with every name already resolved.
+type evalFn func(table.Row) (table.Value, error)
+
+// lower compiles e against the resolver's row layout once per
+// execution: column references become fixed row indices, placeholders
+// and literals become captured values, and a comparison between a
+// column and a constant becomes one direct Compare. Resolution errors —
+// unknown column or qualifier, unbound $n, unknown function or
+// operator, wrong function arity — depend only on the statement's shape
+// and the schema, so they return here, before any row is evaluated.
+// What stays in the closures are the runtime errors (division by zero,
+// comparing values of different kinds), which depend on row data.
+func (r *resolver) lower(e Expr) (evalFn, error) {
+	switch x := e.(type) {
+	case *Literal, *Placeholder:
+		v, err := r.constant(x)
+		if err != nil {
+			return nil, err
+		}
+		return func(table.Row) (table.Value, error) { return v, nil }, nil
+	case *ColumnRef:
+		i, err := r.resolve(x)
+		if err != nil {
+			return nil, err
+		}
+		return func(row table.Row) (table.Value, error) { return row[i], nil }, nil
+	case *Unary:
+		return r.lowerUnary(x)
+	case *Binary:
+		return r.lowerBinary(x)
+	case *Call:
+		return r.lowerCall(x)
+	}
+	return nil, fmt.Errorf("sql: cannot evaluate %T", e)
+}
+
+// constant returns the value of a literal or bound placeholder.
+func (r *resolver) constant(e Expr) (table.Value, error) {
 	switch x := e.(type) {
 	case *Literal:
 		return x.Val, nil
@@ -69,21 +103,39 @@ func (r *resolver) eval(e Expr, row table.Row) (table.Value, error) {
 			return table.Value{}, fmt.Errorf("sql: parameter $%d not bound (%d argument(s) given)", x.Index, len(r.args))
 		}
 		return r.args[x.Index-1], nil
-	case *ColumnRef:
-		i, err := r.resolve(x)
-		if err != nil {
-			return table.Value{}, err
-		}
-		return row[i], nil
-	case *Unary:
-		v, err := r.eval(x.X, row)
-		if err != nil {
-			return table.Value{}, err
-		}
-		switch x.Op {
-		case "NOT":
+	}
+	return table.Value{}, fmt.Errorf("sql: %T is not a constant", e)
+}
+
+// isConstant reports whether e lowers to a captured value.
+func isConstant(e Expr) bool {
+	switch e.(type) {
+	case *Literal, *Placeholder:
+		return true
+	}
+	return false
+}
+
+func (r *resolver) lowerUnary(x *Unary) (evalFn, error) {
+	f, err := r.lower(x.X)
+	if err != nil {
+		return nil, err
+	}
+	switch x.Op {
+	case "NOT":
+		return func(row table.Row) (table.Value, error) {
+			v, err := f(row)
+			if err != nil {
+				return table.Value{}, err
+			}
 			return table.Bool(!truthy(v)), nil
-		case "-":
+		}, nil
+	case "-":
+		return func(row table.Row) (table.Value, error) {
+			v, err := f(row)
+			if err != nil {
+				return table.Value{}, err
+			}
 			switch v.Kind {
 			case table.KindInt:
 				return table.Int(-v.AsInt()), nil
@@ -91,13 +143,9 @@ func (r *resolver) eval(e Expr, row table.Row) (table.Value, error) {
 				return table.Float(-v.AsFloat()), nil
 			}
 			return table.Value{}, fmt.Errorf("sql: cannot negate %s", v.Kind)
-		}
-	case *Binary:
-		return r.evalBinary(x, row)
-	case *Call:
-		return r.evalCall(x, row)
+		}, nil
 	}
-	return table.Value{}, fmt.Errorf("sql: cannot evaluate %T", e)
+	return nil, fmt.Errorf("sql: unknown operator %q", x.Op)
 }
 
 func truthy(v table.Value) bool {
@@ -112,70 +160,116 @@ func truthy(v table.Value) bool {
 	return false
 }
 
-func (r *resolver) evalBinary(x *Binary, row table.Row) (table.Value, error) {
-	switch x.Op {
-	case "AND":
-		l, err := r.eval(x.L, row)
-		if err != nil {
-			return table.Value{}, err
-		}
-		if !truthy(l) {
-			return table.Bool(false), nil
-		}
-		rr, err := r.eval(x.R, row)
-		if err != nil {
-			return table.Value{}, err
-		}
-		return table.Bool(truthy(rr)), nil
-	case "OR":
-		l, err := r.eval(x.L, row)
-		if err != nil {
-			return table.Value{}, err
-		}
-		if truthy(l) {
-			return table.Bool(true), nil
-		}
-		rr, err := r.eval(x.R, row)
-		if err != nil {
-			return table.Value{}, err
-		}
-		return table.Bool(truthy(rr)), nil
-	}
+// comparisons maps each comparison operator to its test on the result
+// of table.Compare.
+var comparisons = map[string]func(c int) bool{
+	"=":  func(c int) bool { return c == 0 },
+	"<>": func(c int) bool { return c != 0 },
+	"<":  func(c int) bool { return c < 0 },
+	"<=": func(c int) bool { return c <= 0 },
+	">":  func(c int) bool { return c > 0 },
+	">=": func(c int) bool { return c >= 0 },
+}
 
-	l, err := r.eval(x.L, row)
-	if err != nil {
-		return table.Value{}, err
+func (r *resolver) lowerBinary(x *Binary) (evalFn, error) {
+	test, isCmp := comparisons[x.Op]
+	if isCmp {
+		if fn, ok, err := r.lowerColumnCmp(x, test); ok {
+			return fn, err
+		}
 	}
-	rr, err := r.eval(x.R, row)
+	l, err := r.lower(x.L)
 	if err != nil {
-		return table.Value{}, err
+		return nil, err
+	}
+	rr, err := r.lower(x.R)
+	if err != nil {
+		return nil, err
 	}
 	switch x.Op {
-	case "=", "<>", "<", "<=", ">", ">=":
-		c, err := table.Compare(l, rr)
+	case "AND", "OR":
+		// AND stops at a false left side, OR at a true one.
+		stop := x.Op == "OR"
+		return func(row table.Row) (table.Value, error) {
+			lv, err := l(row)
+			if err != nil {
+				return table.Value{}, err
+			}
+			if truthy(lv) == stop {
+				return table.Bool(stop), nil
+			}
+			rv, err := rr(row)
+			if err != nil {
+				return table.Value{}, err
+			}
+			return table.Bool(truthy(rv)), nil
+		}, nil
+	case "+", "-", "*", "/", "%":
+		op := x.Op
+		return func(row table.Row) (table.Value, error) {
+			lv, err := l(row)
+			if err != nil {
+				return table.Value{}, err
+			}
+			rv, err := rr(row)
+			if err != nil {
+				return table.Value{}, err
+			}
+			return arith(op, lv, rv)
+		}, nil
+	}
+	if !isCmp {
+		return nil, fmt.Errorf("sql: unknown operator %q", x.Op)
+	}
+	return func(row table.Row) (table.Value, error) {
+		lv, err := l(row)
 		if err != nil {
 			return table.Value{}, err
 		}
-		var out bool
-		switch x.Op {
-		case "=":
-			out = c == 0
-		case "<>":
-			out = c != 0
-		case "<":
-			out = c < 0
-		case "<=":
-			out = c <= 0
-		case ">":
-			out = c > 0
-		case ">=":
-			out = c >= 0
+		rv, err := rr(row)
+		if err != nil {
+			return table.Value{}, err
 		}
-		return table.Bool(out), nil
-	case "+", "-", "*", "/", "%":
-		return arith(x.Op, l, rr)
+		c, err := table.Compare(lv, rv)
+		if err != nil {
+			return table.Value{}, err
+		}
+		return table.Bool(test(c)), nil
+	}, nil
+}
+
+// lowerColumnCmp is the fast path for a column compared with a literal
+// or placeholder (either orientation): one indexed load and one Compare
+// per row. ok is false when x has another shape.
+func (r *resolver) lowerColumnCmp(x *Binary, test func(int) bool) (fn evalFn, ok bool, err error) {
+	col, isCol := x.L.(*ColumnRef)
+	other, colLeft := x.R, true
+	if !isCol || !isConstant(other) {
+		col, isCol = x.R.(*ColumnRef)
+		other, colLeft = x.L, false
+		if !isCol || !isConstant(other) {
+			return nil, false, nil
+		}
 	}
-	return table.Value{}, fmt.Errorf("sql: unknown operator %q", x.Op)
+	i, err := r.resolve(col)
+	if err != nil {
+		return nil, true, err
+	}
+	v, err := r.constant(other)
+	if err != nil {
+		return nil, true, err
+	}
+	return func(row table.Row) (table.Value, error) {
+		a, b := row[i], v
+		if !colLeft {
+			a, b = b, a
+		}
+		c, err := table.Compare(a, b)
+		if err != nil {
+			return table.Value{}, err
+		}
+		return table.Bool(test(c)), nil
+	}, true, nil
 }
 
 func arith(op string, l, r table.Value) (table.Value, error) {
@@ -223,85 +317,80 @@ func arith(op string, l, r table.Value) (table.Value, error) {
 	return table.Value{}, fmt.Errorf("sql: %s not defined on floats", op)
 }
 
-func (r *resolver) evalCall(x *Call, row table.Row) (table.Value, error) {
+// lowerArgs lowers a call's arguments after checking their count.
+func (r *resolver) lowerArgs(x *Call, want int, usage string) ([]evalFn, error) {
+	if len(x.Args) != want {
+		return nil, fmt.Errorf("sql: %s", usage)
+	}
+	fns := make([]evalFn, want)
+	for i, a := range x.Args {
+		f, err := r.lower(a)
+		if err != nil {
+			return nil, err
+		}
+		fns[i] = f
+	}
+	return fns, nil
+}
+
+func (r *resolver) lowerCall(x *Call) (evalFn, error) {
 	switch x.Name {
 	case "SUBSTR", "SUBSTRING":
-		if len(x.Args) != 3 {
-			return table.Value{}, fmt.Errorf("sql: SUBSTR takes (string, start, length)")
-		}
-		s, err := r.eval(x.Args[0], row)
+		args, err := r.lowerArgs(x, 3, "SUBSTR takes (string, start, length)")
 		if err != nil {
-			return table.Value{}, err
+			return nil, err
 		}
-		start, err := r.eval(x.Args[1], row)
-		if err != nil {
-			return table.Value{}, err
-		}
-		length, err := r.eval(x.Args[2], row)
-		if err != nil {
-			return table.Value{}, err
-		}
-		if s.Kind != table.KindString {
-			return table.Value{}, fmt.Errorf("sql: SUBSTR over %s", s.Kind)
-		}
-		str := s.AsString()
-		from := int(start.AsInt()) - 1 // SQL is 1-based
-		if from < 0 {
-			from = 0
-		}
-		if from > len(str) {
-			from = len(str)
-		}
-		to := from + int(length.AsInt())
-		if to > len(str) {
-			to = len(str)
-		}
-		if to < from {
-			to = from
-		}
-		return table.Str(str[from:to]), nil
+		str, start, length := args[0], args[1], args[2]
+		return func(row table.Row) (table.Value, error) {
+			s, err := str(row)
+			if err != nil {
+				return table.Value{}, err
+			}
+			st, err := start(row)
+			if err != nil {
+				return table.Value{}, err
+			}
+			n, err := length(row)
+			if err != nil {
+				return table.Value{}, err
+			}
+			if s.Kind != table.KindString {
+				return table.Value{}, fmt.Errorf("sql: SUBSTR over %s", s.Kind)
+			}
+			return table.Str(substr(s.AsString(), st.AsInt(), n.AsInt())), nil
+		}, nil
 	case "LENGTH":
-		if len(x.Args) != 1 {
-			return table.Value{}, fmt.Errorf("sql: LENGTH takes one argument")
-		}
-		s, err := r.eval(x.Args[0], row)
+		args, err := r.lowerArgs(x, 1, "LENGTH takes one argument")
 		if err != nil {
-			return table.Value{}, err
+			return nil, err
 		}
-		return table.Int(int64(len(s.AsString()))), nil
+		str := args[0]
+		return func(row table.Row) (table.Value, error) {
+			s, err := str(row)
+			if err != nil {
+				return table.Value{}, err
+			}
+			return table.Int(int64(len(s.AsString()))), nil
+		}, nil
 	}
-	return table.Value{}, fmt.Errorf("sql: unknown function %q", x.Name)
+	return nil, fmt.Errorf("sql: unknown function %q", x.Name)
+}
+
+// substr is SQL's 1-based SUBSTR, clamped to the string.
+func substr(s string, start, length int64) string {
+	from := min(max(int(start)-1, 0), len(s))
+	to := min(from+int(length), len(s))
+	return s[from:max(to, from)]
 }
 
 // constEval evaluates an expression with no column references, binding
-// placeholders from args.
+// placeholders from args, through the same lowering as row expressions.
 func constEval(e Expr, args []table.Value) (table.Value, error) {
-	r := newResolver(table.MustSchema(table.Column{Name: "_", Kind: table.KindInt})).withArgs(args)
-	return r.eval(e, table.Row{table.Int(0)})
-}
-
-// pred compiles an expression into a table.Pred. Evaluation errors
-// surface through errOut (checked after the operator completes) so the
-// predicate signature stays simple. The error capture is mutex-guarded
-// because partition-parallel operators evaluate one predicate from
-// several workers at once; eval itself touches no shared state.
-func (r *resolver) pred(e Expr, errOut *error) table.Pred {
-	if e == nil {
-		return table.All
+	f, err := (&resolver{args: args}).lower(e)
+	if err != nil {
+		return table.Value{}, err
 	}
-	var mu sync.Mutex
-	return func(row table.Row) bool {
-		v, err := r.eval(e, row)
-		if err != nil {
-			mu.Lock()
-			if *errOut == nil {
-				*errOut = err
-			}
-			mu.Unlock()
-			return false
-		}
-		return truthy(v)
-	}
+	return f(nil)
 }
 
 // keyRange extracts an inclusive range on the indexed column from the

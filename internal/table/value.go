@@ -157,22 +157,29 @@ func cmpOrdered[T int64 | float64 | string](a, b T) int {
 
 // String renders the value as a SQL literal.
 func (v Value) String() string {
+	var buf [24]byte
+	return string(v.AppendLiteral(buf[:0]))
+}
+
+// AppendLiteral appends String's rendering of the value to dst, for
+// loops that render one value per row into a reused buffer.
+func (v Value) AppendLiteral(dst []byte) []byte {
 	switch v.Kind {
 	case KindInt:
-		return strconv.FormatInt(v.int64, 10)
+		return strconv.AppendInt(dst, v.int64, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f64, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.f64, 'g', -1, 64)
 	case KindString:
-		return strconv.Quote(v.str)
+		return strconv.AppendQuote(dst, v.str)
 	case KindBool:
 		if v.int64 != 0 {
-			return "TRUE"
+			return append(dst, "TRUE"...)
 		}
-		return "FALSE"
+		return append(dst, "FALSE"...)
 	case KindNull:
-		return "NULL"
+		return append(dst, "NULL"...)
 	}
-	return "?"
+	return append(dst, '?')
 }
 
 // Equal reports deep equality of two values (numeric cross-kind equality

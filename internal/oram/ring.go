@@ -1,6 +1,7 @@
 package oram
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
@@ -47,7 +48,8 @@ type Ring struct {
 	readBuf   []byte         // slot read buffer
 	zeroBuf   []byte         // dummy-slot payload
 	pathBuf   []int          // root-to-leaf bucket indices
-	chosenBuf []uint32       // eviction candidates per level
+	candBuf   []evictCand    // stash blocks by deepest eviction level
+	chosenBuf []uint32       // unplaced eviction candidates
 	permBuf   [RingSlots]int // in-place slot permutation
 	slotAtBuf [RingSlots]uint32
 	dummyBuf  []byte   // DummyAccess result sink
@@ -475,6 +477,13 @@ func (r *Ring) writeBucket(bucket int, chosen []uint32) error {
 	return nil
 }
 
+// evictCand is a stash block awaiting eviction and the deepest level of
+// the evicted path it may occupy.
+type evictCand struct {
+	depth int
+	id    uint32
+}
+
 // evictPath performs the scheduled eviction: read every slot on the
 // path's buckets, then rewrite them with stash blocks placed as deep as
 // their leaves allow — Path ORAM's eviction at Ring ORAM's schedule.
@@ -485,27 +494,38 @@ func (r *Ring) evictPath(leaf uint32) error {
 			return err
 		}
 	}
-	chosen := r.chosenBuf[:0]
+	// One stash scan: a block may sit at any level down to where its
+	// leaf's path leaves the evicted one.
+	cands := r.candBuf[:0]
+	for id, entry := range r.stash {
+		cands = append(cands, evictCand{depth: r.levels - 1 - bits.Len32(entry.leaf^leaf), id: id})
+	}
+	slices.SortFunc(cands, func(a, b evictCand) int {
+		if a.depth != b.depth {
+			return b.depth - a.depth
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	// Bottom-up, the pool holds every unplaced block that fits the level;
+	// each bucket takes the RingZ smallest ids. Choosing by id rather than
+	// by map iteration order keeps eviction deterministic: which blocks
+	// land in a bucket steers future read-slot positions, so two
+	// same-shape instances must evict identically for their physical
+	// traces to stay identical.
+	r.candBuf = cands
+	pool, next := r.chosenBuf[:0], 0
 	for level := r.levels - 1; level >= 0; level-- {
-		// Collect every candidate and sort before truncating to RingZ: map
-		// iteration order is random, and which blocks land in a bucket
-		// steers future read-slot positions — two same-shape instances must
-		// evict identically for their physical traces to stay identical.
-		chosen = chosen[:0]
-		for id, entry := range r.stash {
-			if r.bucketAtLevel(int(entry.leaf), level) == path[level] {
-				chosen = append(chosen, id)
-			}
+		for ; next < len(cands) && cands[next].depth == level; next++ {
+			pool = append(pool, cands[next].id)
 		}
-		slices.Sort(chosen)
-		if len(chosen) > RingZ {
-			chosen = chosen[:RingZ]
-		}
-		if err := r.writeBucket(path[level], chosen); err != nil {
+		slices.Sort(pool)
+		n := min(len(pool), RingZ)
+		if err := r.writeBucket(path[level], pool[:n]); err != nil {
 			return err
 		}
+		pool = pool[:copy(pool, pool[n:])]
 	}
-	r.chosenBuf = chosen[:0]
+	r.chosenBuf = pool[:0]
 	return nil
 }
 

@@ -3,6 +3,7 @@ package oram
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -215,6 +216,56 @@ func TestRingUniformReadPositions(t *testing.T) {
 	}
 	if len(rootSlot) < RingSlots/2 {
 		t.Fatalf("repeated access concentrates on %d root slots: %v", len(rootSlot), rootSlot)
+	}
+}
+
+// TestRingEvictionTracePinned pins the physical trace of a seeded Ring
+// under a fixed read/write/dummy mix. Which stash blocks a scheduled
+// eviction places into which bucket steers every later slot read, so any
+// change to the eviction's choice — not just to its cost — moves this
+// fingerprint. The constant was recorded with the per-level stash scan
+// that predates the single-pass eviction.
+func TestRingEvictionTracePinned(t *testing.T) {
+	const (
+		capacity  = 512
+		blockSize = 16
+		ops       = 3000
+		want      = "aefbb546200b82eb7af43a68396ea32d0d08ee7c23fa603aa60c0b8bb0dd5c7d"
+	)
+	tr := trace.New()
+	e := enclave.MustNew(enclave.Config{Tracer: tr})
+	r, err := NewRing(e, "pin", capacity, blockSize, Options{Seed: 77})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rng := rand.New(rand.NewPCG(5, 6))
+	data := make([]byte, blockSize)
+	evictions, maxStash := 0, 0
+	for i := 0; i < ops; i++ {
+		before := r.evictG
+		switch k := rng.IntN(10); {
+		case k < 4:
+			_, err = r.Access(OpRead, rng.IntN(capacity), nil)
+		case k < 9:
+			data[0] = byte(i)
+			_, err = r.Access(OpWrite, rng.IntN(capacity), data)
+		default:
+			err = r.DummyAccess()
+		}
+		if err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+		if r.evictG != before {
+			evictions++
+		}
+		maxStash = max(maxStash, r.StashSize())
+	}
+	if evictions < 100 || maxStash < 20 {
+		t.Fatalf("workload too gentle: %d evictions, max stash %d", evictions, maxStash)
+	}
+	if got := fmt.Sprintf("%x", tr.Fingerprint()); got != want {
+		t.Fatalf("eviction trace fingerprint %s, want %s (%d evictions, max stash %d)", got, want, evictions, maxStash)
 	}
 }
 

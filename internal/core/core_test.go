@@ -143,6 +143,49 @@ func TestAccessMethodFlipsAtScale(t *testing.T) {
 	}
 }
 
+// TestIndexRecordPacking pins the index's record-block geometry. By
+// default the index packs node-sized record blocks (indexed's R = 8, not
+// the flat table's ~4 KiB): the ORAM has one block size, so the record
+// block sizes every tree hop and padding dummy of a lookup. An explicit
+// RowsPerBlock packs both representations alike.
+func TestIndexRecordPacking(t *testing.T) {
+	kv := table.MustSchema(
+		table.Column{Name: "k", Kind: table.KindInt},
+		table.Column{Name: "payload", Kind: table.KindString, Width: 32},
+	)
+	wide := table.MustSchema(
+		table.Column{Name: "k", Kind: table.KindInt},
+		table.Column{Name: "body", Kind: table.KindString, Width: 1000},
+	)
+	index := func(cfg Config, s *table.Schema) *Table {
+		t.Helper()
+		tab, err := MustOpen(cfg).CreateTable("t", s, TableOptions{Kind: KindBoth, KeyColumn: "k", Capacity: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+
+	def := index(Config{}, kv)
+	if r := def.Index().RowsPerBlock(); r != 8 {
+		t.Errorf("default index R = %d, want 8", r)
+	}
+	if b := def.Index().ORAM().BlockSize(); b != 345 {
+		t.Errorf("default index ORAM block = %d bytes, want 345", b)
+	}
+	if r := def.Flat().RowsPerBlock(); r != 95 {
+		t.Errorf("default flat R = %d, want 95", r)
+	}
+	for _, r := range []int{1, 64} {
+		if got := index(Config{RowsPerBlock: r}, kv).Index().RowsPerBlock(); got != r {
+			t.Errorf("RowsPerBlock %d: index R = %d", r, got)
+		}
+	}
+	if b := index(Config{}, wide).Index().ORAM().BlockSize(); b > 4097 {
+		t.Errorf("wide-row index ORAM block = %d bytes, want ≤ 4097", b)
+	}
+}
+
 func TestSelectPointQuery(t *testing.T) {
 	db := MustOpen(Config{})
 	seedUsers(t, db, KindBoth, 40)

@@ -94,7 +94,9 @@ type Config struct {
 	// RowsPerBlock is the packing factor R: how many records each sealed
 	// block holds. Every full-table pass costs one AEAD open/seal per
 	// block, so packing divides the crypto and trace cost of scans by R.
-	// 0 (the default) sizes blocks to ~4 KiB of plaintext per table;
+	// 0 (the default) sizes flat and intermediate blocks to ~4 KiB of
+	// plaintext per table, and index record blocks near a B+ tree node
+	// (indexed.DefaultRowsPerBlock); an explicit value applies to both;
 	// 1 reproduces the paper's one-record-per-block geometry. R is public
 	// geometry, like table sizes — traces depend only on the pair
 	// (capacity, R).
@@ -549,9 +551,13 @@ func (db *DB) createTableBody(name string, schema *table.Schema, opts TableOptio
 		if err != nil {
 			return nil, err
 		}
+		// An explicit R packs the index's record blocks too; the default
+		// (0, or a negative R as for flat tables) leaves them to
+		// indexed.New, which sizes them near a tree node rather than at
+		// the flat table's ~4 KiB.
 		idx, err := indexed.New(ienc, name+".index", schema, col, capacity, indexed.Options{
 			RecursiveORAM: opts.RecursiveORAM,
-			RowsPerBlock:  db.rowsPerBlockFor(schema),
+			RowsPerBlock:  max(db.cfg.RowsPerBlock, 0),
 		})
 		if err != nil {
 			return nil, err
@@ -1062,8 +1068,9 @@ func combinePred(t *Table, pred table.Pred, key *KeyRange) table.Pred {
 	}
 }
 
-// rowsPerBlockFor resolves the engine's packing factor for a schema:
-// the configured knob, or the ~4 KiB-per-block default.
+// rowsPerBlockFor resolves the packing factor of a schema's flat tables
+// and intermediates: the configured knob, or the ~4 KiB-per-block
+// default.
 func (db *DB) rowsPerBlockFor(s *table.Schema) int {
 	if db.cfg.RowsPerBlock > 0 {
 		return db.cfg.RowsPerBlock

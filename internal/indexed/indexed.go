@@ -47,8 +47,14 @@ const (
 
 // DefaultRowsPerBlock is the packing factor used when the caller does not
 // choose one. Eight rows per record block keeps record blocks in the same
-// size class as tree nodes for typical schemas.
+// size class as tree nodes for typical schemas. That matters because the
+// ORAM has one block size: every tree hop and padding dummy of a lookup
+// moves a slot as large as the larger of a node and a record block.
 const DefaultRowsPerBlock = 8
+
+// maxDefaultBlockBytes caps the default record block of wide schemas at
+// the ~4 KiB of plaintext a default-packed flat block holds.
+const maxDefaultBlockBytes = 4096
 
 // node is the in-enclave form of a tree node.
 //
@@ -136,7 +142,8 @@ type Options struct {
 	// RecursiveORAM selects the recursive position map (Appendix B).
 	RecursiveORAM bool
 	// RowsPerBlock is R, the packing factor of record blocks. Zero means
-	// DefaultRowsPerBlock.
+	// DefaultRowsPerBlock, lowered for wide schemas so a record block
+	// holds at most ~4 KiB of plaintext (and at least one row).
 	RowsPerBlock int
 	// Seed seeds the ORAM's leaf-assignment PRNG. Zero derives a stable
 	// seed from the enclave seed and the table name, so traces are
@@ -158,7 +165,7 @@ func New(e *enclave.Enclave, name string, schema *table.Schema, keyCol, maxRows 
 	}
 	rpb := opts.RowsPerBlock
 	if rpb == 0 {
-		rpb = DefaultRowsPerBlock
+		rpb = min(DefaultRowsPerBlock, max(1, maxDefaultBlockBytes/schema.RecordSize()))
 	}
 	if rpb < 1 {
 		return nil, fmt.Errorf("indexed: rows per block must be positive, got %d", rpb)

@@ -105,6 +105,7 @@ type Conn struct {
 	framesSent, framesReceived atomic.Uint64
 	bytesWritten, bytesRead    atomic.Uint64
 	reconnects, retries        atomic.Uint64
+	rePrepares                 atomic.Uint64
 
 	mu      sync.Mutex
 	conn    net.Conn // current connection; nil while down or reconnecting
@@ -125,8 +126,9 @@ type ConnStats struct {
 	FramesSent, FramesReceived uint64
 	BytesWritten, BytesRead    uint64
 	// Reconnects counts successful redials; Retries counts automatic
-	// statement re-submissions (each also backed off).
-	Reconnects, Retries uint64
+	// statement re-submissions (each also backed off); RePrepares counts
+	// prepared statements transparently re-prepared on a new connection.
+	Reconnects, Retries, RePrepares uint64
 	// Pending is the number of requests awaiting a response.
 	Pending int
 	// Connected reports whether a healthy connection is up right now.
@@ -148,6 +150,7 @@ func (c *Conn) Stats() ConnStats {
 		BytesRead:      c.bytesRead.Load(),
 		Reconnects:     c.reconnects.Load(),
 		Retries:        c.retries.Load(),
+		RePrepares:     c.rePrepares.Load(),
 	}
 	c.mu.Lock()
 	st.Pending = len(c.pending)
@@ -545,6 +548,7 @@ func (st *Stmt) ensure(ctx context.Context) (uint32, uint64, error) {
 			numParams, st.numParams)
 	}
 	st.handle, st.gen = handle, gen
+	st.c.rePrepares.Add(1)
 	return handle, gen, nil
 }
 

@@ -97,7 +97,10 @@ func (p *proxy) close() {
 // after the connection is severed mid-session, a read on a prepared
 // statement reconnects (with backoff), transparently re-prepares the
 // handle on the fresh session, retries, and returns the same answer —
-// and the reconnect/retry work is visible in ConnStats.
+// and the reconnect/retry work is visible in ConnStats. Whether a retry
+// happens depends on the schedule: when the redial lands before the
+// exec, the re-prepare alone carries it onto the new session. Either
+// way the recovery shows up as a retry or a re-prepare.
 func TestReconnectRePrepareRetry(t *testing.T) {
 	addr := startServer(t)
 	p := newProxy(t, addr)
@@ -146,8 +149,8 @@ func TestReconnectRePrepareRetry(t *testing.T) {
 	if stats.Reconnects < 1 {
 		t.Fatalf("reconnects = %d, want >= 1", stats.Reconnects)
 	}
-	if stats.Retries < 1 {
-		t.Fatalf("retries = %d, want >= 1", stats.Retries)
+	if stats.Retries+stats.RePrepares < 1 {
+		t.Fatalf("retries = %d, re-prepares = %d, want a sum >= 1", stats.Retries, stats.RePrepares)
 	}
 	if !stats.Connected {
 		t.Fatal("stats report disconnected after successful reconnect")

@@ -1,4 +1,4 @@
-package obtree_test
+package indexed_test
 
 import (
 	"math/rand/v2"

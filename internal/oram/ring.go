@@ -28,6 +28,12 @@ import (
 // enclave, charged to the oblivious-memory budget; the original scheme
 // keeps it in encrypted bucket headers instead, which changes constants
 // but not access patterns.
+//
+// The top levels of the tree are on every path, so they sit in enclave
+// memory too: a tree-top cache of plaintext slots, also charged to the
+// budget. The slot choices, the stash and every random draw are the
+// same as without it; the host's trace is the uncached trace with the
+// cached slots' events removed.
 type Ring struct {
 	enc       *enclave.Enclave
 	store     *enclave.Store
@@ -42,6 +48,9 @@ type Ring struct {
 	accesses  int        // since the last scheduled eviction
 	evictG    int        // reverse-lexicographic eviction counter
 	rng       *rand.Rand // dedicated leaf-assignment stream (see Options.Seed)
+	topLevels int        // bucket levels held in the tree-top cache
+	cached    int        // slot indices below this live in cache, not store
+	cache     []byte     // plaintext tree-top slots, blockSize bytes each
 
 	// Reusable scratch: the access hot path allocates nothing in steady
 	// state (pinned by the indexed point-lookup AllocsPerRun test).
@@ -81,18 +90,47 @@ type bucketMeta struct {
 	used [RingSlots]bool
 }
 
-// NewRing creates a Ring ORAM with the same sizing rules as New.
+// NewRing creates a Ring ORAM with the same sizing rules as New. The
+// tree-top cache holds the largest k ≤ levels/2 bucket levels whose
+// slots fit in a sixteenth of the enclave's oblivious-memory budget — a
+// public function of configuration. Budget, not Available, so that a
+// table re-created at recovery gets the same k, and with it the same
+// price and plan.
 func NewRing(e *enclave.Enclave, name string, capacity, blockSize int, opts Options) (*Ring, error) {
+	_, levels := ringGeometry(capacity)
+	k := 0
+	for k < levels/2 && ((2<<k)-1)*RingSlots*blockSize <= e.Budget()/16 {
+		k++
+	}
+	return newRing(e, name, capacity, blockSize, opts, k)
+}
+
+// ringGeometry returns the leaf count and depth of a ring for capacity
+// blocks.
+func ringGeometry(capacity int) (leaves, levels int) {
+	leaves = nextPow2((capacity + 1) / 2)
+	return leaves, bits.TrailingZeros(uint(leaves)) + 1
+}
+
+// newRing is NewRing with the tree-top cache depth given: k = 0 is the
+// uncached scheme.
+func newRing(e *enclave.Enclave, name string, capacity, blockSize int, opts Options, k int) (*Ring, error) {
 	if capacity <= 0 || blockSize <= 0 {
 		return nil, fmt.Errorf("oram: invalid capacity=%d blockSize=%d", capacity, blockSize)
 	}
-	leaves := nextPow2((capacity + 1) / 2)
-	levels := bits.TrailingZeros(uint(leaves)) + 1
+	leaves, levels := ringGeometry(capacity)
+	if k < 0 || k > levels {
+		return nil, fmt.Errorf("oram: tree-top cache of %d levels in a %d-level ring", k, levels)
+	}
 	numBuckets := 2*leaves - 1
+	// The store keeps every slot, cached ones included (sealed once here
+	// and never touched again), so slot indices mean the same with and
+	// without the cache.
 	store, err := e.NewStore(name, numBuckets*RingSlots, blockSize)
 	if err != nil {
 		return nil, err
 	}
+	cached := ((1 << k) - 1) * RingSlots
 	r := &Ring{
 		enc:       e,
 		store:     store,
@@ -103,10 +141,14 @@ func NewRing(e *enclave.Enclave, name string, capacity, blockSize int, opts Opti
 		stash:     make(map[uint32]stashEntry),
 		meta:      make([]bucketMeta, numBuckets),
 		rng:       newRng(e, name, opts),
+		topLevels: k,
+		cached:    cached,
+		cache:     make([]byte, cached*blockSize),
 		zeroBuf:   make([]byte, blockSize),
 	}
-	// Enclave metadata: ~9 bytes per slot, charged like the position map.
-	r.reserved = numBuckets * RingSlots * 9
+	// Enclave metadata: ~9 bytes per slot, charged like the position map,
+	// plus the tree-top cache's plaintext slots.
+	r.reserved = numBuckets*RingSlots*9 + len(r.cache)
 	if err := e.Reserve(r.reserved); err != nil {
 		return nil, err
 	}
@@ -122,7 +164,8 @@ func NewRing(e *enclave.Enclave, name string, capacity, blockSize int, opts Opti
 	return r, nil
 }
 
-// Close releases oblivious-memory reservations.
+// Close releases oblivious-memory reservations, the tree-top cache's
+// included.
 func (r *Ring) Close() {
 	if r.pos != nil {
 		r.pos.release()
@@ -157,12 +200,37 @@ func (r *Ring) Store() *enclave.Store { return r.store }
 func (r *Ring) PosMapStore() *enclave.Store { return r.pos.untrustedStore() }
 
 // AccessesPerOp returns the amortized untrusted block accesses per
-// logical operation: one slot read per path bucket, plus the scheduled
-// eviction's read+rewrite of every slot on one path, amortized over
-// EvictRate accesses. This is the public cost the planner prices indexed
-// access with.
+// logical operation: one slot read per uncached path bucket, plus the
+// scheduled eviction's read+rewrite of every uncached slot on one path,
+// amortized over EvictRate accesses. This is the public cost the planner
+// prices indexed access with.
 func (r *Ring) AccessesPerOp() int {
-	return r.levels + (2*r.levels*RingSlots+RingEvictRate-1)/RingEvictRate
+	u := r.levels - r.topLevels
+	return u + (2*u*RingSlots+RingEvictRate-1)/RingEvictRate
+}
+
+// readSlot reads slot i into dst's capacity: from the tree-top cache by
+// copy, or from the sealed store.
+func (r *Ring) readSlot(i int, dst []byte) ([]byte, error) {
+	if i >= r.cached {
+		return r.store.ReadInto(i, dst)
+	}
+	if cap(dst) < r.blockSize {
+		dst = make([]byte, r.blockSize)
+	}
+	dst = dst[:r.blockSize]
+	copy(dst, r.cache[i*r.blockSize:])
+	return dst, nil
+}
+
+// writeSlot writes one block's payload to slot i: into the tree-top
+// cache by copy, or sealed into the store.
+func (r *Ring) writeSlot(i int, p []byte) error {
+	if i >= r.cached {
+		return r.store.Write(i, p)
+	}
+	copy(r.cache[i*r.blockSize:(i+1)*r.blockSize], p)
+	return nil
 }
 
 // newBlockBuf returns a zeroed block-sized buffer, recycling buffers of
@@ -403,7 +471,7 @@ func (r *Ring) readOneSlot(bucket int, id uint32) error {
 		}
 		target = r.rng.IntN(RingSlots)
 	}
-	data, err := r.store.ReadInto(bucket*RingSlots+target, r.readBuf)
+	data, err := r.readSlot(bucket*RingSlots+target, r.readBuf)
 	if err != nil {
 		return err
 	}
@@ -467,7 +535,7 @@ func (r *Ring) writeBucket(bucket int, chosen []uint32) error {
 			recycle = entry.data
 			delete(r.stash, id)
 		}
-		if err := r.store.Write(bucket*RingSlots+s, payload); err != nil {
+		if err := r.writeSlot(bucket*RingSlots+s, payload); err != nil {
 			return err
 		}
 		if recycle != nil {
@@ -534,7 +602,7 @@ func (r *Ring) evictPath(leaf uint32) error {
 func (r *Ring) pullBucketIntoStash(bucket int) error {
 	m := &r.meta[bucket]
 	for s := 0; s < RingSlots; s++ {
-		data, err := r.store.ReadInto(bucket*RingSlots+s, r.readBuf)
+		data, err := r.readSlot(bucket*RingSlots+s, r.readBuf)
 		if err != nil {
 			return err
 		}
@@ -565,7 +633,7 @@ func (r *Ring) RawScan(fn func(id int, data []byte) error) error {
 	for b := range r.meta {
 		m := &r.meta[b]
 		for s := 0; s < RingSlots; s++ {
-			data, err := r.store.Read(b*RingSlots + s)
+			data, err := r.readSlot(b*RingSlots+s, nil)
 			if err != nil {
 				return err
 			}

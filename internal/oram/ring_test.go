@@ -175,7 +175,8 @@ func TestRingCheaperThanPathORAM(t *testing.T) {
 	// slot-sized accesses for a fair bandwidth comparison.
 	pathSlots := path * Z
 	ring := run(func(e *enclave.Enclave) (Scheme, error) {
-		return NewRing(e, "r", capacity, blockSize, Options{})
+		// Uncached: the §8 claim compares scheme with scheme.
+		return newRing(e, "r", capacity, blockSize, Options{}, 0)
 	})
 	improvement := pathSlots / ring
 	if improvement < 1.2 {
@@ -187,8 +188,9 @@ func TestRingCheaperThanPathORAM(t *testing.T) {
 func TestRingUniformReadPositions(t *testing.T) {
 	// Distributional obliviousness: accessing the same block repeatedly
 	// must not make any path slot measurably hotter than under random
-	// accesses. Cheap sanity check: root-bucket slot reads spread over
-	// all slots.
+	// accesses. Cheap sanity check: slot reads on the buckets of the
+	// shallowest uncached level (the levels above it are in enclave
+	// memory) spread over all slots.
 	_, r := newTestRing(t, 64, 8)
 	data := make([]byte, 8)
 	for i := 0; i < 64; i++ {
@@ -203,19 +205,28 @@ func TestRingUniformReadPositions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
+	if r2.topLevels == 0 {
+		t.Fatal("ring has no tree-top cache")
+	}
 	for i := 0; i < 400; i++ {
 		if _, err := r2.Access(OpRead, 7, nil); err != nil { // same block forever
 			t.Fatal(err)
 		}
 	}
-	rootSlot := map[uint32]int{}
+	// Level k's buckets are 2^k−1 … 2^(k+1)−2, so its slots start where
+	// the cache ends and span 2^k buckets.
+	lo, hi := r2.cached, r2.cached+(1<<r2.topLevels)*RingSlots
+	slot := map[uint32]int{}
 	for _, ev := range tr.Events() {
-		if ev.Op == trace.Read && int(ev.Index) < RingSlots {
-			rootSlot[ev.Index]++
+		if int(ev.Index) < lo {
+			t.Fatalf("cached slot %d reached the store", ev.Index)
+		}
+		if ev.Op == trace.Read && int(ev.Index) < hi {
+			slot[ev.Index%RingSlots]++
 		}
 	}
-	if len(rootSlot) < RingSlots/2 {
-		t.Fatalf("repeated access concentrates on %d root slots: %v", len(rootSlot), rootSlot)
+	if len(slot) < RingSlots/2 {
+		t.Fatalf("repeated access concentrates on %d slots of level %d: %v", len(slot), r2.topLevels, slot)
 	}
 }
 
@@ -223,14 +234,16 @@ func TestRingUniformReadPositions(t *testing.T) {
 // under a fixed read/write/dummy mix. Which stash blocks a scheduled
 // eviction places into which bucket steers every later slot read, so any
 // change to the eviction's choice — not just to its cost — moves this
-// fingerprint. The constant was recorded with the per-level stash scan
-// that predates the single-pass eviction.
+// fingerprint. The ring runs with its default tree-top cache (4 of 9
+// levels, slots below 240). The constant was recorded from the uncached
+// ring that predates the cache, with every event on a slot below 240
+// removed: the cache must change nothing but dropping those events.
 func TestRingEvictionTracePinned(t *testing.T) {
 	const (
 		capacity  = 512
 		blockSize = 16
 		ops       = 3000
-		want      = "aefbb546200b82eb7af43a68396ea32d0d08ee7c23fa603aa60c0b8bb0dd5c7d"
+		want      = "75608538bc7722cf243ae738fea78c7b9d1c8b8560eac8cd0c9bca6ef90e8612"
 	)
 	tr := trace.New()
 	e := enclave.MustNew(enclave.Config{Tracer: tr})
@@ -276,11 +289,202 @@ func TestRingObliviousMemoryReleased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Available() >= free {
-		t.Fatal("ring ORAM charged no oblivious memory")
+	if r.topLevels == 0 {
+		t.Fatal("ring has no tree-top cache")
 	}
+	// The ring's own charge is 9 B of metadata per slot plus the tree-top
+	// cache's plaintext slots; the position map charges on top of it.
+	meta := len(r.meta) * RingSlots * 9
+	cache := ((1 << r.topLevels) - 1) * RingSlots * r.blockSize
+	if r.reserved != meta+cache {
+		t.Fatalf("ring reserved %d bytes, want %d metadata + %d cache", r.reserved, meta, cache)
+	}
+	charged := free - e.Available()
 	r.Close()
 	if e.Available() != free {
 		t.Fatal("Close leaked reservations")
+	}
+	u, err := newRing(e, "u", 128, 16, Options{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := charged - (free - e.Available()); got != cache {
+		t.Fatalf("tree-top cache charged %d bytes over the uncached ring, want %d", got, cache)
+	}
+	u.Close()
+}
+
+// TestRingTopLevelsRule pins the tree-top cache depth: the largest
+// k ≤ levels/2 whose (2^k−1)·RingSlots·blockSize fits a sixteenth of
+// the oblivious-memory budget.
+func TestRingTopLevelsRule(t *testing.T) {
+	for _, c := range []struct {
+		budget, capacity, blockSize, levels, k int
+	}{
+		{0, 27564, 345, 15, 7}, // kv under the default 20 MB: 701 040 B
+		{0, 512, 16, 9, 4},     // capped at levels/2
+		{8 << 20, 27564, 345, 15, 6},
+		{16 << 10, 64, 32, 6, 1},
+		{16 << 10, 64, 128, 6, 0}, // one bucket does not fit
+	} {
+		e := enclave.MustNew(enclave.Config{ObliviousMemory: c.budget})
+		r, err := NewRing(e, "r", c.capacity, c.blockSize, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Levels() != c.levels || r.topLevels != c.k {
+			t.Errorf("budget %d, %d × %d B: levels %d, k %d; want %d, %d",
+				c.budget, c.capacity, c.blockSize, r.Levels(), r.topLevels, c.levels, c.k)
+		}
+		r.Close()
+	}
+}
+
+// TestRingAccessesPerOpMatchesTrace checks the planner's price against
+// the machine: after a warm-up, the traced untrusted reads plus writes
+// per logical operation are within 1% of AccessesPerOp, with and
+// without the tree-top cache.
+func TestRingAccessesPerOpMatchesTrace(t *testing.T) {
+	const warm, ops = 1024, 2048 // multiples of RingEvictRate
+	for _, g := range []struct{ capacity, blockSize int }{
+		{256, 64},
+		{4096, 32},
+		{27564, 345}, // the point_read benchmark's kv index
+	} {
+		for _, def := range []bool{false, true} {
+			tr := &trace.Tracer{}
+			tr.EnableCounts()
+			e := enclave.MustNew(enclave.Config{Tracer: tr})
+			var r *Ring
+			var err error
+			if def {
+				r, err = NewRing(e, "r", g.capacity, g.blockSize, Options{Seed: 3})
+			} else {
+				r, err = newRing(e, "r", g.capacity, g.blockSize, Options{Seed: 3}, 0)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewPCG(1, 2))
+			data := make([]byte, g.blockSize)
+			var before uint64
+			for i := 0; i < warm+ops; i++ {
+				if i == warm {
+					before = tr.TotalCount()
+				}
+				if _, err := r.Access(OpWrite, rng.IntN(g.capacity), data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			perOp := float64(tr.TotalCount()-before) / ops
+			want := float64(r.AccessesPerOp())
+			if perOp < want*0.99 || perOp > want*1.01 {
+				t.Errorf("capacity %d, k %d: traced %.2f accesses/op, AccessesPerOp %d",
+					g.capacity, r.topLevels, perOp, r.AccessesPerOp())
+			}
+			t.Logf("capacity %d, levels %d, k %d: traced %.2f accesses/op, priced %d",
+				g.capacity, r.Levels(), r.topLevels, perOp, r.AccessesPerOp())
+			r.Close()
+		}
+	}
+}
+
+// TestRingTopCacheFiltersTrace is the tree-top cache's leakage argument
+// as a test: the same seeded mix of reads, writes, updates, dummies and
+// a bulk-load prefix, run with and without the cache, returns the same
+// bytes and keeps the same stash after every operation, and the cached
+// ring's physical trace is exactly the uncached one with every event on
+// a cached slot removed — a function of the old trace, so it reveals
+// nothing the old trace did not.
+func TestRingTopCacheFiltersTrace(t *testing.T) {
+	const capacity, blockSize, ops = 300, 24, 2500
+	_, levels := ringGeometry(capacity)
+	for _, c := range []struct {
+		k         int
+		recursive bool
+	}{{1, false}, {levels / 2, false}, {levels / 2, true}} {
+		t.Run(fmt.Sprintf("k=%d/recursive=%v", c.k, c.recursive), func(t *testing.T) {
+			mk := func(k int) (*trace.Tracer, *Ring) {
+				tr := trace.New()
+				e := enclave.MustNew(enclave.Config{Tracer: tr})
+				r, err := newRing(e, "ring", capacity, blockSize, Options{Seed: 9, Recursive: c.recursive}, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(r.Close)
+				return tr, r
+			}
+			trBase, base := mk(0)
+			trTop, top := mk(c.k)
+			rng := rand.New(rand.NewPCG(uint64(c.k), 17))
+			data := make([]byte, blockSize)
+			fill := func(tag int) {
+				for j := range data {
+					data[j] = byte(tag + j)
+				}
+			}
+			for id := 0; id < capacity/2; id++ {
+				fill(id)
+				if err := base.BulkStage(id, data); err != nil {
+					t.Fatal(err)
+				}
+				if err := top.BulkStage(id, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := base.BulkCommit(); err != nil {
+				t.Fatal(err)
+			}
+			if err := top.BulkCommit(); err != nil {
+				t.Fatal(err)
+			}
+			bump := func(b []byte) []byte { b[0]++; return b }
+			for i := 0; i < ops; i++ {
+				id := rng.IntN(capacity)
+				var got [2][]byte
+				for j, r := range []*Ring{base, top} {
+					var err error
+					switch op := i % 7; {
+					case op < 3:
+						got[j], err = r.Access(OpRead, id, nil)
+					case op < 5:
+						fill(i)
+						got[j], err = r.Access(OpWrite, id, data)
+					case op < 6:
+						got[j], err = r.Update(id, bump)
+					default:
+						err = r.DummyAccess()
+					}
+					if err != nil {
+						t.Fatalf("op %d: %v", i, err)
+					}
+				}
+				if !bytes.Equal(got[0], got[1]) {
+					t.Fatalf("op %d: cached ring returned %x, uncached %x", i, got[1], got[0])
+				}
+				if base.StashSize() != top.StashSize() {
+					t.Fatalf("op %d: stash %d with cache, %d without", i, top.StashSize(), base.StashSize())
+				}
+			}
+			// The ring's store is the first region either tracer allocates.
+			var want []trace.Event
+			for _, ev := range trBase.Events() {
+				if ev.Region != 0 || int(ev.Index) >= top.cached {
+					want = append(want, ev)
+				}
+			}
+			got := trTop.Events()
+			if len(got) != len(want) {
+				t.Fatalf("cached trace has %d events, filtered uncached trace %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("event %d: cached %+v, filtered uncached %+v", i, got[i], want[i])
+				}
+			}
+			if len(want) == len(trBase.Events()) {
+				t.Fatal("cache removed no events")
+			}
+		})
 	}
 }

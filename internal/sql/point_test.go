@@ -35,10 +35,9 @@ func kvPointTable(tb testing.TB) (*core.DB, *Executor) {
 }
 
 // TestKVPointReadPlansIndex pins the point_read geometry's plan: at
-// node-sized index blocks the ring keeps 15 levels, so a point read is
-// still priced below the flat scan. Shrinking record blocks further adds
-// a level (16 levels price the index at 640 > 632) and silently moves the
-// workload to the flat path.
+// node-sized index blocks the ring keeps 15 levels, 7 of them in the
+// tree-top cache, so a point read is priced at 8 · 5 uncached accesses
+// per ORAM operation over h+2 = 8 operations, well below the flat scan.
 func TestKVPointReadPlansIndex(t *testing.T) {
 	db, x := kvPointTable(t)
 	tab, err := db.Table("kv")
@@ -49,14 +48,15 @@ func TestKVPointReadPlansIndex(t *testing.T) {
 		t.Errorf("kv index ring has %d levels, want 15", l)
 	}
 	got := explainLines(t, x, "SELECT * FROM kv WHERE k = 7")
-	if !strings.Contains(got, "IndexRange index≈600 flat≈632") {
+	if !strings.Contains(got, "IndexRange index≈320 flat≈632") {
 		t.Fatalf("point read plan drifted:\n%s", got)
 	}
 }
 
 // BenchmarkIndexPointSelect runs a literal point SELECT through
 // PrepareOneShot + Exec against the point_read table, reporting the
-// sealed bytes opened per statement alongside time and allocations.
+// sealed blocks opened and sealed and the bytes opened per statement
+// alongside time and allocations.
 func BenchmarkIndexPointSelect(b *testing.B) {
 	db, x := kvPointTable(b)
 	run := func(i int) {
@@ -74,11 +74,15 @@ func BenchmarkIndexPointSelect(b *testing.B) {
 	}
 	run(0)
 	b.ReportAllocs()
-	before := db.IOStats().BytesOpened
+	before := db.IOStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run(i)
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(db.IOStats().BytesOpened-before)/float64(b.N), "B_opened/op")
+	after := db.IOStats()
+	per := func(d uint64) float64 { return float64(d) / float64(b.N) }
+	b.ReportMetric(per(after.BlocksOpened-before.BlocksOpened), "blocks_opened/op")
+	b.ReportMetric(per(after.BlocksSealed-before.BlocksSealed), "blocks_sealed/op")
+	b.ReportMetric(per(after.BytesOpened-before.BytesOpened), "B_opened/op")
 }

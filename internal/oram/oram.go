@@ -108,8 +108,7 @@ func New(e *enclave.Enclave, name string, capacity, blockSize int, opts Options)
 	// Sizing: leaves ≈ capacity/2 gives the ~4× slot overhead the paper
 	// reports for its oblivious indexes (§3.3) while Z=4 keeps the stash
 	// bounded in practice.
-	leaves := nextPow2((capacity + 1) / 2)
-	levels := bits.TrailingZeros(uint(leaves)) + 1
+	leaves, levels := treeGeometry(capacity)
 	numBuckets := 2*leaves - 1
 	slotSize := 8 + blockSize
 	store, err := e.NewStore(name, numBuckets, Z*slotSize)
@@ -403,6 +402,13 @@ func (o *ORAM) RawScan(fn func(id int, data []byte) error) error {
 		}
 	}
 	return nil
+}
+
+// treeGeometry returns the leaf count and depth of a bucket tree for
+// capacity blocks: leaves ≈ capacity/2, rounded up to a power of two.
+func treeGeometry(capacity int) (leaves, levels int) {
+	leaves = nextPow2((capacity + 1) / 2)
+	return leaves, bits.TrailingZeros(uint(leaves)) + 1
 }
 
 func nextPow2(n int) int {

@@ -97,19 +97,12 @@ type bucketMeta struct {
 // table re-created at recovery gets the same k, and with it the same
 // price and plan.
 func NewRing(e *enclave.Enclave, name string, capacity, blockSize int, opts Options) (*Ring, error) {
-	_, levels := ringGeometry(capacity)
+	_, levels := treeGeometry(capacity)
 	k := 0
 	for k < levels/2 && ((2<<k)-1)*RingSlots*blockSize <= e.Budget()/16 {
 		k++
 	}
 	return newRing(e, name, capacity, blockSize, opts, k)
-}
-
-// ringGeometry returns the leaf count and depth of a ring for capacity
-// blocks.
-func ringGeometry(capacity int) (leaves, levels int) {
-	leaves = nextPow2((capacity + 1) / 2)
-	return leaves, bits.TrailingZeros(uint(leaves)) + 1
 }
 
 // newRing is NewRing with the tree-top cache depth given: k = 0 is the
@@ -118,7 +111,7 @@ func newRing(e *enclave.Enclave, name string, capacity, blockSize int, opts Opti
 	if capacity <= 0 || blockSize <= 0 {
 		return nil, fmt.Errorf("oram: invalid capacity=%d blockSize=%d", capacity, blockSize)
 	}
-	leaves, levels := ringGeometry(capacity)
+	leaves, levels := treeGeometry(capacity)
 	if k < 0 || k > levels {
 		return nil, fmt.Errorf("oram: tree-top cache of %d levels in a %d-level ring", k, levels)
 	}
@@ -215,12 +208,7 @@ func (r *Ring) readSlot(i int, dst []byte) ([]byte, error) {
 	if i >= r.cached {
 		return r.store.ReadInto(i, dst)
 	}
-	if cap(dst) < r.blockSize {
-		dst = make([]byte, r.blockSize)
-	}
-	dst = dst[:r.blockSize]
-	copy(dst, r.cache[i*r.blockSize:])
-	return dst, nil
+	return resultInto(dst, r.cache[i*r.blockSize:], r.blockSize), nil
 }
 
 // writeSlot writes one block's payload to slot i: into the tree-top

@@ -1,4 +1,4 @@
-package indexed_test
+package obtree_test
 
 import (
 	"fmt"

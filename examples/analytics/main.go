@@ -1,7 +1,8 @@
 // Analytics: the paper's Big Data Benchmark workload (§7.1) at small
-// scale — the three queries that motivate ObliDB's design, run first on a
-// flat table (every operator scans, as Opaque must) and then with an
-// oblivious index (Q1 reads just the matching key range).
+// scale — the three queries that motivate ObliDB's design, run as SQL
+// first on a flat table (every operator scans, as Opaque must) and then
+// with an oblivious index on pageRank (Q1 reads just the matching key
+// range).
 package main
 
 import (
@@ -13,6 +14,7 @@ import (
 	"oblidb/internal/bdb"
 	"oblidb/internal/core"
 	"oblidb/internal/exec"
+	"oblidb/internal/sql"
 )
 
 func main() {
@@ -24,10 +26,10 @@ func main() {
 		if err := bdb.Load(db, g, bdb.LoadOptions{RankingsKind: kind}); err != nil {
 			log.Fatal(err)
 		}
-		useIndex := kind != core.KindFlat
+		x := sql.New(db)
 
 		start := time.Now()
-		res, err := bdb.Q1(db, useIndex)
+		res, err := x.Execute(bdb.Q1SQL)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -36,7 +38,7 @@ func main() {
 			label, len(res.Rows), bdb.Q1Param, q1.Round(time.Millisecond), db.LastPlan.SelectAlg)
 
 		start = time.Now()
-		res, err = bdb.Q2(db)
+		res, err = x.Execute(bdb.Q2SQL)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -45,7 +47,7 @@ func main() {
 			label, len(res.Rows), q2.Round(time.Millisecond))
 
 		start = time.Now()
-		res, err = bdb.Q3(db)
+		res, err = x.Execute(bdb.Q3SQL)
 		if err != nil {
 			log.Fatal(err)
 		}

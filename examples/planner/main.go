@@ -21,7 +21,6 @@ func main() {
 	if err := workload.Setup(db, "t", core.KindFlat, n); err != nil {
 		log.Fatal(err)
 	}
-	t, _ := db.Table("t")
 
 	scenarios := []struct {
 		name string
@@ -36,7 +35,7 @@ func main() {
 	for _, sc := range scenarios {
 		// Planner's choice.
 		start := time.Now()
-		if _, err := db.SelectTable(t, sc.pred, core.SelectOptions{}); err != nil {
+		if _, err := db.Select("t", sc.pred, core.SelectOptions{}); err != nil {
 			log.Fatal(err)
 		}
 		chosen := db.LastPlan.SelectAlg
@@ -45,7 +44,7 @@ func main() {
 		// The general-purpose algorithm, forced, for comparison.
 		hash := exec.SelectHash
 		start = time.Now()
-		if _, err := db.SelectTable(t, sc.pred, core.SelectOptions{Force: &hash}); err != nil {
+		if _, err := db.Select("t", sc.pred, core.SelectOptions{Force: &hash}); err != nil {
 			log.Fatal(err)
 		}
 		hashTime := time.Since(start)

@@ -6,6 +6,7 @@ import (
 
 	"oblidb/internal/baseline"
 	"oblidb/internal/core"
+	"oblidb/internal/sql"
 	"oblidb/internal/table"
 )
 
@@ -108,7 +109,8 @@ func TestQueriesMatchPlainExecutor(t *testing.T) {
 		if err := Load(db, g, LoadOptions{RankingsKind: kind}); err != nil {
 			t.Fatal(err)
 		}
-		res, err := Q1(db, useIndex)
+		x := sql.New(db)
+		res, err := x.Execute(Q1SQL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +121,7 @@ func TestQueriesMatchPlainExecutor(t *testing.T) {
 			t.Fatalf("Q1 cols = %v", res.Cols)
 		}
 
-		res, err = Q2(db)
+		res, err = x.Execute(Q2SQL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +135,7 @@ func TestQueriesMatchPlainExecutor(t *testing.T) {
 			}
 		}
 
-		res, err = Q3(db)
+		res, err = x.Execute(Q3SQL)
 		if err != nil {
 			t.Fatal(err)
 		}

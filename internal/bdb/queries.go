@@ -1,37 +1,20 @@
 package bdb
 
-import (
-	"math"
+import "oblidb/internal/table"
 
-	"oblidb/internal/core"
-	"oblidb/internal/exec"
-	"oblidb/internal/table"
+// The three Big Data Benchmark queries as the paper runs them (§7.1), as
+// SQL text; Q3's BETWEEN is spelled as two comparisons. The predicates
+// below are the same filters as Go functions, for the non-secure
+// reference executor and for comparators that call operators directly.
+const (
+	Q1SQL = "SELECT pageURL, pageRank FROM rankings WHERE pageRank > 1000"
+	Q2SQL = "SELECT SUBSTR(sourceIP, 1, 8), SUM(adRevenue) FROM uservisits GROUP BY SUBSTR(sourceIP, 1, 8)"
+	Q3SQL = "SELECT sourceIP, SUM(adRevenue), AVG(pageRank) FROM rankings JOIN uservisits ON pageURL = destURL " +
+		"WHERE visitDate >= '" + Q3DateLo + "' AND visitDate <= '" + Q3DateHi + "' GROUP BY sourceIP"
 )
-
-// The three Big Data Benchmark queries as the paper runs them (§7.1),
-// lowered onto the engine's oblivious operators.
-//
-//	Q1: SELECT pageURL, pageRank FROM rankings WHERE pageRank > 1000
-//	Q2: SELECT SUBSTR(sourceIP, 1, 8), SUM(adRevenue) FROM uservisits
-//	    GROUP BY SUBSTR(sourceIP, 1, 8)
-//	Q3: SELECT sourceIP, SUM(adRevenue), AVG(pageRank)
-//	    FROM rankings JOIN uservisits ON pageURL = destURL
-//	    WHERE visitDate BETWEEN '1980-01-01' AND '1980-04-01'
-//	    GROUP BY sourceIP
 
 // Q1Pred matches rankings rows with pageRank > Q1Param.
 func Q1Pred(r table.Row) bool { return r[1].AsInt() > Q1Param }
-
-// Q1 runs query 1. With useIndex (and an index on pageRank) the scan
-// covers only the matching key range — the source of the paper's 19×
-// speedup over whole-table systems.
-func Q1(db *core.DB, useIndex bool) (*core.Result, error) {
-	opts := core.SelectOptions{Projection: []string{"pageURL", "pageRank"}}
-	if useIndex {
-		opts.KeyRange = &core.KeyRange{Lo: Q1Param + 1, Hi: math.MaxInt64}
-	}
-	return db.Select("rankings", Q1Pred, opts)
-}
 
 // Q2GroupKey is the 8-character sourceIP prefix.
 func Q2GroupKey(r table.Row) table.Value {
@@ -42,54 +25,8 @@ func Q2GroupKey(r table.Row) table.Value {
 	return table.Str(ip)
 }
 
-// Q2 runs query 2: grouped aggregation over USERVISITS.
-func Q2(db *core.DB) (*core.Result, error) {
-	return db.GroupAggregate("uservisits", nil, Q2GroupKey,
-		[]core.AggregateSpec{{Kind: exec.AggSum, Column: "adRevenue"}}, nil)
-}
-
 // Q3DatePred matches visits in the query's date window.
 func Q3DatePred(r table.Row) bool {
 	d := r[2].AsString()
 	return d >= Q3DateLo && d <= Q3DateHi
-}
-
-// Q3 runs query 3: oblivious filter on USERVISITS, foreign-key join with
-// RANKINGS, then grouped aggregation by sourceIP.
-func Q3(db *core.DB) (*core.Result, error) {
-	joined, err := db.JoinTable("rankings", "uservisits", "pageURL", "destURL",
-		core.JoinOptions{FilterRight: Q3DatePred})
-	if err != nil {
-		return nil, err
-	}
-	return db.Collect(mustGroup(db, joined))
-}
-
-// Q3Into is Q3 returning the intermediate table (benchmarks avoid the
-// final client materialization).
-func Q3Into(db *core.DB) (*core.Table, error) {
-	joined, err := db.JoinTable("rankings", "uservisits", "pageURL", "destURL",
-		core.JoinOptions{FilterRight: Q3DatePred})
-	if err != nil {
-		return nil, err
-	}
-	return groupQ3(db, joined)
-}
-
-func mustGroup(db *core.DB, joined *core.Table) *core.Table {
-	t, err := groupQ3(db, joined)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-func groupQ3(db *core.DB, joined *core.Table) (*core.Table, error) {
-	ipCol := joined.Schema().ColIndex("sourceIP")
-	return db.GroupAggregateTable(joined, nil,
-		func(r table.Row) table.Value { return r[ipCol] },
-		[]core.AggregateSpec{
-			{Kind: exec.AggSum, Column: "adRevenue"},
-			{Kind: exec.AggAvg, Column: "pageRank"},
-		}, nil)
 }

@@ -14,6 +14,7 @@ import (
 	"oblidb/internal/indexed"
 	"oblidb/internal/opaque"
 	"oblidb/internal/planner"
+	"oblidb/internal/sql"
 	"oblidb/internal/storage"
 	"oblidb/internal/table"
 	"oblidb/internal/workload"
@@ -59,18 +60,17 @@ func RunFig2(o Options) error {
 			if err := workload.Setup(db, "t", kind, n); err != nil {
 				return err
 			}
-			t, _ := db.Table("t")
 			// Point and mutation ops are sub-millisecond; repetitions keep
 			// the growth exponents out of the noise.
 			reps := 12
 			measure := map[string]func() error{
 				"point read": func() error {
-					_, err := db.SelectTable(t, func(r table.Row) bool { return r[0].AsInt() == 1 }, core.SelectOptions{KeyRange: keyIf(t, 1, 1)})
+					_, err := db.Select("t", func(r table.Row) bool { return r[0].AsInt() == 1 }, core.SelectOptions{KeyRange: core.Point(1)})
 					return err
 				},
 				"large read": func() error {
 					hi := int64(n/20) - 1
-					_, err := db.SelectTable(t, func(r table.Row) bool { k := r[0].AsInt(); return k >= 0 && k <= hi }, core.SelectOptions{KeyRange: keyIf(t, 0, hi)})
+					_, err := db.Select("t", func(r table.Row) bool { k := r[0].AsInt(); return k >= 0 && k <= hi }, core.SelectOptions{KeyRange: &core.KeyRange{Lo: 0, Hi: hi}})
 					return err
 				},
 				"insert": func() error { return db.Insert("t", workload.NewRow(int64(n)+1e6)) },
@@ -125,13 +125,6 @@ func RunFig2(o Options) error {
 	tp.render(o.Out)
 	o.printf("  (measured growth exponents over N=%d..%d; log²N ≈ N^0.1 at these sizes)\n\n", sizes[0], sizes[len(sizes)-1])
 	return nil
-}
-
-func keyIf(t *core.Table, lo, hi int64) *core.KeyRange {
-	if t.Index() == nil {
-		return nil
-	}
-	return &core.KeyRange{Lo: lo, Hi: hi}
 }
 
 // RunFig3 measures each oblivious physical operator once (Figure 3's
@@ -304,6 +297,14 @@ func (ob *opaqueBDB) q3() error {
 	return err
 }
 
+// runSQL returns a timed operation that runs one statement through x.
+func runSQL(x *sql.Executor, stmt string) func() error {
+	return func() error {
+		_, err := x.Execute(stmt)
+		return err
+	}
+}
+
 // RunFig7 reproduces the Big Data Benchmark comparison (Figure 7):
 // Opaque's oblivious mode vs ObliDB (flat), ObliDB with an index, and the
 // no-security executor, on Q1–Q3.
@@ -332,6 +333,7 @@ func RunFig7(o Options) error {
 	if err := bdb.Load(idxDB, g, bdb.LoadOptions{RankingsKind: core.KindBoth}); err != nil {
 		return err
 	}
+	flatSQL, idxSQL := sql.New(flatDB), sql.New(idxDB)
 	// Spark SQL stand-in.
 	plainRanks := baseline.NewPlainTable(bdb.RankingsSchema())
 	plainRanks.Insert(g.GenRankings()...)
@@ -345,14 +347,10 @@ func RunFig7(o Options) error {
 	systems := []sys{
 		{"Opaque Oblivious", [3]func() error{ob.q1, ob.q2, ob.q3}},
 		{"ObliDB (no index)", [3]func() error{
-			func() error { _, err := bdb.Q1(flatDB, false); return err },
-			func() error { _, err := bdb.Q2(flatDB); return err },
-			func() error { _, err := bdb.Q3Into(flatDB); return err },
+			runSQL(flatSQL, bdb.Q1SQL), runSQL(flatSQL, bdb.Q2SQL), runSQL(flatSQL, bdb.Q3SQL),
 		}},
 		{"ObliDB (indexed)", [3]func() error{
-			func() error { _, err := bdb.Q1(idxDB, true); return err },
-			func() error { _, err := bdb.Q2(idxDB); return err },
-			func() error { _, err := bdb.Q3Into(idxDB); return err },
+			runSQL(idxSQL, bdb.Q1SQL), runSQL(idxSQL, bdb.Q2SQL), runSQL(idxSQL, bdb.Q3SQL),
 		}},
 		{"Spark SQL (plain)", [3]func() error{
 			func() error { plainRanks.Select(bdb.Q1Pred); return nil },
@@ -409,7 +407,7 @@ func RunFig8(o Options) error {
 		if err := bdb.Load(db, g, bdb.LoadOptions{RankingsKind: core.KindFlat}); err != nil {
 			return err
 		}
-		dOblidb, err := timed(func() error { _, err := bdb.Q3Into(db); return err })
+		dOblidb, err := timed(runSQL(sql.New(db), bdb.Q3SQL))
 		if err != nil {
 			return fmt.Errorf("fig8 oblidb %dMB: %w", mb, err)
 		}
@@ -533,8 +531,6 @@ func RunFig10(o Options) error {
 	if err := workload.Setup(db, "idx_t", core.KindIndexed, n); err != nil {
 		return err
 	}
-	ft, _ := db.Table("flat_t")
-	it, _ := db.Table("idx_t")
 
 	tp := newTable("% retrieved", "Select flat", "Select index", "GroupBy flat", "GroupBy index")
 	for _, pct := range []float64{0.5, 1.0, 1.5, 2.0, 2.5} {
@@ -542,23 +538,23 @@ func RunFig10(o Options) error {
 		pred := func(r table.Row) bool { k := r[0].AsInt(); return k >= 0 && k <= hi }
 		groupKey := func(r table.Row) table.Value { return table.Int(r[0].AsInt() % 8) }
 		specs := []core.AggregateSpec{{Kind: exec.AggCount}}
-		dsf, err := timed(func() error { _, err := db.SelectTable(ft, pred, core.SelectOptions{}); return err })
+		dsf, err := timed(func() error { _, err := db.Select("flat_t", pred, core.SelectOptions{}); return err })
 		if err != nil {
 			return err
 		}
 		dsi, err := timed(func() error {
-			_, err := db.SelectTable(it, pred, core.SelectOptions{KeyRange: &core.KeyRange{Lo: 0, Hi: hi}})
+			_, err := db.Select("idx_t", pred, core.SelectOptions{KeyRange: &core.KeyRange{Lo: 0, Hi: hi}})
 			return err
 		})
 		if err != nil {
 			return err
 		}
-		dgf, err := timed(func() error { _, err := db.GroupAggregateTable(ft, pred, groupKey, specs, nil); return err })
+		dgf, err := timed(func() error { _, err := db.GroupAggregate("flat_t", pred, groupKey, specs, nil); return err })
 		if err != nil {
 			return err
 		}
 		dgi, err := timed(func() error {
-			_, err := db.GroupAggregateTable(it, pred, groupKey, specs, &core.KeyRange{Lo: 0, Hi: hi})
+			_, err := db.GroupAggregate("idx_t", pred, groupKey, specs, &core.KeyRange{Lo: 0, Hi: hi})
 			return err
 		})
 		if err != nil {
@@ -718,7 +714,6 @@ func RunFig13(o Options) error {
 	if err := db.BulkLoad("t", rows); err != nil {
 		return err
 	}
-	t, _ := db.Table("t")
 
 	scenario := func(pct int, contiguous bool) (string, table.Pred) {
 		count := n * pct / 100
@@ -758,7 +753,7 @@ func RunFig13(o Options) error {
 			}
 			a := alg
 			d, err := timed(func() error {
-				_, err := db.SelectTable(t, pred, core.SelectOptions{Force: &a})
+				_, err := db.Select("t", pred, core.SelectOptions{Force: &a})
 				return err
 			})
 			if err != nil {
@@ -767,7 +762,7 @@ func RunFig13(o Options) error {
 			cells[i] = fmtDur(d)
 		}
 		d, err := timed(func() error {
-			_, err := db.SelectTable(t, pred, core.SelectOptions{})
+			_, err := db.Select("t", pred, core.SelectOptions{})
 			return err
 		})
 		if err != nil {
@@ -815,7 +810,7 @@ func RunFig14(o Options) error {
 				for ai, alg := range algs {
 					a := alg
 					d, err := timed(func() error {
-						_, err := db.JoinTable("p", "f", "pk", "fk", core.JoinOptions{Force: &a})
+						_, err := db.Join("p", "f", "pk", "fk", core.JoinOptions{Force: &a})
 						return err
 					})
 					if err != nil {
@@ -890,7 +885,6 @@ func RunPadding(o Options) error {
 		if err != nil {
 			return err
 		}
-		t, _ := db.Table("cfpb")
 		// Padding mode never plans (§2.3); the normal-mode run forces the
 		// same general-purpose operator so the slowdown isolates the cost
 		// of padding, as in the paper's comparison.
@@ -899,11 +893,11 @@ func RunPadding(o Options) error {
 			hash := exec.SelectHash
 			opts.Force = &hash
 		}
-		dSel, err := timed(func() error { _, err := db.SelectTable(t, selPred, opts); return err })
+		dSel, err := timed(func() error { _, err := db.Select("cfpb", selPred, opts); return err })
 		if err != nil {
 			return fmt.Errorf("padding select (pad=%v): %w", padding, err)
 		}
-		dAgg, err := timed(func() error { _, err := db.GroupAggregateTable(t, nil, groupKey, specs, nil); return err })
+		dAgg, err := timed(func() error { _, err := db.GroupAggregate("cfpb", nil, groupKey, specs, nil); return err })
 		if err != nil {
 			return fmt.Errorf("padding agg (pad=%v): %w", padding, err)
 		}

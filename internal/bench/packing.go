@@ -77,18 +77,15 @@ func measurePacking(o Options, rows, r int) ([]packingCell, error) {
 	}
 	cells = append(cells, packingCell{"flat_scan", rows, r, float64(d.Nanoseconds())})
 
-	// Engine select (~10% selectivity): stats scan + planner + operator.
+	// Engine select (~10% selectivity): stats scan + planner + operator +
+	// collect.
 	db := core.MustOpen(core.Config{Seed: o.seed(), RowsPerBlock: r})
 	if err := workload.Setup(db, "t", core.KindFlat, rows); err != nil {
 		return nil, err
 	}
-	tab, err := db.Table("t")
-	if err != nil {
-		return nil, err
-	}
 	cut := int64(rows / 10)
 	d, err = timedN(reps, func() error {
-		_, err := db.SelectTable(tab, func(rw table.Row) bool { return rw[0].AsInt() < cut }, core.SelectOptions{})
+		_, err := db.Select("t", func(rw table.Row) bool { return rw[0].AsInt() < cut }, core.SelectOptions{})
 		return err
 	})
 	if err != nil {

@@ -71,19 +71,19 @@ func RunParallel(o Options) error {
 			return err
 		}},
 		{fmt.Sprintf("select Hash (|R|=%d)", selWidth), func(db *core.DB) error {
-			_, err := db.SelectTable(mustTable(db, "big"),
+			_, err := db.Select("big",
 				func(r table.Row) bool { return r[0].AsInt() < selWidth },
 				core.SelectOptions{Force: &hash})
 			return err
 		}},
 		{"select Large (R≈N)", func(db *core.DB) error {
-			_, err := db.SelectTable(mustTable(db, "big"),
+			_, err := db.Select("big",
 				func(r table.Row) bool { return r[1].AsInt() >= 0 },
 				core.SelectOptions{Force: &large})
 			return err
 		}},
 		{"hash join (64 ⋈ N)", func(db *core.DB) error {
-			_, err := db.JoinTable("small", "big", "k", "k", core.JoinOptions{Force: &hashJoin})
+			_, err := db.Join("small", "big", "k", "k", core.JoinOptions{Force: &hashJoin})
 			return err
 		}},
 	}
@@ -114,14 +114,4 @@ func RunParallel(o Options) error {
 	tp.render(o.Out)
 	o.printf("  (%d-row table; partitioned execution per core.Config.Parallelism, planner-chosen P capped by the pool)\n\n", rows)
 	return nil
-}
-
-// mustTable resolves a table handle inside a benchmark op (the tables
-// are created by the same run).
-func mustTable(db *core.DB, name string) *core.Table {
-	t, err := db.Table(name)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"oblidb/internal/exec"
+	"oblidb/internal/plan"
 	"oblidb/internal/table"
 )
 
@@ -443,7 +444,7 @@ func TestPaddingMode(t *testing.T) {
 	db := MustOpen(Config{Padding: PaddingConfig{Enabled: true, PadRows: 16, PadGroups: 16}})
 	seedUsers(t, db, KindFlat, 30)
 	tab, _ := db.Table("users")
-	tmp, err := db.SelectTable(tab, func(r table.Row) bool { return r[0].AsInt() < 7 }, SelectOptions{})
+	tmp, err := db.selectTable(db.serialCtx, tab, func(r table.Row) bool { return r[0].AsInt() < 7 }, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,14 +455,14 @@ func TestPaddingMode(t *testing.T) {
 	if tmp.flat.Capacity() != want {
 		t.Fatalf("padded select capacity %d, want %d", tmp.flat.Capacity(), want)
 	}
-	res, _ := db.Collect(tmp)
+	res, _ := db.collect(db.serialCtx, tmp)
 	if len(res.Rows) != 7 {
 		t.Fatalf("padded select returned %d real rows, want 7", len(res.Rows))
 	}
 	// Group padding.
-	g, err := db.GroupAggregateTable(tab, nil,
+	g, err := db.groupAggregateTable(db.serialCtx, tab, nil,
 		func(r table.Row) table.Value { return table.Int(r[0].AsInt() % 4) },
-		[]AggregateSpec{{Kind: exec.AggCount}}, nil)
+		[]plan.AggSpec{{Kind: exec.AggCount}}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +472,7 @@ func TestPaddingMode(t *testing.T) {
 		t.Fatalf("padded groups capacity %d, want %d", g.flat.Capacity(), gwant)
 	}
 	// Exceeding the pad bound must fail loudly, not leak.
-	if _, err := db.SelectTable(tab, nil, SelectOptions{}); err == nil {
+	if _, err := db.selectTable(db.serialCtx, tab, nil, nil, nil); err == nil {
 		t.Fatal("select larger than pad bound accepted")
 	}
 }
@@ -499,7 +500,7 @@ func TestDropTable(t *testing.T) {
 func TestIndexOnlyCollectRejected(t *testing.T) {
 	db := MustOpen(Config{})
 	tab := seedUsers(t, db, KindIndexed, 5)
-	if _, err := db.Collect(tab); err == nil {
+	if _, err := db.collect(db.serialCtx, tab); err == nil {
 		t.Fatal("collect of index-only table accepted")
 	}
 	// But selects work via the linear raw scan.

@@ -505,6 +505,9 @@ type TableOptions struct {
 func (db *DB) CreateTable(name string, schema *table.Schema, opts TableOptions) (*Table, error) {
 	db.lockWrite()
 	defer db.mu.Unlock()
+	if err := db.refuseBroken(); err != nil {
+		return nil, err
+	}
 	wm, um := db.mutationMarks()
 	t, err := db.createTableBody(name, schema, opts)
 	if e := db.endMutation(err, wm, um); e != nil {
@@ -615,6 +618,9 @@ func (db *DB) Tables() []string {
 func (db *DB) DropTable(name string) error {
 	db.lockWrite()
 	defer db.mu.Unlock()
+	if err := db.refuseBroken(); err != nil {
+		return err
+	}
 	t, ok := db.tables[strings.ToLower(name)]
 	if !ok {
 		return fmt.Errorf("core: no table %q", name)
@@ -658,6 +664,9 @@ func (db *DB) dropTableBody(name string) error {
 func (db *DB) Insert(name string, rows ...table.Row) error {
 	db.lockWrite()
 	defer db.mu.Unlock()
+	if err := db.refuseBroken(); err != nil {
+		return err
+	}
 	return db.insertRows(name, rows)
 }
 
@@ -772,6 +781,9 @@ func (db *DB) insertFlat(t *Table, r table.Row) error {
 func (db *DB) BulkLoad(name string, rows []table.Row) error {
 	db.lockWrite()
 	defer db.mu.Unlock()
+	if err := db.refuseBroken(); err != nil {
+		return err
+	}
 	return db.bulkLoad(name, rows)
 }
 
@@ -834,6 +846,9 @@ func (db *DB) bulkLoadBody(name string, rows []table.Row) error {
 func (db *DB) Delete(name string, pred table.Pred, key *KeyRange) (int, error) {
 	db.lockWrite()
 	defer db.mu.Unlock()
+	if err := db.refuseBroken(); err != nil {
+		return 0, err
+	}
 	return db.deleteRows(name, pred, key)
 }
 
@@ -934,6 +949,9 @@ func (db *DB) deleteRowsBody(name string, pred table.Pred, key *KeyRange) (int, 
 func (db *DB) Update(name string, pred table.Pred, upd table.Updater, key *KeyRange) (int, error) {
 	db.lockWrite()
 	defer db.mu.Unlock()
+	if err := db.refuseBroken(); err != nil {
+		return 0, err
+	}
 	return db.updateRows(name, pred, upd, key)
 }
 

@@ -1,13 +1,18 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"oblidb/internal/crypt"
+	"oblidb/internal/exec"
 	"oblidb/internal/faultstore"
 	"oblidb/internal/oberr"
+	"oblidb/internal/plan"
 	"oblidb/internal/table"
 	"oblidb/internal/trace"
 	"oblidb/internal/wal"
@@ -171,5 +176,132 @@ func TestFaultTraceIdentity(t *testing.T) {
 	}
 	if fingerprint(100) != fingerprint(7700) {
 		t.Fatal("same-shape/different-data workloads diverged their traces under one fault schedule")
+	}
+}
+
+// TestLatchedEngineRefusesEveryEntryPoint pins the containment latch at
+// every engine entry point: once a failed rollback has latched the
+// engine, each statement — read, write, DDL, transaction, journal
+// attach or checkpoint — returns CodeEngineFailed and leaves the rows
+// and the journal file exactly as they were.
+func TestLatchedEngineRefusesEveryEntryPoint(t *testing.T) {
+	s := walTestSchema()
+	row := func(id int64) table.Row { return table.Row{table.Int(id), table.Str(fmt.Sprintf("r%d", id))} }
+	all := func(table.Row) bool { return true }
+	cases := []struct {
+		name string
+		run  func(db *DB) error
+	}{
+		{"ExecutePlan read", func(db *DB) error {
+			_, err := db.ExecutePlan(&plan.Collect{Input: &plan.Filter{Input: &plan.Scan{Table: "lt"}}}, funcBinder{})
+			return err
+		}},
+		{"ExecutePlan write", func(db *DB) error {
+			_, err := db.ExecutePlan(&plan.Delete{Table: "lt"}, funcBinder{})
+			return err
+		}},
+		{"ExecutePlanTx", func(db *DB) error {
+			_, err := db.ExecutePlanTx([]PlanBinding{{Root: &plan.Delete{Table: "lt"}, Binder: funcBinder{}}})
+			return err
+		}},
+		{"CreateTable", func(db *DB) error {
+			_, err := db.CreateTable("other", s, TableOptions{Capacity: 8})
+			return err
+		}},
+		{"DropTable", func(db *DB) error { return db.DropTable("lt") }},
+		{"Insert", func(db *DB) error { return db.Insert("lt", row(100)) }},
+		{"BulkLoad", func(db *DB) error { return db.BulkLoad("empty", []table.Row{row(1), row(2)}) }},
+		{"Delete", func(db *DB) error {
+			_, err := db.Delete("lt", nil, nil)
+			return err
+		}},
+		{"Update", func(db *DB) error {
+			_, err := db.Update("lt", all, func(r table.Row) table.Row { return row(r[0].AsInt() + 50) }, nil)
+			return err
+		}},
+		{"AttachWAL", func(db *DB) error {
+			l := db.wal
+			db.DetachWAL()
+			return db.AttachWAL(l)
+		}},
+		{"Checkpoint", func(db *DB) error { return db.Checkpoint() }},
+		{"Select", func(db *DB) error {
+			_, err := db.Select("lt", all, SelectOptions{KeyRange: Point(3)})
+			return err
+		}},
+		{"Aggregate", func(db *DB) error {
+			_, err := db.Aggregate("lt", all, []AggregateSpec{{Kind: exec.AggCount}}, nil)
+			return err
+		}},
+		{"GroupAggregate", func(db *DB) error {
+			_, err := db.GroupAggregate("lt", nil, func(r table.Row) table.Value { return r[1] },
+				[]AggregateSpec{{Kind: exec.AggCount}}, nil)
+			return err
+		}},
+		{"Join", func(db *DB) error {
+			_, err := db.Join("lt", "empty", "id", "id", JoinOptions{})
+			return err
+		}},
+	}
+	// state renders the catalog and every row of every table.
+	state := func(db *DB) []string {
+		var out []string
+		for _, name := range []string{"lt", "empty", "other"} {
+			tab, ok := db.tables[name]
+			if !ok {
+				continue
+			}
+			res, err := db.collect(db.serialCtx, tab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range res.Rows {
+				out = append(out, fmt.Sprintf("%s:%v|%v", name, r[0], r[1]))
+			}
+			out = append(out, name+" rows "+fmt.Sprint(tab.NumRows()))
+		}
+		return out
+	}
+	key := make([]byte, 32)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "latch.wal")
+			db := MustOpen(Config{Key: key, Seed: 3})
+			if _, err := db.CreateTable("lt", s, TableOptions{Kind: KindBoth, KeyColumn: "id", Capacity: 16}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.CreateTable("empty", s, TableOptions{Capacity: 8}); err != nil {
+				t.Fatal(err)
+			}
+			for i := int64(0); i < 6; i++ {
+				if err := db.Insert("lt", row(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.AttachWAL(openTestLog(t, path, key, wal.Options{})); err != nil {
+				t.Fatal(err)
+			}
+			db.latchBroken(errors.New("statement failed"), errors.New("rollback failed"))
+			rowsBefore := state(db)
+			journalBefore, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			err = tc.run(db)
+			if code := oberr.CodeOf(err); code != oberr.CodeEngineFailed {
+				t.Fatalf("latched engine: got code %v (err %v), want CodeEngineFailed", code, err)
+			}
+			if rowsAfter := state(db); rowsDiffer(rowsBefore, rowsAfter) {
+				t.Fatalf("latched engine changed rows:\nbefore %v\nafter  %v", rowsBefore, rowsAfter)
+			}
+			journalAfter, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(journalBefore, journalAfter) {
+				t.Fatalf("latched engine rewrote the journal (%d → %d bytes)", len(journalBefore), len(journalAfter))
+			}
+		})
 	}
 }

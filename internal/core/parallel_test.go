@@ -192,7 +192,7 @@ func parallelTracedRun(t *testing.T, vals []int64, param int64, force *exec.Sele
 	seedFlat(t, db, vals)
 	parent.Reset()
 	tab, _ := db.Table("t")
-	if _, err := db.SelectTable(tab, func(r table.Row) bool { return r[1].AsInt() == param }, SelectOptions{Force: force}); err != nil {
+	if _, err := db.selectTable(db.serialCtx, tab, func(r table.Row) bool { return r[1].AsInt() == param }, nil, force); err != nil {
 		t.Fatal(err)
 	}
 	events := 0

@@ -10,12 +10,12 @@ import (
 )
 
 // This file is the engine's plan interpreter: it executes the physical
-// plan IR of internal/plan by wrapping the existing oblivious operators.
-// The interpreter holds the database mutex for the whole statement (like
-// every exported entry point) and makes no data-dependent decisions of
-// its own — each node maps onto exactly the operator invocation the old
-// per-statement entry points performed, so the refactor moves dispatch,
-// not leakage.
+// plan IR of internal/plan by wrapping the oblivious operators. It is
+// the only way a read reaches an operator — compiled SQL and the
+// programmatic reads of query.go both arrive through ExecutePlan. The
+// interpreter holds the database lock for the whole statement and makes
+// no data-dependent decisions of its own: each node maps onto one fixed
+// operator invocation.
 
 // TableMeta implements plan.Catalog with the engine's public metadata.
 // It reads catalog metadata only, so it takes the shared lock: plan
@@ -120,8 +120,8 @@ func (db *DB) ExecutePlan(root plan.Node, b plan.Binder) (*Result, error) {
 		ec, release = db.serialCtx, db.mu.Unlock
 	}
 	defer release()
-	if db.broken != nil {
-		return nil, db.broken
+	if err := db.refuseBroken(); err != nil {
+		return nil, err
 	}
 	res, err := db.runPlan(ec, root, b)
 	if err != nil {
@@ -147,18 +147,7 @@ func (db *DB) runPlan(ec *execCtx, n plan.Node, b plan.Binder) (*Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		specs := make([]AggregateSpec, len(x.Specs))
-		outNames := make([]string, len(x.Specs))
-		for i, s := range x.Specs {
-			specs[i] = AggregateSpec{Kind: s.Kind, Column: planAggColumn(t.schema, s.Column, names)}
-			outNames[i] = s.Name
-		}
-		res, err := db.aggregateTable(ec, t, pred, specs, key)
-		if err != nil {
-			return nil, err
-		}
-		res.Cols = outNames
-		return res, nil
+		return db.aggregateTable(ec, t, pred, x.Specs, names, key)
 	case *plan.Insert:
 		rows := make([]table.Row, len(x.Rows))
 		for i, exprs := range x.Rows {
@@ -230,8 +219,8 @@ type PlanBinding struct {
 func (db *DB) ExecutePlanTx(items []PlanBinding) ([]*Result, error) {
 	db.lockWrite()
 	defer db.mu.Unlock()
-	if db.broken != nil {
-		return nil, db.broken
+	if err := db.refuseBroken(); err != nil {
+		return nil, err
 	}
 	walMark, undoMark := db.mutationMarks()
 	db.inTx = true
@@ -273,8 +262,8 @@ func (db *DB) runCollect(ec *execCtx, c *plan.Collect, b plan.Binder) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	// Surface predicate evaluation errors before handing rows back, as
-	// the per-statement entry points did.
+	// Surface deferred predicate evaluation errors before any row is
+	// handed back.
 	if err := b.Err(); err != nil {
 		return nil, err
 	}
@@ -321,7 +310,7 @@ func (db *DB) planTable(ec *execCtx, n plan.Node, b plan.Binder) (*Table, *plan.
 		if err != nil {
 			return nil, nil, err
 		}
-		out, err := db.selectTable(ec, t, pred, SelectOptions{KeyRange: key, Force: x.Force})
+		out, err := db.selectTable(ec, t, pred, key, x.Force)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -341,11 +330,7 @@ func (db *DB) planTable(ec *execCtx, n plan.Node, b plan.Binder) (*Table, *plan.
 		if err != nil {
 			return nil, nil, err
 		}
-		specs := make([]AggregateSpec, len(x.Specs))
-		for i, s := range x.Specs {
-			specs[i] = AggregateSpec{Kind: s.Kind, Column: planAggColumn(t.schema, s.Column, names)}
-		}
-		out, err := db.groupAggregateTable(ec, t, pred, groupKey, specs, key)
+		out, err := db.groupAggregateTable(ec, t, pred, groupKey, x.Specs, names, key)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -378,7 +363,7 @@ func (db *DB) planTable(ec *execCtx, n plan.Node, b plan.Binder) (*Table, *plan.
 		if err != nil {
 			return nil, nil, err
 		}
-		out, err := db.selectTable(ec, t, table.All, SelectOptions{KeyRange: key})
+		out, err := db.selectTable(ec, t, table.All, key, nil)
 		if err != nil {
 			return nil, nil, err
 		}

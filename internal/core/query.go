@@ -43,50 +43,120 @@ type SelectOptions struct {
 	Force *exec.SelectAlgorithm
 }
 
-// Select runs an oblivious selection and materializes the result.
+// The programmatic reads below are plan constructors: each builds the
+// plan a SQL statement of the same shape compiles to and runs it
+// through ExecutePlan, so locking, read-slot checkout, the broken-engine
+// latch and the plan interpreter are the same for both surfaces. The
+// plans' expression slots hold the caller's Go callbacks, which
+// funcBinder hands back to the interpreter.
+
+// Select runs an oblivious selection and materializes the result: the
+// plan Collect(Filter(Scan|IndexScan)), under a Project when
+// opts.Projection names columns.
 func (db *DB) Select(name string, pred table.Pred, opts SelectOptions) (*Result, error) {
-	c, release := db.beginRead()
-	defer release()
-	t, err := c.lookup(name)
-	if err != nil {
-		return nil, err
+	var root plan.Node = &plan.Filter{Input: leaf(name, opts.KeyRange), Cond: predExpr(pred), Force: opts.Force}
+	if len(opts.Projection) > 0 {
+		items := make([]plan.ProjItem, len(opts.Projection))
+		for i, col := range opts.Projection {
+			items[i] = plan.ProjItem{Col: -1, E: col, Name: col}
+		}
+		root = &plan.Project{Input: root, Items: items}
 	}
-	tmp, err := db.selectTable(c, t, pred, opts)
-	if err != nil {
-		return nil, err
-	}
-	return db.collect(c, tmp)
+	return db.ExecutePlan(&plan.Collect{Input: root}, funcBinder{})
 }
 
-// SelectTable runs an oblivious selection into an intermediate table for
-// further composition. The planner's stats scan supplies |R| and
-// contiguity; padding mode skips planning and pads the output (§2.3).
-func (db *DB) SelectTable(t *Table, pred table.Pred, opts SelectOptions) (*Table, error) {
-	c, release := db.beginRead()
-	defer release()
-	return db.selectTable(c, t, pred, opts)
+// leaf is the plan leaf of a read: an IndexScan over key when one is
+// given (the interpreter still serves it by flat scan when the planner
+// prices that cheaper), a full Scan otherwise.
+func leaf(name string, key *KeyRange) plan.Node {
+	if key == nil {
+		return &plan.Scan{Table: name}
+	}
+	return &plan.IndexScan{Table: name, Range: plan.KeyRange{Lo: key.Lo, Hi: key.Hi}}
 }
 
-// selectTable is SelectTable without the lock, for internal cross-calls;
-// c is the execution context the statement runs under.
-func (db *DB) selectTable(c *execCtx, t *Table, pred table.Pred, opts SelectOptions) (*Table, error) {
+// predExpr stores a predicate in a plan's condition slot; a nil
+// predicate stays a nil condition (all rows).
+func predExpr(pred table.Pred) plan.Expr {
+	if pred == nil {
+		return nil
+	}
+	return pred
+}
+
+// funcBinder is the plan.Binder of the programmatic reads. Their plans
+// carry no SQL: a condition slot holds a table.Pred, a group key slot an
+// exec.GroupBy, and a projection item the name of a column. Go callbacks
+// report no deferred evaluation errors.
+type funcBinder struct{}
+
+func (funcBinder) Pred(cond plan.Expr, _ *table.Schema, _ *plan.JoinNames) (table.Pred, error) {
+	if cond == nil {
+		return table.All, nil
+	}
+	pred, ok := cond.(table.Pred)
+	if !ok {
+		return nil, fmt.Errorf("core: condition %T is not a predicate", cond)
+	}
+	return pred, nil
+}
+
+func (funcBinder) GroupKey(e plan.Expr, _ *table.Schema, _ *plan.JoinNames) (exec.GroupBy, error) {
+	key, _ := e.(exec.GroupBy)
+	if key == nil {
+		return nil, fmt.Errorf("core: grouped aggregation needs a group key")
+	}
+	return key, nil
+}
+
+func (funcBinder) Project(items []plan.ProjItem, s *table.Schema, _ *plan.JoinNames) (func(table.Row) (table.Row, error), error) {
+	idx := make([]int, len(items))
+	for i, it := range items {
+		name, _ := it.E.(string)
+		if idx[i] = s.ColIndex(name); idx[i] < 0 {
+			return nil, fmt.Errorf("core: no column %q", name)
+		}
+	}
+	return func(r table.Row) (table.Row, error) {
+		out := make(table.Row, len(idx))
+		for i, c := range idx {
+			out[i] = r[c]
+		}
+		return out, nil
+	}, nil
+}
+
+func (funcBinder) Column(plan.Expr, *table.Schema, *plan.JoinNames) (int, error) {
+	return 0, fmt.Errorf("core: programmatic reads do not sort")
+}
+
+func (funcBinder) RowValues([]plan.Expr) (table.Row, error) {
+	return nil, fmt.Errorf("core: programmatic reads do not insert")
+}
+
+func (funcBinder) Updater([]plan.SetExpr, *table.Schema) (table.Updater, error) {
+	return nil, fmt.Errorf("core: programmatic reads do not update")
+}
+
+func (funcBinder) Err() error { return nil }
+
+// selectTable runs an oblivious selection into an intermediate table on
+// the execution context c, reading through key when the planner routes
+// it to the index and running force in place of the planner's pick when
+// set. The planner's stats scan supplies |R| and contiguity; padding
+// mode skips planning and pads the output (§2.3).
+func (db *DB) selectTable(c *execCtx, t *Table, pred table.Pred, key *KeyRange, force *exec.SelectAlgorithm) (*Table, error) {
 	if pred == nil {
 		pred = table.All
 	}
-	in, epred, release, err := db.inputFor(c, t, opts.KeyRange, pred)
+	in, epred, release, err := db.inputFor(c, t, key, pred)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
 	pred = epred
 
-	projSchema, transform, err := db.projection(t.schema, opts.Projection)
-	if err != nil {
-		return nil, err
-	}
-	recSize := projSchema.RecordSize()
-
-	execOpts := exec.SelectOptions{Transform: transform, OutSchema: projSchema}
+	var execOpts exec.SelectOptions
 	var alg exec.SelectAlgorithm
 	if db.cfg.Padding.Enabled {
 		// Padding mode: no planning, fixed general-purpose operator,
@@ -115,14 +185,14 @@ func (db *DB) selectTable(c *execCtx, t *Table, pred table.Pred, opts SelectOpti
 	if err != nil {
 		return nil, err
 	}
-	if opts.Force != nil {
-		alg = *opts.Force
+	if force != nil {
+		alg = *force
 	} else {
 		// Pricing runs against the parent enclave's budget — shared by
 		// all contexts — so the pick is interleaving-independent.
-		alg = planner.ChooseSelect(db.enc, recSize, st, db.cfg.Planner)
+		alg = planner.ChooseSelect(db.enc, t.schema.RecordSize(), st, db.cfg.Planner)
 	}
-	db.setLastPlan(PlanInfo{SelectAlg: alg, Stats: st, UsedIndex: db.useIndexFor(t, opts.KeyRange)})
+	db.setLastPlan(PlanInfo{SelectAlg: alg, Stats: st, UsedIndex: db.useIndexFor(t, key)})
 	db.pickSelect(alg.String())
 	execOpts.OutSize = st.Matching
 	execOpts.ContinuousStart = st.Start
@@ -155,11 +225,7 @@ func (db *DB) runSelect(c *execCtx, in exec.Input, pred table.Pred, alg exec.Sel
 // uses public sizes only. The operator itself runs on the context's
 // enclave.
 func (db *DB) execSelect(c *execCtx, in exec.Input, pred table.Pred, alg exec.SelectAlgorithm, opts exec.SelectOptions, name string) (*storage.Flat, error) {
-	recSize := in.Schema().RecordSize()
-	if opts.OutSchema != nil {
-		recSize = opts.OutSchema.RecordSize()
-	}
-	if ws, f, ok := db.parallelFor(c, in, recSize); ok && exec.ParallelizableSelect(alg) && !db.cfg.Padding.Enabled {
+	if ws, f, ok := db.parallelFor(c, in, in.Schema().RecordSize()); ok && exec.ParallelizableSelect(alg) && !db.cfg.Padding.Enabled {
 		out, err := exec.ParallelSelect(db.enc, ws, f, pred, alg, opts, name)
 		if !errors.Is(err, exec.ErrSerialFallback) {
 			return out, err
@@ -194,47 +260,55 @@ type AggregateSpec struct {
 	Column string
 }
 
-func (db *DB) resolveSpecs(s *table.Schema, specs []AggregateSpec) ([]exec.AggSpec, []string, error) {
+// planSpecs converts the public aggregate specs into the plan's, with
+// no output names: the interpreter derives them from the schema.
+func planSpecs(specs []AggregateSpec) []plan.AggSpec {
+	out := make([]plan.AggSpec, len(specs))
+	for i, a := range specs {
+		out[i] = plan.AggSpec{Kind: a.Kind, Column: a.Column}
+	}
+	return out
+}
+
+// resolveSpecs binds aggregate specs to column indices of s and names
+// the outputs: a spec's own Name, or KIND(column) in the schema's
+// spelling. names is the join naming context of the rows (nil outside
+// joins; see planAggColumn).
+func (db *DB) resolveSpecs(s *table.Schema, specs []plan.AggSpec, names *plan.JoinNames) ([]exec.AggSpec, []string, error) {
 	out := make([]exec.AggSpec, len(specs))
-	names := make([]string, len(specs))
+	outNames := make([]string, len(specs))
 	for i, a := range specs {
 		col := -1
+		outNames[i] = "COUNT(*)"
 		if a.Kind != exec.AggCount {
-			col = s.ColIndex(a.Column)
+			column := planAggColumn(s, a.Column, names)
+			col = s.ColIndex(column)
 			if col < 0 {
-				return nil, nil, fmt.Errorf("core: no column %q to aggregate", a.Column)
+				return nil, nil, fmt.Errorf("core: no column %q to aggregate", column)
 			}
-			names[i] = fmt.Sprintf("%s(%s)", a.Kind, s.Col(col).Name)
-		} else {
-			names[i] = "COUNT(*)"
+			outNames[i] = fmt.Sprintf("%s(%s)", a.Kind, s.Col(col).Name)
+		}
+		if a.Name != "" {
+			outNames[i] = a.Name
 		}
 		out[i] = exec.AggSpec{Kind: a.Kind, Col: col}
 	}
-	return out, names, nil
+	return out, outNames, nil
 }
 
 // Aggregate computes aggregates over rows matching pred in one fused
 // select+aggregate pass — no intermediate table, no intermediate leakage
-// (§4.2).
+// (§4.2). It runs the plan Aggregate(Filter(Scan|IndexScan)).
 func (db *DB) Aggregate(name string, pred table.Pred, specs []AggregateSpec, key *KeyRange) (*Result, error) {
-	c, release := db.beginRead()
-	defer release()
-	t, err := c.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return db.aggregateTable(c, t, pred, specs, key)
+	return db.ExecutePlan(&plan.Aggregate{
+		Input: &plan.Filter{Input: leaf(name, key), Cond: predExpr(pred)},
+		Specs: planSpecs(specs),
+	}, funcBinder{})
 }
 
-// AggregateTable is Aggregate over a table handle.
-func (db *DB) AggregateTable(t *Table, pred table.Pred, specs []AggregateSpec, key *KeyRange) (*Result, error) {
-	c, release := db.beginRead()
-	defer release()
-	return db.aggregateTable(c, t, pred, specs, key)
-}
-
-// aggregateTable is AggregateTable without the lock.
-func (db *DB) aggregateTable(c *execCtx, t *Table, pred table.Pred, specs []AggregateSpec, key *KeyRange) (*Result, error) {
+// aggregateTable runs the fused aggregate pass over t on the execution
+// context c.
+func (db *DB) aggregateTable(c *execCtx, t *Table, pred table.Pred, specs []plan.AggSpec, names *plan.JoinNames, key *KeyRange) (*Result, error) {
 	if pred == nil {
 		pred = table.All
 	}
@@ -244,7 +318,7 @@ func (db *DB) aggregateTable(c *execCtx, t *Table, pred table.Pred, specs []Aggr
 	}
 	defer release()
 	pred = epred
-	es, names, err := db.resolveSpecs(t.schema, specs)
+	es, cols, err := db.resolveSpecs(t.schema, specs, names)
 	if err != nil {
 		return nil, err
 	}
@@ -257,37 +331,26 @@ func (db *DB) aggregateTable(c *execCtx, t *Table, pred table.Pred, specs []Aggr
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Cols: names, Rows: []table.Row{table.Row(vals)}}, nil
+	return &Result{Cols: cols, Rows: []table.Row{table.Row(vals)}}, nil
 }
 
 // GroupKey derives the grouping value from a row inside the enclave.
 type GroupKey = exec.GroupBy
 
 // GroupAggregate runs grouped aggregation (hash bucketing, §4.2),
-// returning one row [group, aggregates...] per group.
+// returning one row [group, aggregates...] per group. It runs the plan
+// Collect(GroupBy(Filter(Scan|IndexScan))).
 func (db *DB) GroupAggregate(name string, pred table.Pred, groupBy GroupKey, specs []AggregateSpec, key *KeyRange) (*Result, error) {
-	c, release := db.beginRead()
-	defer release()
-	t, err := c.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	tmp, err := db.groupAggregateTable(c, t, pred, groupBy, specs, key)
-	if err != nil {
-		return nil, err
-	}
-	return db.collect(c, tmp)
+	return db.ExecutePlan(&plan.Collect{Input: &plan.GroupBy{
+		Input: &plan.Filter{Input: leaf(name, key), Cond: predExpr(pred)},
+		Key:   groupBy,
+		Specs: planSpecs(specs),
+	}}, funcBinder{})
 }
 
-// GroupAggregateTable is GroupAggregate into an intermediate table.
-func (db *DB) GroupAggregateTable(t *Table, pred table.Pred, groupBy GroupKey, specs []AggregateSpec, key *KeyRange) (*Table, error) {
-	c, release := db.beginRead()
-	defer release()
-	return db.groupAggregateTable(c, t, pred, groupBy, specs, key)
-}
-
-// groupAggregateTable is GroupAggregateTable without the lock.
-func (db *DB) groupAggregateTable(c *execCtx, t *Table, pred table.Pred, groupBy GroupKey, specs []AggregateSpec, key *KeyRange) (*Table, error) {
+// groupAggregateTable runs grouped aggregation over t into an
+// intermediate table on the execution context c.
+func (db *DB) groupAggregateTable(c *execCtx, t *Table, pred table.Pred, groupBy GroupKey, specs []plan.AggSpec, names *plan.JoinNames, key *KeyRange) (*Table, error) {
 	if pred == nil {
 		pred = table.All
 	}
@@ -297,7 +360,7 @@ func (db *DB) groupAggregateTable(c *execCtx, t *Table, pred table.Pred, groupBy
 	}
 	defer release()
 	pred = epred
-	es, _, err := db.resolveSpecs(t.schema, specs)
+	es, _, err := db.resolveSpecs(t.schema, specs, names)
 	if err != nil {
 		return nil, err
 	}
@@ -332,25 +395,27 @@ type JoinOptions struct {
 }
 
 // Join joins left and right on leftCol = rightCol. left is the primary
-// (unique-key) side for the foreign-key sort-merge joins (§4.3).
+// (unique-key) side for the foreign-key sort-merge joins (§4.3). It runs
+// the plan Collect(Join(side, side)), each side a Scan or, with a side
+// filter, a Filter over one.
 func (db *DB) Join(left, right, leftCol, rightCol string, opts JoinOptions) (*Result, error) {
-	c, release := db.beginRead()
-	defer release()
-	tmp, err := db.joinTable(c, left, right, leftCol, rightCol, opts)
-	if err != nil {
-		return nil, err
+	side := func(name string, pred table.Pred) plan.Node {
+		if pred == nil {
+			return &plan.Scan{Table: name}
+		}
+		return &plan.Filter{Input: &plan.Scan{Table: name}, Cond: pred}
 	}
-	return db.collect(c, tmp)
+	return db.ExecutePlan(&plan.Collect{Input: &plan.Join{
+		Left:      side(left, opts.FilterLeft),
+		Right:     side(right, opts.FilterRight),
+		LeftTable: left, RightTable: right,
+		LeftCol: leftCol, RightCol: rightCol,
+		Force: opts.Force,
+	}}, funcBinder{})
 }
 
-// JoinTable is Join into an intermediate table for further composition.
-func (db *DB) JoinTable(left, right, leftCol, rightCol string, opts JoinOptions) (*Table, error) {
-	c, release := db.beginRead()
-	defer release()
-	return db.joinTable(c, left, right, leftCol, rightCol, opts)
-}
-
-// joinTable is JoinTable without the lock.
+// joinTable joins two catalog tables into an intermediate table on the
+// execution context c.
 func (db *DB) joinTable(c *execCtx, left, right, leftCol, rightCol string, opts JoinOptions) (*Table, error) {
 	lt, err := c.lookup(left)
 	if err != nil {
@@ -368,12 +433,12 @@ func (db *DB) joinTable(c *execCtx, left, right, leftCol, rightCol string, opts 
 
 	lTab, rTab := lt, rt
 	if opts.FilterLeft != nil {
-		if lTab, err = db.selectTable(c, lt, opts.FilterLeft, SelectOptions{}); err != nil {
+		if lTab, err = db.selectTable(c, lt, opts.FilterLeft, nil, nil); err != nil {
 			return nil, err
 		}
 	}
 	if opts.FilterRight != nil {
-		if rTab, err = db.selectTable(c, rt, opts.FilterRight, SelectOptions{}); err != nil {
+		if rTab, err = db.selectTable(c, rt, opts.FilterRight, nil, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -426,14 +491,8 @@ func (db *DB) joinTable(c *execCtx, left, right, leftCol, rightCol string, opts 
 	return db.wrapTemp(out), nil
 }
 
-// Collect decrypts a table's live rows into a Result.
-func (db *DB) Collect(t *Table) (*Result, error) {
-	c, release := db.beginRead()
-	defer release()
-	return db.collect(c, t)
-}
-
-// collect is Collect without the lock. Read-slot contexts stream the
+// collect decrypts a table's live rows into a Result on the execution
+// context c. Read-slot contexts stream the
 // rows through their own view (the table's scratch is not theirs to
 // use); the row order and contents match Flat.Rows exactly.
 func (db *DB) collect(c *execCtx, t *Table) (*Result, error) {
@@ -581,36 +640,3 @@ func (db *DB) materialize(c *execCtx, s *table.Schema, rows []table.Row, op stri
 	tmp.BumpRows(len(rows))
 	return tmp, nil
 }
-
-// projection resolves a column list into an output schema and transform.
-func (db *DB) projection(s *table.Schema, cols []string) (*table.Schema, Transform, error) {
-	if len(cols) == 0 {
-		return s, nil, nil
-	}
-	idx := make([]int, len(cols))
-	outCols := make([]table.Column, len(cols))
-	for i, name := range cols {
-		c := s.ColIndex(name)
-		if c < 0 {
-			return nil, nil, fmt.Errorf("core: no column %q", name)
-		}
-		idx[i] = c
-		outCols[i] = s.Col(c)
-	}
-	outSchema, err := table.NewSchema(outCols...)
-	if err != nil {
-		return nil, nil, err
-	}
-	tf := func(r table.Row) table.Row {
-		out := make(table.Row, len(idx))
-		for i, c := range idx {
-			out[i] = r[c]
-		}
-		return out
-	}
-	return outSchema, tf, nil
-}
-
-// Transform re-exports the operator row transform for callers composing
-// custom projections.
-type Transform = exec.Transform

@@ -54,7 +54,7 @@ func TestEndToEndSelectTraceOblivious(t *testing.T) {
 		seedFlat(t, db, vals)
 		tr.Reset()
 		tab, _ := db.Table("t")
-		if _, err := db.SelectTable(tab, func(r table.Row) bool { return r[1].AsInt() == param }, SelectOptions{}); err != nil {
+		if _, err := db.selectTable(db.serialCtx, tab, func(r table.Row) bool { return r[1].AsInt() == param }, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		return tr
@@ -121,7 +121,7 @@ func TestEndToEndJoinTraceOblivious(t *testing.T) {
 		}
 		tr.Reset()
 		alg := exec.JoinZeroOM // deterministic network, fully comparable
-		if _, err := db.JoinTable("l", "r", "pk", "fk", JoinOptions{Force: &alg}); err != nil {
+		if _, err := db.joinTable(db.serialCtx, "l", "r", "pk", "fk", JoinOptions{Force: &alg}); err != nil {
 			t.Fatal(err)
 		}
 		return tr
@@ -169,7 +169,7 @@ func TestEndToEndPaddingHidesResultSize(t *testing.T) {
 		seedFlat(t, db, vals)
 		tr.Reset()
 		tab, _ := db.Table("t")
-		if _, err := db.SelectTable(tab, func(r table.Row) bool { return r[1].AsInt() == param }, SelectOptions{}); err != nil {
+		if _, err := db.selectTable(db.serialCtx, tab, func(r table.Row) bool { return r[1].AsInt() == param }, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		return tr
@@ -280,7 +280,7 @@ func TestManyQueriesSameTraceFingerprint(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		tr.Reset()
 		tab, _ := db.Table("t")
-		if _, err := db.SelectTable(tab, func(r table.Row) bool { return r[1].AsInt() >= 9 }, SelectOptions{}); err != nil {
+		if _, err := db.selectTable(db.serialCtx, tab, func(r table.Row) bool { return r[1].AsInt() >= 9 }, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		// Canonical: each run allocates fresh temp tables, whose region

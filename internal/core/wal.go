@@ -28,6 +28,9 @@ import (
 func (db *DB) AttachWAL(l *wal.Log) error {
 	db.lockWrite()
 	defer db.mu.Unlock()
+	if err := db.refuseBroken(); err != nil {
+		return err
+	}
 	if db.wal != nil {
 		return fmt.Errorf("core: a journal is already attached")
 	}
@@ -53,6 +56,9 @@ func (db *DB) DetachWAL() {
 func (db *DB) Checkpoint() error {
 	db.lockWrite()
 	defer db.mu.Unlock()
+	if err := db.refuseBroken(); err != nil {
+		return err
+	}
 	if db.wal == nil {
 		return fmt.Errorf("core: no journal attached")
 	}
@@ -177,6 +183,12 @@ func (db *DB) latchBroken(err, rerr error) error {
 		"core: rollback failed (%v); engine state is untrusted, recover from the journal", rerr)
 	return db.broken
 }
+
+// refuseBroken is the one check of the latch. Every entry point that
+// runs a statement or writes the journal calls it under the database
+// lock before it touches rows: an untrusted engine must neither answer
+// nor overwrite the journal, the only state recovery can use.
+func (db *DB) refuseBroken() error { return db.broken }
 
 // Broken reports the containment-failure latch: nil while the engine's
 // in-memory state is trustworthy, the typed CodeEngineFailed error

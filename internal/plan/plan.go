@@ -8,14 +8,15 @@
 // data.
 //
 // The package sits below both the SQL frontend and the engine:
-// internal/sql compiles statements into plans, internal/planner
+// internal/sql compiles statements into plans (the engine's
+// programmatic reads build the same trees directly), internal/planner
 // annotates them with algorithm and parallelism choices derived from
 // public sizes only (the Catalog interface exposes exactly that
 // metadata), and internal/core interprets them by wrapping the existing
 // oblivious operators. Expressions stay opaque here (the Expr alias):
-// the interpreter evaluates them through a Binder the SQL layer
-// implements, which is where this execution's argument values live —
-// inside the enclave, invisible to planning.
+// the interpreter evaluates them through a Binder supplied with the
+// plan, which is where this execution's argument values live — inside
+// the enclave, invisible to planning.
 package plan
 
 import (
@@ -331,8 +332,9 @@ type JoinNames struct {
 }
 
 // Binder supplies the execution-time expression services a plan needs.
-// The SQL layer implements it; this execution's argument values live
-// only inside the Binder, so nothing the interpreter or planner touches
+// The SQL layer implements it over its AST, and the engine's
+// programmatic reads over Go callbacks; this execution's argument
+// values live only inside the Binder, so nothing the interpreter or planner touches
 // can depend on them. Each compiling method lowers its expressions once
 // per execution and returns resolution errors (unknown column, unbound
 // parameter, unknown function) at once: they depend only on shape and

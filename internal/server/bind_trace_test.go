@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"testing"
-	"time"
 
 	"oblidb/client"
 	"oblidb/internal/core"
@@ -19,24 +18,6 @@ import (
 // inside the encrypted frames and the enclave's evaluator.
 func TestPreparedArgsServedTraceIdentical(t *testing.T) {
 	const epochSize = 2
-
-	// runOne submits one statement and drives exactly one manual epoch,
-	// so both servers see an identical epoch/slot schedule.
-	runOne := func(t *testing.T, srv *server.Server, exec func() error) {
-		t.Helper()
-		done := make(chan error, 1)
-		go func() { done <- exec() }()
-		for deadline := time.Now().Add(5 * time.Second); srv.Pending() < 1; {
-			if time.Now().After(deadline) {
-				t.Fatal("statement never queued")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		srv.RunEpoch()
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	fixedKey := make([]byte, 32)
 	engTraces := make([]*trace.Tracer, 2)

@@ -3,7 +3,6 @@ package server_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"oblidb/client"
 	"oblidb/internal/core"
@@ -71,16 +70,6 @@ func driveWorkload(t *testing.T, workers int, setup func(t *testing.T, x *sql.Ex
 	}
 	defer c.Close()
 
-	waitPending := func(n int) {
-		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); srv.Pending() < n; {
-			if time.Now().After(deadline) {
-				t.Fatalf("statement never queued: %d of %d pending", srv.Pending(), n)
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
-
 	for _, wave := range waves {
 		done := make(chan error, len(wave))
 		// Queue one statement at a time: arrival order — and with it the
@@ -92,7 +81,7 @@ func driveWorkload(t *testing.T, workers int, setup func(t *testing.T, x *sql.Ex
 				_, err := c.Exec(stmt)
 				done <- err
 			}()
-			waitPending(i + 1)
+			waitPending(t, srv, i+1)
 		}
 		for e := 0; e < (len(wave)+epochSize-1)/epochSize; e++ {
 			srv.RunEpoch()

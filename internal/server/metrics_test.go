@@ -22,12 +22,7 @@ func runOne(t *testing.T, srv *server.Server, exec func() error) {
 	t.Helper()
 	done := make(chan error, 1)
 	go func() { done <- exec() }()
-	for deadline := time.Now().Add(5 * time.Second); srv.Pending() < 1; {
-		if time.Now().After(deadline) {
-			t.Fatal("statement never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitPending(t, srv, 1)
 	srv.RunEpoch()
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -215,12 +210,7 @@ func TestSlowStatementLog(t *testing.T) {
 			done <- err
 		}()
 	}
-	for deadline := time.Now().Add(5 * time.Second); srv.Pending() < 2; {
-		if time.Now().After(deadline) {
-			t.Fatal("statements never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitPending(t, srv, 2)
 	srv.RunEpoch()
 	srv.RunEpoch()
 	for i := 0; i < 2; i++ {

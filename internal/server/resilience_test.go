@@ -58,8 +58,8 @@ func (r *rawConn) recv() *wire.Response {
 // before they drive an epoch.
 func waitPending(t *testing.T, srv *server.Server, n int) {
 	t.Helper()
-	for i := 0; srv.Pending() < n; i++ {
-		if i > 2000 {
+	for deadline := time.Now().Add(5 * time.Second); srv.Pending() < n; {
+		if time.Now().After(deadline) {
 			t.Fatalf("only %d of %d statements queued", srv.Pending(), n)
 		}
 		time.Sleep(time.Millisecond)

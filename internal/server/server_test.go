@@ -204,12 +204,7 @@ func TestEpochStreamIndependentOfClients(t *testing.T) {
 			}
 			// Wait for the whole burst to be queued so the epoch drive
 			// below is deterministic.
-			for deadline := time.Now().Add(5 * time.Second); srv.Pending() < burst; {
-				if time.Now().After(deadline) {
-					t.Fatalf("burst never queued: %d of %d pending", srv.Pending(), burst)
-				}
-				time.Sleep(time.Millisecond)
-			}
+			waitPending(t, srv, burst)
 		}
 
 		for e := 0; e < epochs; e++ {

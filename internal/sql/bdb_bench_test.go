@@ -8,14 +8,8 @@ import (
 )
 
 // bdbQueries are the Big Data Benchmark's Q1-Q3 as SQL, the statements
-// the served bdb_scan workload sends (Q3's BETWEEN spelled as two
-// comparisons).
-var bdbQueries = []string{
-	"SELECT pageURL, pageRank FROM rankings WHERE pageRank > 1000",
-	"SELECT SUBSTR(sourceIP, 1, 8), SUM(adRevenue) FROM uservisits GROUP BY SUBSTR(sourceIP, 1, 8)",
-	"SELECT sourceIP, SUM(adRevenue), AVG(pageRank) FROM rankings JOIN uservisits ON pageURL = destURL " +
-		"WHERE visitDate >= '" + bdb.Q3DateLo + "' AND visitDate <= '" + bdb.Q3DateHi + "' GROUP BY sourceIP",
-}
+// the served bdb_scan workload sends.
+var bdbQueries = []string{bdb.Q1SQL, bdb.Q2SQL, bdb.Q3SQL}
 
 // BenchmarkBDBQueries runs Q1-Q3 round-robin through PrepareOneShot +
 // Exec on 5 % of paper-scale flat tables with 1 MiB of oblivious memory,

@@ -79,25 +79,21 @@ func NewRunner(db *core.DB, name string, rows int, seed uint64) *Runner {
 // RunOp executes one operation of the given category. Read results are
 // discarded; errors abort the workload.
 func (r *Runner) RunOp(category string) error {
-	t, err := r.DB.Table(r.Name)
-	if err != nil {
-		return err
-	}
 	span := int64(r.Rows)
 	switch category {
 	case "point":
 		k := r.rng.Int64N(span)
-		return r.read(t, k, k)
+		return r.read(k, k)
 	case "small":
 		lo := r.rng.Int64N(span)
-		return r.read(t, lo, lo+49)
+		return r.read(lo, lo+49)
 	case "large":
 		width := span / 20 // 5% of the table
 		if width < 1 {
 			width = 1
 		}
 		lo := r.rng.Int64N(span)
-		return r.read(t, lo, lo+width-1)
+		return r.read(lo, lo+width-1)
 	case "insert":
 		k := r.nextKey
 		r.nextKey++
@@ -110,22 +106,18 @@ func (r *Runner) RunOp(category string) error {
 	return fmt.Errorf("workload: unknown category %q", category)
 }
 
-// read selects keys in [lo, hi] through the best available access method:
-// the index for point and small reads, the flat representation for large
-// ones — the §3.3 rationale for keeping both ("use the index for point
-// queries and the flat table for full-table ... queries").
-func (r *Runner) read(t *core.Table, lo, hi int64) error {
-	opts := core.SelectOptions{}
+// read selects keys in [lo, hi] through the access method the planner
+// prices cheaper (planner.ChooseAccess): the index for narrow ranges,
+// the flat representation for wide ones — the §3.3 rationale for keeping
+// both ("use the index for point queries and the flat table for
+// full-table ... queries"). A table without an index ignores the range;
+// the predicate restricts the scan on its own.
+func (r *Runner) read(lo, hi int64) error {
 	pred := func(row table.Row) bool {
 		k := row[0].AsInt()
 		return k >= lo && k <= hi
 	}
-	span := hi - lo + 1
-	wantIndex := t.Flat() == nil || span <= int64(r.Rows)/10
-	if t.Index() != nil && wantIndex {
-		opts.KeyRange = &core.KeyRange{Lo: lo, Hi: hi}
-	}
-	_, err := r.DB.SelectTable(t, pred, opts)
+	_, err := r.DB.Select(r.Name, pred, core.SelectOptions{KeyRange: &core.KeyRange{Lo: lo, Hi: hi}})
 	return err
 }
 

@@ -16,12 +16,12 @@ import (
 // a fixed pool (Config.ReadConcurrency), so the epoch scheduler can run
 // several read slots truly in parallel. Each context owns what one
 // concurrent statement must not share — a sealer (stateful nonce pool),
-// a PRNG stream, a tracer, scratch buffers for every table it reads, and
-// an oblivious-memory accountant at the full budget so the planner's
-// algorithm picks match the serial engine exactly. The catalog itself is
-// resolved through a copy-on-write snapshot republished on every DDL, so
-// a reader never touches the live table map. See DESIGN.md §16 for the
-// leakage argument.
+// a tracer, scratch buffers for every table it reads, and an
+// oblivious-memory accountant re-budgeted at checkout to the parent's
+// unreserved memory so the planner's algorithm picks match the serial
+// engine exactly. The catalog itself is resolved through a copy-on-write
+// snapshot republished on every DDL, so a reader never touches the live
+// table map. See DESIGN.md §16 for the leakage argument.
 
 // execCtx is the execution context one statement runs under: either the
 // engine's own serial context (exclusive lock held, legacy direct reads)

@@ -101,24 +101,22 @@ type Config struct {
 	// geometry, like table sizes — traces depend only on the pair
 	// (capacity, R).
 	RowsPerBlock int
-	// WorkerTracers, if non-nil, must hold one tracer per worker; each
-	// worker's untrusted accesses — the adversarial view of one core —
-	// are recorded there. Tests assert the multiset of worker traces is
-	// input-independent (trace.MultisetFingerprint).
+	// WorkerTracers, if non-nil, must hold one tracer per pooled context
+	// — one per partition worker (Parallelism) or per read slot
+	// (ReadConcurrency); each context's untrusted accesses — the
+	// adversarial view of one core — are recorded there. Tests assert the
+	// multiset of worker traces is input-independent
+	// (trace.MultisetFingerprint) and the multiset of read-slot traces
+	// interleaving-independent (trace.EventMultisetFingerprint).
 	WorkerTracers []*trace.Tracer
 	// ReadConcurrency sizes the read-slot context pool: up to this many
 	// read statements execute concurrently under the shared side of the
-	// database lock, each on its own enclave replica (own sealer, PRNG
-	// stream, tracer, scratch). 0 or 1 keeps reads on the exclusive lock
+	// database lock, each on its own pooled enclave context (own sealer,
+	// accountant, tracer, scratch). 0 or 1 keeps reads on the exclusive lock
 	// — the serial engine, byte-identical traces; -1 uses GOMAXPROCS.
 	// The pool size is public configuration, like the epoch cadence. The
 	// server fans each epoch's read runs out to this many goroutines.
 	ReadConcurrency int
-	// ReadTracers, if non-nil, must hold one tracer per read-slot
-	// context; each slot's untrusted accesses are recorded there. Tests
-	// assert the multiset of read-slot traces is interleaving-independent
-	// (trace.EventMultisetFingerprint).
-	ReadTracers []*trace.Tracer
 	// StoreLatency models the cost of one untrusted-memory block access
 	// (see enclave.Config.StoreLatency). Zero keeps untrusted memory at
 	// in-process speed; benchmarks set it to measure latency-hiding read
@@ -140,7 +138,7 @@ type Config struct {
 // seed engine. Read statements take the shared side plus a per-slot
 // execution context from a fixed pool (Config.ReadConcurrency), so up
 // to that many reads run truly in parallel: each context carries its
-// own enclave replica (sealer, PRNG stream, tracer, accountant) and its
+// own pooled enclave context (sealer, tracer, accountant) and its
 // own per-table read views, while ORAM-backed index access — which
 // mutates stash and position map even on reads — serializes behind a
 // per-table lock (Table.idxMu). The catalog is resolved against a
@@ -153,18 +151,20 @@ type Config struct {
 // unexported, unlocked variants; internal cross-calls use the unlocked
 // variants so the mutex is never taken reentrantly. See DESIGN.md §16.
 type DB struct {
-	mu      sync.RWMutex
-	enc     *enclave.Enclave
-	cfg     Config
-	tables  map[string]*Table
-	workers []*enclave.Enclave // intra-query worker pool (nil when serial)
+	mu     sync.RWMutex
+	enc    *enclave.Enclave
+	cfg    Config
+	tables map[string]*Table
+	// workers is the partition-worker pool (nil unless Parallelism > 1).
+	// Open builds one pool of Split contexts that backs either these
+	// workers or the read slots (readCtxs), never both.
+	workers []*enclave.Enclave
 	// snap is the latest published catalog snapshot; readCtxs is the
 	// read-slot context pool (nil when reads serialize); serialCtx is
 	// the engine's own context for exclusive-side statements; lockC
 	// counts lock traffic for the contention metrics.
 	snap      atomic.Pointer[catalogSnap]
 	readCtxs  chan *execCtx
-	readEncs  []*enclave.Enclave // the pool's replica enclaves (stats)
 	serialCtx *execCtx
 	lockC     lockCounters
 	// planMu guards LastPlan and picks: read slots record planner
@@ -297,20 +297,10 @@ func (db *DB) setLastJoin(alg exec.JoinAlgorithm) {
 	db.planMu.Unlock()
 }
 
-// IOStats folds the sealed-block I/O tallies of the main enclave, every
-// Split worker, and every read-slot replica into one snapshot — the
-// per-worker tallies are the per-core adversarial views, and their sum
-// is the total sealed-block traffic the host observed.
-func (db *DB) IOStats() enclave.IOSnapshot {
-	s := db.enc.IOStats()
-	for _, w := range db.workers {
-		s.Add(w.IOStats())
-	}
-	for _, r := range db.readEncs {
-		s.Add(r.IOStats())
-	}
-	return s
-}
+// IOStats snapshots the engine's sealed-block I/O tallies: the total
+// sealed-block traffic the host observed, which every pooled context and
+// index child adds to.
+func (db *DB) IOStats() enclave.IOSnapshot { return db.enc.IOStats() }
 
 // StorageGeomStats describes the flat tables at one packing geometry
 // (rows-per-block value): counts of tables, sealed blocks, live rows,
@@ -380,34 +370,22 @@ func Open(cfg Config) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{enc: enc, cfg: cfg, tables: make(map[string]*Table)}
-	if p > 1 {
-		db.workers, err = enc.Split(p, cfg.WorkerTracers)
+	db.serialCtx = &execCtx{db: db, enc: enc, serial: true}
+	if n := max(p, rc); n > 1 {
+		pool, err := enc.Split(n, cfg.WorkerTracers)
 		if err != nil {
 			return nil, err
 		}
+		if p > 1 {
+			db.workers = pool
+		} else {
+			db.readCtxs = make(chan *execCtx, n)
+			for _, w := range pool {
+				db.readCtxs <- &execCtx{db: db, enc: w, views: make(map[*storage.Flat]*storage.ReadView)}
+			}
+		}
 	} else if cfg.WorkerTracers != nil {
 		return nil, fmt.Errorf("core: WorkerTracers set on a serial engine")
-	}
-	db.serialCtx = &execCtx{db: db, enc: enc, serial: true}
-	if rc > 1 {
-		if cfg.ReadTracers != nil && len(cfg.ReadTracers) != rc {
-			return nil, fmt.Errorf("core: ReadTracers has %d tracers for %d read slots", len(cfg.ReadTracers), rc)
-		}
-		db.readCtxs = make(chan *execCtx, rc)
-		for i := 0; i < rc; i++ {
-			var tr *trace.Tracer
-			if cfg.ReadTracers != nil {
-				tr = cfg.ReadTracers[i]
-			}
-			r, err := enc.Replica(i, tr)
-			if err != nil {
-				return nil, err
-			}
-			db.readEncs = append(db.readEncs, r)
-			db.readCtxs <- &execCtx{db: db, enc: r, views: make(map[*storage.Flat]*storage.ReadView)}
-		}
-	} else if cfg.ReadTracers != nil {
-		return nil, fmt.Errorf("core: ReadTracers set on a serial-read engine")
 	}
 	db.snap.Store(&catalogSnap{tables: map[string]*Table{}})
 	return db, nil
@@ -550,7 +528,7 @@ func (db *DB) createTableBody(name string, schema *table.Schema, opts TableOptio
 		// and a sealer is single-stream. The child shares the parent's
 		// accountant, tracer, and seed, so budget, trace, and ORAM leaf
 		// assignment are identical to building on db.enc directly.
-		ienc, err := db.enc.Child(name + ".index")
+		ienc, err := db.enc.Child()
 		if err != nil {
 			return nil, err
 		}

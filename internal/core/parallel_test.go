@@ -378,3 +378,46 @@ func TestParallelJoinFallsBackOnWideBuildRecords(t *testing.T) {
 		t.Fatalf("join returned %d rows, want 128", len(res.Rows))
 	}
 }
+
+// TestParallelWorkersWithinParentBudget: an index's Ring ORAM holds a
+// standing reservation on the parent enclave, so the partition workers'
+// budgets must come out of what is left — together with the parent's
+// reservations they may never exceed the parent's budget.
+func TestParallelWorkersWithinParentBudget(t *testing.T) {
+	wts := []*trace.Tracer{trace.New(), trace.New(), trace.New(), trace.New()}
+	db := MustOpen(Config{ObliviousMemory: 4 << 20, Parallelism: 4, WorkerTracers: wts, RowsPerBlock: 1})
+	if _, err := db.CreateTable("users", usersSchema(), TableOptions{
+		Kind: KindBoth, KeyColumn: "uid", Capacity: 4096,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]table.Row, 1000)
+	for i := range rows {
+		rows[i] = user(int64(i), fmt.Sprintf("u%d", i), int64(20+i%50))
+	}
+	if err := db.BulkLoad("users", rows); err != nil {
+		t.Fatal(err)
+	}
+	enc := db.Enclave()
+	if enc.Used() == 0 {
+		t.Fatal("the index holds no standing reservation")
+	}
+	res, err := db.Select("users", func(r table.Row) bool { return r[2].AsInt() == 30 }, SelectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 20 {
+		t.Fatalf("select returned %d rows, want 20", len(res.Rows))
+	}
+	if len(wts[0].Events()) == 0 {
+		t.Fatal("the select did not run partitioned")
+	}
+	sum := 0
+	for _, w := range db.workers {
+		sum += w.Budget()
+	}
+	if sum+enc.Used() > enc.Budget() {
+		t.Fatalf("workers hold %d B beside the parent's %d B reserved: %d > budget %d",
+			sum, enc.Used(), sum+enc.Used(), enc.Budget())
+	}
+}

@@ -238,7 +238,9 @@ func (db *DB) execSelect(c *execCtx, in exec.Input, pred table.Pred, alg exec.Se
 // engine must have a pool, the statement must hold the exclusive lock
 // (the Split workers are a single shared pool), the input must be a flat
 // block array, and the planner must find a partition count ≥ 2 worth the
-// handoff.
+// handoff. On dispatch every worker is re-budgeted to an equal share of
+// the parent's unreserved memory, so the workers together never hold
+// more than the parent has left (standing ORAM reservations included).
 func (db *DB) parallelFor(c *execCtx, in exec.Input, recSize int) ([]*enclave.Enclave, *storage.Flat, bool) {
 	if !c.serial || len(db.workers) < 2 {
 		return nil, nil, false
@@ -250,6 +252,10 @@ func (db *DB) parallelFor(c *execCtx, in exec.Input, recSize int) ([]*enclave.En
 	p := planner.ChooseParallelism(db.enc, f.NumBlocks(), recSize, len(db.workers))
 	if p < 2 {
 		return nil, nil, false
+	}
+	share := db.enc.Available() / len(db.workers)
+	for _, w := range db.workers {
+		w.Rebudget(share)
 	}
 	return db.workers[:p], f, true
 }

@@ -19,7 +19,6 @@ package enclave
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand/v2"
 	"sync/atomic"
 	"time"
 
@@ -41,7 +40,7 @@ type Config struct {
 	// matching the paper's model where the key lives only inside the
 	// enclave.
 	Key []byte
-	// Seed seeds the enclave's PRNG (ORAM leaf assignment, hash salts).
+	// Seed is the root of every SeedFor stream (ORAM leaf assignment).
 	// Zero derives a seed from the key so runs are reproducible per key.
 	Seed uint64
 	// StoreLatency models the cost of one untrusted-memory block access
@@ -57,9 +56,8 @@ type Config struct {
 	// access and may fail it — the unreliable (not malicious) host of
 	// the failure model. Implementations must key their decisions on
 	// the access count only, never on data (internal/faultstore does),
-	// so injection adds no leakage channel. Inherited by Split, Child,
-	// and Replica contexts so every path to untrusted memory is
-	// covered.
+	// so injection adds no leakage channel. Inherited by Split and
+	// Child contexts so every path to untrusted memory is covered.
 	Fault FaultInjector
 }
 
@@ -79,34 +77,32 @@ type FaultInjector interface {
 const DefaultObliviousMemory = 20 << 20
 
 // Enclave is the trusted environment: it owns the data key, the oblivious
-// memory accountant, and the randomness used by oblivious data structures.
+// memory accountant, and the seed oblivious data structures draw from.
 type Enclave struct {
 	sealer *crypt.Sealer
 	tracer *trace.Tracer
-	rng    *rand.Rand
-	// acct is the oblivious-memory accountant. Split workers and Replica
-	// contexts own their accountant; Child contexts share the parent's, so
-	// standing reservations (ORAM stashes, position maps) stay visible to
-	// everyone pricing against the parent.
+	// acct is the oblivious-memory accountant. Split workers own their
+	// accountant; Child contexts share the parent's, so standing
+	// reservations (ORAM stashes, position maps) stay visible to everyone
+	// pricing against the parent.
 	acct *acct
 	key  []byte
 	seed uint64
 	// io tallies sealed-block traffic through this enclave's boundary.
-	// Split workers and Replica contexts each own their tallies (readers
-	// fold across the pool, core.DB.IOStats); Child contexts share the
-	// parent's so a table's index I/O lands on the engine tally.
+	// Every derived context shares it, so the engine's tally is the total
+	// sealed-block traffic the host observed.
 	io *IOStats
 	// tids hands out store ids for sealed-block domain separation. It is
-	// shared (and atomic) across an enclave and its Split workers so two
-	// workers never seal blocks under the same id.
+	// shared (and atomic) across an enclave and its derived contexts so
+	// two of them never seal blocks under the same id.
 	tids *atomic.Uint32
 	// latency is Config.StoreLatency: the modeled cost of one untrusted
-	// block access. Inherited by Split/Child/Replica contexts so every
-	// path to untrusted memory pays the same toll.
+	// block access. Inherited by derived contexts so every path to
+	// untrusted memory pays the same toll.
 	latency time.Duration
 	// fault is Config.Fault: the unreliable-host model. Inherited by
-	// Split/Child/Replica contexts so every path to untrusted memory
-	// can fail, not just the serial engine's.
+	// derived contexts so every path to untrusted memory can fail, not
+	// just the serial engine's.
 	fault FaultInjector
 }
 
@@ -137,16 +133,8 @@ type IOSnapshot struct {
 	BytesOpened, BytesSealed   uint64
 }
 
-// Add folds another snapshot into this one.
-func (s *IOSnapshot) Add(o IOSnapshot) {
-	s.BlocksOpened += o.BlocksOpened
-	s.BlocksSealed += o.BlocksSealed
-	s.BytesOpened += o.BytesOpened
-	s.BytesSealed += o.BytesSealed
-}
-
-// IOStats snapshots this enclave's sealed-block I/O tallies. For a
-// parallel engine, fold the Split workers' snapshots in too.
+// IOStats snapshots the sealed-block I/O tallies this enclave shares
+// with every context derived from it.
 func (e *Enclave) IOStats() IOSnapshot {
 	return IOSnapshot{
 		BlocksOpened: e.io.BlocksOpened.Load(),
@@ -181,7 +169,6 @@ func New(cfg Config) (*Enclave, error) {
 	return &Enclave{
 		sealer:  sealer,
 		tracer:  cfg.Tracer,
-		rng:     rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
 		acct:    &acct{budget: budget},
 		key:     key,
 		seed:    seed,
@@ -192,13 +179,27 @@ func New(cfg Config) (*Enclave, error) {
 	}, nil
 }
 
-// Split derives n worker enclaves for partition-parallel operators. Each
-// worker shares the parent's data key (so sealed blocks interoperate) and
-// its store-id counter (so ids stay globally unique), but owns everything
-// a concurrent goroutine must not share: its own sealer (the nonce pool
-// is stateful), its own deterministic PRNG stream, its own tracer — the
-// adversarial view of one core — and an equal slice, budget/n, of the
-// parent's currently unreserved oblivious memory.
+// derive builds a context that shares everything with the parent — data
+// key, seed, store-id counter, I/O tallies, latency and fault model —
+// except its own sealer (the nonce pool is stateful, so a context used
+// from another goroutine needs its own) and the tracer and accountant the
+// caller hands it. It is the only way to make an Enclave besides New.
+func (e *Enclave) derive(tr *trace.Tracer, a *acct) (*Enclave, error) {
+	sealer, err := crypt.NewSealer(e.key)
+	if err != nil {
+		return nil, err
+	}
+	d := *e
+	d.sealer, d.tracer, d.acct = sealer, tr, a
+	return &d, nil
+}
+
+// Split derives n worker enclaves for pooled concurrent execution
+// (partition-parallel operators, read slots). Each worker owns its
+// sealer, its tracer — the adversarial view of one core — and an
+// accountant holding an equal slice, budget/n, of the parent's currently
+// unreserved oblivious memory; callers re-sync it with Rebudget whenever
+// they check a worker out. Everything else is derive's shared state.
 //
 // tracers may be nil (workers run untraced) or hold one tracer per
 // worker; obliviousness tests pass per-worker tracers and assert the
@@ -213,90 +214,34 @@ func (e *Enclave) Split(n int, tracers []*trace.Tracer) ([]*Enclave, error) {
 	workers := make([]*Enclave, n)
 	share := e.Available() / n
 	for i := range workers {
-		sealer, err := crypt.NewSealer(e.key)
-		if err != nil {
-			return nil, err
-		}
 		var tr *trace.Tracer
 		if tracers != nil {
 			tr = tracers[i]
 		}
-		seed := e.seed ^ (uint64(i+1) * 0x9e3779b97f4a7c15)
-		workers[i] = &Enclave{
-			sealer:  sealer,
-			tracer:  tr,
-			rng:     rand.New(rand.NewPCG(seed, seed^0xbf58476d1ce4e5b9)),
-			acct:    &acct{budget: share},
-			key:     e.key,
-			seed:    seed,
-			io:      new(IOStats),
-			tids:    e.tids,
-			latency: e.latency,
-			fault:   e.fault,
+		w, err := e.derive(tr, &acct{budget: share})
+		if err != nil {
+			return nil, err
 		}
+		workers[i] = w
 	}
 	return workers, nil
 }
 
 // Child derives a context that acts as the parent for everything the
-// trace and the accountant can see — same seed (so SeedFor-derived PRNG
-// streams, e.g. ORAM leaf assignment, are identical), same tracer, same
-// oblivious-memory accountant, same I/O tallies, same store-id counter —
-// but owns the one thing a concurrent goroutine must not share: the
-// sealer's stateful nonce pool. A structure built on a Child behaves
-// byte-for-byte like one built on the parent while remaining safe to
-// drive from a different goroutine than the parent's other children.
-func (e *Enclave) Child(label string) (*Enclave, error) {
-	sealer, err := crypt.NewSealer(e.key)
-	if err != nil {
-		return nil, err
-	}
-	sub := e.SeedFor(label)
-	return &Enclave{
-		sealer:  sealer,
-		tracer:  e.tracer,
-		rng:     rand.New(rand.NewPCG(sub, sub^0xbf58476d1ce4e5b9)),
-		acct:    e.acct,
-		key:     e.key,
-		seed:    e.seed,
-		io:      e.io,
-		tids:    e.tids,
-		latency: e.latency,
-		fault:   e.fault,
-	}, nil
-}
-
-// Replica derives a read-slot context: own sealer, own PRNG stream, own
-// tracer, own I/O tallies, and — unlike Split — its own accountant at the
-// parent's full budget rather than a 1/n share, so operator buffer sizing
-// (and therefore the planner's algorithm picks and the emitted trace) is
-// identical to the serial engine's. Callers re-sync the budget with
-// Rebudget at checkout so standing reservations on the parent (ORAM
-// stashes, position maps) are reflected exactly as a serial operator
-// would see them.
-func (e *Enclave) Replica(i int, tr *trace.Tracer) (*Enclave, error) {
-	sealer, err := crypt.NewSealer(e.key)
-	if err != nil {
-		return nil, err
-	}
-	sub := e.seed ^ (uint64(i+1) * 0xd6e8feb86659fd93)
-	return &Enclave{
-		sealer:  sealer,
-		tracer:  tr,
-		rng:     rand.New(rand.NewPCG(sub, sub^0xbf58476d1ce4e5b9)),
-		acct:    &acct{budget: e.acct.budget},
-		key:     e.key,
-		seed:    e.seed,
-		io:      new(IOStats),
-		tids:    e.tids,
-		latency: e.latency,
-		fault:   e.fault,
-	}, nil
+// trace and the accountant can see — same tracer and accountant besides
+// derive's shared state, so SeedFor-derived PRNG streams (ORAM leaf
+// assignment) and standing reservations are the parent's. A structure
+// built on a Child behaves byte-for-byte like one built on the parent
+// while remaining safe to drive from a different goroutine than the
+// parent's other children.
+func (e *Enclave) Child() (*Enclave, error) {
+	return e.derive(e.tracer, e.acct)
 }
 
 // Rebudget resets this enclave's oblivious-memory budget to n bytes. It
-// must only be called when no reservations are outstanding — read-slot
-// pools call it between statements to mirror the parent's Available().
+// must only be called when no reservations are outstanding — pools of
+// Split workers call it at every checkout to re-sync with the parent's
+// Available().
 func (e *Enclave) Rebudget(n int) {
 	if n < 0 {
 		n = 0
@@ -324,10 +269,6 @@ func NewZeroOblivious(tr *trace.Tracer) *Enclave {
 
 // Tracer returns the enclave's tracer (possibly nil).
 func (e *Enclave) Tracer() *trace.Tracer { return e.tracer }
-
-// Rand returns the enclave-internal PRNG. In real SGX this would be a
-// hardware CSPRNG; determinism here makes simulations reproducible.
-func (e *Enclave) Rand() *rand.Rand { return e.rng }
 
 // SeedFor derives a stable sub-seed for a named consumer — e.g. one
 // ORAM's leaf-assignment PRNG — from the enclave seed. Each oblivious

@@ -3,6 +3,7 @@ package enclave
 import (
 	"bytes"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -69,10 +70,16 @@ func TestDeterministicRNGPerKey(t *testing.T) {
 	key := bytes.Repeat([]byte{7}, 32)
 	a := MustNew(Config{Key: key})
 	b := MustNew(Config{Key: key})
-	for i := 0; i < 16; i++ {
-		if a.Rand().Uint64() != b.Rand().Uint64() {
-			t.Fatal("same key produced different PRNG streams")
+	for _, label := range []string{"", "t.index", "t.p0"} {
+		if a.SeedFor(label) != b.SeedFor(label) {
+			t.Fatalf("same key produced different %q seeds", label)
 		}
+	}
+	if a.SeedFor("x") == a.SeedFor("y") {
+		t.Fatal("distinct labels share a seed")
+	}
+	if c := MustNew(Config{Key: bytes.Repeat([]byte{8}, 32)}); c.SeedFor("x") == a.SeedFor("x") {
+		t.Fatal("distinct keys share a seed")
 	}
 }
 
@@ -241,28 +248,33 @@ func TestSplitWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A worker can read the parent's sealed block (ReadVia) and vice
-	// versa is unnecessary; the AAD binding (store id) must hold.
-	got, err := ps.ReadVia(ws[0], ws[0].Tracer().Region("x"), 0)
+	// A worker can read the parent's sealed block and vice versa is
+	// unnecessary; the AAD binding (store id) must hold. The read lands on
+	// the parent's tally, which every worker shares.
+	before := e.IOStats().BlocksOpened
+	got, err := ps.ReadIntoVia(ws[0], ws[0].Tracer().Region("x"), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "parental" {
 		t.Fatalf("cross-enclave read got %q", got)
 	}
+	if n := e.IOStats().BlocksOpened - before; n != 1 {
+		t.Fatalf("worker read added %d blocks to the parent's tally, want 1", n)
+	}
 
-	// Worker PRNG streams are deterministic per (key, index) and
-	// distinct across workers.
+	// Worker seed streams are the parent's: reproducible per key, and an
+	// ORAM built on a worker draws the stream its name selects.
 	e2 := MustNew(Config{ObliviousMemory: 4000, Key: make([]byte, 32)})
 	ws2, err := e2.Split(4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := ws[1].Rand().Uint64(), ws2[1].Rand().Uint64(); a != b {
-		t.Fatalf("worker PRNG not reproducible: %d vs %d", a, b)
+	if a, b := ws[1].SeedFor("w"), ws2[1].SeedFor("w"); a != b {
+		t.Fatalf("worker seed not reproducible: %d vs %d", a, b)
 	}
-	if a, b := ws[0].Rand().Uint64(), ws[2].Rand().Uint64(); a == b {
-		t.Fatal("distinct workers share a PRNG stream")
+	if a, b := ws[0].SeedFor("w"), e.SeedFor("w"); a != b {
+		t.Fatalf("worker seed %d differs from the parent's %d", a, b)
 	}
 }
 
@@ -273,5 +285,102 @@ func TestSplitValidation(t *testing.T) {
 	}
 	if _, err := e.Split(2, make([]*trace.Tracer, 3)); err == nil {
 		t.Fatal("tracer/worker count mismatch accepted")
+	}
+}
+
+// countingFault counts the accesses it is consulted on and fails none.
+type countingFault struct{ n atomic.Int64 }
+
+func (f *countingFault) Access(bool) error { f.n.Add(1); return nil }
+
+// TestDerivedContextContract pins what a derived context shares with its
+// parent — key, seed, store-id counter, I/O tally, fault model — and
+// what it owns: its sealer always, and its accountant and tracer for a
+// Split worker (a Child uses the parent's).
+func TestDerivedContextContract(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		derive   func(e *Enclave, tr *trace.Tracer) (*Enclave, error)
+		ownsAcct bool
+	}{
+		{"split", func(e *Enclave, tr *trace.Tracer) (*Enclave, error) {
+			ws, err := e.Split(2, []*trace.Tracer{tr, trace.New()})
+			if err != nil {
+				return nil, err
+			}
+			return ws[0], nil
+		}, true},
+		{"child", func(e *Enclave, _ *trace.Tracer) (*Enclave, error) { return e.Child() }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fault := new(countingFault)
+			parentTr := trace.New()
+			e := MustNew(Config{ObliviousMemory: 4000, Tracer: parentTr, Fault: fault})
+			ownTr := trace.New()
+			d, err := tc.derive(e, ownTr)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Owned: the sealer always; accountant and tracer per form.
+			if d.sealer == e.sealer {
+				t.Fatal("derived context shares the parent's sealer")
+			}
+			if owns := d.acct != e.acct; owns != tc.ownsAcct {
+				t.Fatalf("owns accountant = %v, want %v", owns, tc.ownsAcct)
+			}
+			wantTr := parentTr
+			if tc.ownsAcct {
+				wantTr = ownTr
+			}
+			if d.Tracer() != wantTr {
+				t.Fatal("derived context has the wrong tracer")
+			}
+
+			// Shared: seed streams.
+			if d.SeedFor("x") != e.SeedFor("x") {
+				t.Fatal("derived SeedFor differs from the parent's")
+			}
+
+			// Shared: key (blocks sealed by one open through the other)
+			// and store-id counter (ids distinct).
+			ps, err := e.NewStore("p", 1, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds, err := d.NewStore("d", 1, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ps.id == ds.id {
+				t.Fatalf("parent and derived stores share id %d", ps.id)
+			}
+			io0, faults0 := e.IOStats(), fault.n.Load()
+			if err := ps.Write(0, []byte("parental")); err != nil {
+				t.Fatal(err)
+			}
+			if err := ds.Write(0, []byte("derived!")); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := ps.ReadIntoVia(d, d.Tracer().Region("p"), 0, nil); err != nil || string(got) != "parental" {
+				t.Fatalf("derived read of parent block: %q, %v", got, err)
+			}
+			if got, err := ds.ReadIntoVia(e, e.Tracer().Region("d"), 0, nil); err != nil || string(got) != "derived!" {
+				t.Fatalf("parent read of derived block: %q, %v", got, err)
+			}
+
+			// Shared: I/O tally and fault model. The derived context made
+			// one write and one read, the parent one of each.
+			io := e.IOStats()
+			if s, o := io.BlocksSealed-io0.BlocksSealed, io.BlocksOpened-io0.BlocksOpened; s != 2 || o != 2 {
+				t.Fatalf("parent tally grew by %d sealed, %d opened; want 2/2", s, o)
+			}
+			if d.IOStats() != io {
+				t.Fatal("derived tally differs from the parent's")
+			}
+			if n := fault.n.Load() - faults0; n != 4 {
+				t.Fatalf("fault injector saw %d accesses, want 4", n)
+			}
+		})
 	}
 }

@@ -96,21 +96,16 @@ func (s *Store) ReadInto(i int, dst []byte) ([]byte, error) {
 	return pt, nil
 }
 
-// ReadVia is Read with the access recorded against a caller-supplied
-// tracer and region instead of the store's own. Partition-parallel
-// workers read a shared source table through it so that each worker's
-// adversarial view — the per-core access stream — lands on that worker's
-// tracer. Concurrent ReadVia calls are safe as long as no goroutine
-// writes the store meanwhile: decryption is stateless and the revision
-// map is only read. via may belong to a different enclave than the
-// store; sealed blocks interoperate because Split workers share the key.
-func (s *Store) ReadVia(via *Enclave, r trace.Region, i int) ([]byte, error) {
-	return s.ReadIntoVia(via, r, i, nil)
-}
-
-// ReadIntoVia is ReadVia decrypting into dst's capacity (see ReadInto);
-// each parallel worker owns its scratch, so concurrent partition scans
-// stay allocation-free per block too.
+// ReadIntoVia is ReadInto with the access made through a caller-supplied
+// enclave and recorded against its tracer and region r instead of the
+// store's own. Partition-parallel workers and read slots read a shared
+// table through it so that each one's adversarial view — the per-core
+// access stream — lands on its own tracer. Concurrent calls are safe as
+// long as no goroutine writes the store meanwhile: decryption is
+// stateless and the revision map is only read. via may be any context
+// derived from the store's enclave (Split, Child); sealed blocks
+// interoperate because derived contexts share the key. Each caller owns
+// its scratch dst, so concurrent scans stay allocation-free per block.
 func (s *Store) ReadIntoVia(via *Enclave, r trace.Region, i int, dst []byte) ([]byte, error) {
 	if i < 0 || i >= len(s.blocks) {
 		return nil, fmt.Errorf("enclave: store %q read out of range: %d of %d", s.region.Name(), i, len(s.blocks))

@@ -51,7 +51,7 @@ func driveWorkload(t *testing.T, workers int, setup func(t *testing.T, x *sql.Ex
 			readTrs = append(readTrs, trace.New())
 		}
 		eng.ReadConcurrency = workers
-		eng.ReadTracers = readTrs
+		eng.WorkerTracers = readTrs
 	}
 	srv, addr := startServer(t, server.Config{
 		EpochSize: epochSize,

@@ -86,9 +86,6 @@ type Config struct {
 	// goroutine's buffer forever. Zero disables the deadline; the
 	// outBuffer slow-consumer drop still protects the epoch scheduler.
 	WriteDeadline time.Duration
-	// DummySQL overrides the padding statement. The default is an
-	// aggregate over a one-row table the server creates at startup.
-	DummySQL string
 	// Tracer, if non-nil, records one event per executed statement slot
 	// so tests can assert the observable stream is client-independent.
 	Tracer *trace.Tracer
@@ -111,7 +108,7 @@ type Config struct {
 	WAL *wal.Log
 }
 
-// padTable is the server-owned table the default dummy statement reads.
+// padTable is the server-owned table the dummy statement reads.
 const padTable = "oblidb_pad"
 
 // Server is a concurrent oblivious query server.
@@ -230,27 +227,21 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Tracer != nil {
 		s.slotRegion = cfg.Tracer.Region("server.epochs")
 	}
-	dummySQL := cfg.DummySQL
-	if dummySQL == "" {
-		// Recovery may have rebuilt the pad table from the journal; only
-		// a fresh database creates it.
-		if _, err := db.Table(padTable); err != nil {
-			for _, stmt := range []string{
-				"CREATE TABLE " + padTable + " (k INTEGER)",
-				"INSERT INTO " + padTable + " VALUES (0)",
-			} {
-				if _, err := s.exec.Execute(stmt); err != nil {
-					return nil, fmt.Errorf("server: creating pad table: %w", err)
-				}
+	// The padding statement is an aggregate over a one-row table.
+	// Recovery may have rebuilt the pad table from the journal; only a
+	// fresh database creates it.
+	if _, err := db.Table(padTable); err != nil {
+		for _, stmt := range []string{
+			"CREATE TABLE " + padTable + " (k INTEGER)",
+			"INSERT INTO " + padTable + " VALUES (0)",
+		} {
+			if _, err := s.exec.Execute(stmt); err != nil {
+				return nil, fmt.Errorf("server: creating pad table: %w", err)
 			}
 		}
-		dummySQL = "SELECT COUNT(*) FROM " + padTable
 	}
-	if s.dummy, err = s.exec.Prepare(dummySQL); err != nil {
+	if s.dummy, err = s.exec.Prepare("SELECT COUNT(*) FROM " + padTable); err != nil {
 		return nil, fmt.Errorf("server: dummy statement: %w", err)
-	}
-	if n := s.dummy.NumParams(); n != 0 {
-		return nil, fmt.Errorf("server: dummy statement has %d placeholder(s); it must be self-contained", n)
 	}
 	go s.schedule()
 	s.log.Info("server started",

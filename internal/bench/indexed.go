@@ -135,7 +135,7 @@ func measureIndexed(o Options, n int) ([]indexedCell, error) {
 	// Indexed 1% range: descent plus a leaf walk over the scanned
 	// segment (whose size is the §4.1 conceded leakage).
 	d, err = timedN(reps, func() error {
-		_, err := idx.RangeScan(lo, hi, func(table.Row) error { return nil })
+		_, err := idx.RangeScan(lo, hi, func(uint32, table.Row) error { return nil })
 		return err
 	})
 	if err != nil {

@@ -147,9 +147,11 @@ type Config struct {
 // engine's own context, preserving the serial engine's byte-identical
 // traces. Statement-internal partition parallelism
 // (Config.Parallelism) stays exclusive to the serial context, so Open
-// accepts only one of the two pools. Exported methods lock and delegate to
-// unexported, unlocked variants; internal cross-calls use the unlocked
-// variants so the mutex is never taken reentrantly. See DESIGN.md §16.
+// accepts only one of the two pools. Statements, reads and writes alike,
+// are plans: ExecutePlan and ExecutePlanTx take the lock once per
+// statement or transaction, and DDL, BulkLoad and the journal methods
+// lock for themselves. Everything they call runs unlocked, so the mutex
+// is never taken reentrantly. See DESIGN.md §16.
 type DB struct {
 	mu     sync.RWMutex
 	enc    *enclave.Enclave
@@ -609,13 +611,11 @@ func (db *DB) DropTable(name string) error {
 			db.wal.Rewind(mark)
 			return err
 		}
-		if !db.inTx {
-			if err := db.wal.Commit(); err != nil {
-				db.wal.Rewind(mark)
-				return fmt.Errorf("core: journal commit failed, table kept: %w", err)
-			}
-			db.maybeCheckpointLocked()
+		if err := db.wal.Commit(); err != nil {
+			db.wal.Rewind(mark)
+			return fmt.Errorf("core: journal commit failed, table kept: %w", err)
 		}
+		db.maybeCheckpointLocked()
 	}
 	return db.dropTableBody(t.name)
 }
@@ -634,25 +634,6 @@ func (db *DB) dropTableBody(name string) error {
 	delete(db.tables, lname)
 	db.publishCatalog()
 	return nil
-}
-
-// Insert adds rows to a table, writing to every storage representation it
-// keeps (§3.3: "Using both storage methods ... incurring the cost of both
-// for insertions").
-func (db *DB) Insert(name string, rows ...table.Row) error {
-	db.lockWrite()
-	defer db.mu.Unlock()
-	if err := db.refuseBroken(); err != nil {
-		return err
-	}
-	return db.insertRows(name, rows)
-}
-
-// insertRows is Insert without the lock, for internal cross-calls (the
-// plan interpreter runs under the database mutex already).
-func (db *DB) insertRows(name string, rows []table.Row) error {
-	wm, um := db.mutationMarks()
-	return db.endMutation(db.insertRowsBody(name, rows), wm, um)
 }
 
 // insertRowsBody applies the inserts, journaling each row only after it
@@ -697,24 +678,21 @@ func (db *DB) applyInsert(t *Table, r table.Row) error {
 	return nil
 }
 
-// collectMatching reads the pre-images of rows matching full, for
-// write-ahead logging. One read pass over the table's cheapest
-// representation.
-func (db *DB) collectMatching(t *Table, full table.Pred) ([]table.Row, error) {
+// liveRows reads every live row of a table for the journal checkpoint:
+// one read pass over the table's cheapest representation.
+func (db *DB) liveRows(t *Table) ([]table.Row, error) {
 	var out []table.Row
 	if t.flat != nil {
 		err := t.flat.Scan(func(_ int, r table.Row, used bool) error {
-			if used && full(r) {
+			if used {
 				out = append(out, r.Clone())
 			}
 			return nil
 		})
 		return out, err
 	}
-	err := t.index.ScanRaw(func(r table.Row) error {
-		if full(r) {
-			out = append(out, r.Clone())
-		}
+	err := t.index.ScanRaw(func(_ uint32, r table.Row) error {
+		out = append(out, r.Clone())
 		return nil
 	})
 	return out, err
@@ -755,18 +733,14 @@ func (db *DB) insertFlat(t *Table, r table.Row) error {
 
 // BulkLoad fills an empty table with rows: constant-time appends into the
 // flat representation and a bottom-up build of the index. Used for
-// initial loads, where only the row count leaks.
+// initial loads, where only the row count leaks. Like DDL it has no plan
+// node, so it brackets its own statement.
 func (db *DB) BulkLoad(name string, rows []table.Row) error {
 	db.lockWrite()
 	defer db.mu.Unlock()
 	if err := db.refuseBroken(); err != nil {
 		return err
 	}
-	return db.bulkLoad(name, rows)
-}
-
-// bulkLoad is BulkLoad without the lock, for internal cross-calls.
-func (db *DB) bulkLoad(name string, rows []table.Row) error {
 	wm, um := db.mutationMarks()
 	return db.endMutation(db.bulkLoadBody(name, rows), wm, um)
 }
@@ -818,210 +792,91 @@ func (db *DB) bulkLoadBody(name string, rows []table.Row) error {
 	return nil
 }
 
-// Delete removes the rows matching pred, optionally narrowed by a key
-// range on the indexed column. It returns the count removed — already
-// public as the change in table size.
-func (db *DB) Delete(name string, pred table.Pred, key *KeyRange) (int, error) {
-	db.lockWrite()
-	defer db.mu.Unlock()
-	if err := db.refuseBroken(); err != nil {
-		return 0, err
-	}
-	return db.deleteRows(name, pred, key)
-}
-
-// deleteRows is Delete without the lock, for internal cross-calls.
-func (db *DB) deleteRows(name string, pred table.Pred, key *KeyRange) (int, error) {
-	wm, um := db.mutationMarks()
-	n, err := db.deleteRowsBody(name, pred, key)
-	if e := db.endMutation(err, wm, um); e != nil {
-		return 0, e
-	}
-	return n, nil
-}
-
-// deleteRowsBody runs the delete pass, journaling the pre-images only
-// after every representation succeeded — the seed journaled them first,
-// so a pass failing midway left the log describing deletions that never
-// happened.
-func (db *DB) deleteRowsBody(name string, pred table.Pred, key *KeyRange) (int, error) {
-	t, err := db.lookup(name)
-	if err != nil {
-		return 0, err
-	}
-	if pred == nil {
-		pred = table.All
-	}
+// rewriteRows is the one body of DELETE (upd == nil) and UPDATE: it
+// removes or rewrites the rows of t matching pred, narrowed by key on
+// the indexed column. One match pass finds the matching rows — through
+// the index when the table has one (its range when key narrows it, its
+// raw bucket scan otherwise), over the flat table only for a flat-only
+// table whose statement is tracked; an untracked flat-only statement
+// needs no matches and skips the pass. That one set is the undo
+// pre-images, recorded before anything applies; the index victims,
+// removed by their exact entry so a repeated key loses the right row;
+// and the journal records, staged only after every representation
+// succeeded. Post-images are computed and validated up front, so an
+// updater that breaks a row fails the statement before it touches one.
+func (db *DB) rewriteRows(t *Table, pred table.Pred, upd table.Updater, key *KeyRange) (int, error) {
 	full := combinePred(t, pred, key)
-
 	track := db.trackingMutations()
+
 	var pre []table.Row
-	if track {
-		if pre, err = db.collectMatching(t, full); err != nil {
-			return 0, err
+	var ids []uint32
+	match := func(id uint32, r table.Row) error {
+		if full(r) {
+			pre = append(pre, r.Clone())
+			ids = append(ids, id)
 		}
-		// The undo record must exist BEFORE the apply pass: a store fault
-		// midway through it leaves some rows deleted, and only a
-		// pre-recorded undo can put them back (its replay tolerates rows
-		// the pass never removed).
-		db.undo = append(db.undo, undoRec{op: undoDelete, table: t.name, pre: pre})
+		return nil
 	}
-
-	// Indexed representation: find victim keys (by range when given,
-	// otherwise by a linear raw scan), then run padded deletes.
-	var victims []int64
-	if t.index != nil {
-		if key != nil {
-			_, err = t.index.RangeScan(key.Lo, key.Hi, func(r table.Row) error {
-				if pred(r) {
-					victims = append(victims, r[t.keyCol].AsInt())
-				}
+	var err error
+	switch {
+	case t.index != nil && key != nil:
+		_, err = t.index.RangeScan(key.Lo, key.Hi, match)
+	case t.index != nil:
+		err = t.index.ScanRaw(match)
+	case track:
+		err = t.flat.Scan(func(i int, r table.Row, used bool) error {
+			if !used {
 				return nil
-			})
-		} else {
-			err = t.index.ScanRaw(func(r table.Row) error {
-				if full(r) {
-					victims = append(victims, r[t.keyCol].AsInt())
-				}
-				return nil
-			})
-		}
-		if err != nil {
-			return 0, err
-		}
-	}
-
-	n := 0
-	if t.flat != nil {
-		if n, err = t.flat.Delete(full); err != nil {
-			return n, err
-		}
-	}
-	if t.index != nil {
-		deleted := 0
-		for _, k := range victims {
-			ok, err := t.index.Delete(k)
-			if err != nil {
-				return deleted, err
 			}
-			if ok {
-				deleted++
-			}
-		}
-		if t.flat == nil {
-			n = deleted
-		}
+			return match(uint32(i), r)
+		})
 	}
-	if track {
-		for _, r := range pre {
-			if err := db.logMutation(wal.OpDelete, t, r); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return n, nil
-}
-
-// Update rewrites rows matching pred with upd, optionally narrowed by a
-// key range. Key-column changes are handled as delete+insert on indexes.
-func (db *DB) Update(name string, pred table.Pred, upd table.Updater, key *KeyRange) (int, error) {
-	db.lockWrite()
-	defer db.mu.Unlock()
-	if err := db.refuseBroken(); err != nil {
-		return 0, err
-	}
-	return db.updateRows(name, pred, upd, key)
-}
-
-// updateRows is Update without the lock, for internal cross-calls.
-func (db *DB) updateRows(name string, pred table.Pred, upd table.Updater, key *KeyRange) (int, error) {
-	wm, um := db.mutationMarks()
-	n, err := db.updateRowsBody(name, pred, upd, key)
-	if e := db.endMutation(err, wm, um); e != nil {
-		return 0, e
-	}
-	return n, nil
-}
-
-// updateRowsBody runs the update pass. Under tracking, every post-image
-// is computed and validated up front — before anything applies — so a
-// row the updater would break fails the whole statement cleanly instead
-// of leaving half the pass applied; the journal records are staged only
-// after the pass succeeds.
-func (db *DB) updateRowsBody(name string, pred table.Pred, upd table.Updater, key *KeyRange) (int, error) {
-	t, err := db.lookup(name)
 	if err != nil {
 		return 0, err
 	}
-	if pred == nil {
-		pred = table.All
-	}
-	full := combinePred(t, pred, key)
-
-	track := db.trackingMutations()
-	var pre, post []table.Row
-	if track {
-		if pre, err = db.collectMatching(t, full); err != nil {
-			return 0, err
-		}
+	var post []table.Row
+	if upd != nil {
 		post = make([]table.Row, len(pre))
 		for i, r := range pre {
-			p := upd(r.Clone())
-			if err := t.schema.ValidateRow(p); err != nil {
+			post[i] = upd(r.Clone())
+			if err := t.schema.ValidateRow(post[i]); err != nil {
 				return 0, err
 			}
-			post[i] = p
 		}
-		// Record the undo before anything applies (see deleteRowsBody):
-		// a fault mid-pass leaves a mix of pre- and post-image rows, and
-		// the two-phase undo replay restores the pre multiset exactly.
-		db.undo = append(db.undo, undoRec{op: undoUpdate, table: t.name, pre: pre, post: post})
+	}
+	if track {
+		// The undo record must exist BEFORE the apply pass: a store fault
+		// midway through it leaves some rows rewritten, and only a
+		// pre-recorded undo can restore them (its replay tolerates rows
+		// the pass never reached).
+		op := undoDelete
+		if upd != nil {
+			op = undoUpdate
+		}
+		db.undo = append(db.undo, undoRec{op: op, table: t.name, pre: pre, post: post})
 	}
 
-	var before []table.Row
-	if t.index != nil {
-		collect := func(r table.Row) error {
-			if full(r) {
-				before = append(before, r.Clone())
-			}
-			return nil
-		}
-		if key != nil {
-			_, err = t.index.RangeScan(key.Lo, key.Hi, func(r table.Row) error {
-				if pred(r) {
-					before = append(before, r.Clone())
-				}
-				return nil
-			})
+	n := len(pre)
+	if t.flat != nil {
+		if upd == nil {
+			n, err = t.flat.Delete(full)
 		} else {
-			err = t.index.ScanRaw(collect)
+			n, err = t.flat.Update(full, upd)
 		}
 		if err != nil {
-			return 0, err
-		}
-	}
-
-	n := 0
-	if t.flat != nil {
-		if n, err = t.flat.Update(full, upd); err != nil {
 			return n, err
 		}
 	}
 	if t.index != nil {
-		for _, old := range before {
-			newRow := upd(old.Clone())
-			if err := t.schema.ValidateRow(newRow); err != nil {
+		for i, id := range ids {
+			if _, err := t.index.DeleteEntry(pre[i][t.keyCol].AsInt(), id); err != nil {
 				return n, err
 			}
-			if _, err := t.index.Delete(old[t.keyCol].AsInt()); err != nil {
-				return n, err
+			if upd != nil {
+				if err := t.index.Insert(post[i]); err != nil {
+					return n, err
+				}
 			}
-			if err := t.index.Insert(newRow); err != nil {
-				return n, err
-			}
-		}
-		if t.flat == nil {
-			n = len(before)
 		}
 	}
 	if track {
@@ -1029,8 +884,10 @@ func (db *DB) updateRowsBody(name string, pred table.Pred, upd table.Updater, ke
 			if err := db.logMutation(wal.OpDelete, t, pre[i]); err != nil {
 				return 0, err
 			}
-			if err := db.logMutation(wal.OpUpdate, t, post[i]); err != nil {
-				return 0, err
+			if upd != nil {
+				if err := db.logMutation(wal.OpUpdate, t, post[i]); err != nil {
+					return 0, err
+				}
 			}
 		}
 	}

@@ -11,8 +11,9 @@ import (
 
 // This file is the engine's plan interpreter: it executes the physical
 // plan IR of internal/plan by wrapping the oblivious operators. It is
-// the only way a read reaches an operator — compiled SQL and the
-// programmatic reads of query.go both arrive through ExecutePlan. The
+// the only way a statement reaches an operator or a write body —
+// compiled SQL and the programmatic reads and writes of query.go all
+// arrive through ExecutePlan. The
 // interpreter holds the database lock for the whole statement and makes
 // no data-dependent decisions of its own: each node maps onto one fixed
 // operator invocation.
@@ -148,48 +149,13 @@ func (db *DB) runPlan(ec *execCtx, n plan.Node, b plan.Binder) (*Result, error) 
 			return nil, err
 		}
 		return db.aggregateTable(ec, t, pred, x.Specs, names, key)
-	case *plan.Insert:
-		rows := make([]table.Row, len(x.Rows))
-		for i, exprs := range x.Rows {
-			row, err := b.RowValues(exprs)
-			if err != nil {
-				return nil, err
-			}
-			rows[i] = row
-		}
-		if err := db.insertRows(x.Table, rows); err != nil {
-			return nil, err
-		}
-		return AffectedResult(len(rows)), nil
-	case *plan.Update:
-		t, err := db.lookup(x.Table)
-		if err != nil {
-			return nil, err
-		}
-		pred, err := b.Pred(x.Cond, t.schema, nil)
-		if err != nil {
-			return nil, err
-		}
-		upd, err := b.Updater(x.Sets, t.schema)
-		if err != nil {
-			return nil, err
-		}
-		count, err := db.updateRows(x.Table, pred, upd, engineRange(x.Key))
-		if err != nil {
-			return nil, err
-		}
-		return AffectedResult(count), nil
-	case *plan.Delete:
-		t, err := db.lookup(x.Table)
-		if err != nil {
-			return nil, err
-		}
-		pred, err := b.Pred(x.Cond, t.schema, nil)
-		if err != nil {
-			return nil, err
-		}
-		count, err := db.deleteRows(x.Table, pred, engineRange(x.Key))
-		if err != nil {
+	case *plan.Insert, *plan.Update, *plan.Delete:
+		// The one bracket of every write: a failed body is undone and its
+		// staged journal records discarded; a successful one commits, or
+		// stays staged for the enclosing transaction.
+		wm, um := db.mutationMarks()
+		count, err := db.runWrite(n, b)
+		if err = db.endMutation(err, wm, um); err != nil {
 			return nil, err
 		}
 		return AffectedResult(count), nil
@@ -201,6 +167,48 @@ func (db *DB) runPlan(ec *execCtx, n plan.Node, b plan.Binder) (*Result, error) 
 		return nil, fmt.Errorf("core: %s must run through a transaction-aware session", x.Kind)
 	}
 	return nil, fmt.Errorf("core: cannot execute plan node %T as a statement", n)
+}
+
+// runWrite binds a write node's arguments and runs its body, returning
+// the affected row count.
+func (db *DB) runWrite(n plan.Node, b plan.Binder) (int, error) {
+	switch x := n.(type) {
+	case *plan.Insert:
+		rows := make([]table.Row, len(x.Rows))
+		for i, exprs := range x.Rows {
+			row, err := b.RowValues(exprs)
+			if err != nil {
+				return 0, err
+			}
+			rows[i] = row
+		}
+		return len(rows), db.insertRowsBody(x.Table, rows)
+	case *plan.Update:
+		t, err := db.lookup(x.Table)
+		if err != nil {
+			return 0, err
+		}
+		pred, err := b.Pred(x.Cond, t.schema, nil)
+		if err != nil {
+			return 0, err
+		}
+		upd, err := b.Updater(x.Sets, t.schema)
+		if err != nil {
+			return 0, err
+		}
+		return db.rewriteRows(t, pred, upd, engineRange(x.Key))
+	case *plan.Delete:
+		t, err := db.lookup(x.Table)
+		if err != nil {
+			return 0, err
+		}
+		pred, err := b.Pred(x.Cond, t.schema, nil)
+		if err != nil {
+			return 0, err
+		}
+		return db.rewriteRows(t, pred, nil, engineRange(x.Key))
+	}
+	return 0, fmt.Errorf("core: plan node %T is not a write", n)
 }
 
 // PlanBinding pairs a compiled plan with the binder holding one

@@ -43,12 +43,50 @@ type SelectOptions struct {
 	Force *exec.SelectAlgorithm
 }
 
-// The programmatic reads below are plan constructors: each builds the
-// plan a SQL statement of the same shape compiles to and runs it
-// through ExecutePlan, so locking, read-slot checkout, the broken-engine
-// latch and the plan interpreter are the same for both surfaces. The
-// plans' expression slots hold the caller's Go callbacks, which
-// funcBinder hands back to the interpreter.
+// The programmatic reads and writes below are plan constructors: each
+// builds the plan a SQL statement of the same shape compiles to and runs
+// it through ExecutePlan, so locking, read-slot checkout, the
+// broken-engine latch, the plan interpreter and the write bracket (undo
+// and journal staging) are the same for both surfaces. The plans'
+// expression slots hold the caller's Go values, which funcBinder hands
+// back to the interpreter.
+
+// Insert adds rows to a table, writing to every storage representation it
+// keeps (§3.3: "Using both storage methods ... incurring the cost of both
+// for insertions"). It runs the plan Insert, each row in its expression
+// slot.
+func (db *DB) Insert(name string, rows ...table.Row) error {
+	exprs := make([][]plan.Expr, len(rows))
+	for i, r := range rows {
+		exprs[i] = []plan.Expr{r}
+	}
+	_, err := db.ExecutePlan(&plan.Insert{Table: name, Rows: exprs}, funcBinder{})
+	return err
+}
+
+// Delete removes the rows matching pred, optionally narrowed by a key
+// range on the indexed column. It returns the count removed — already
+// public as the change in table size. It runs the plan Delete.
+func (db *DB) Delete(name string, pred table.Pred, key *KeyRange) (int, error) {
+	return affected(db.ExecutePlan(&plan.Delete{Table: name, Cond: predExpr(pred), Key: planRange(key)}, funcBinder{}))
+}
+
+// Update rewrites rows matching pred with upd, optionally narrowed by a
+// key range. Key-column changes are handled as delete+insert on indexes.
+// It runs the plan Update, upd in its one assignment's value slot.
+func (db *DB) Update(name string, pred table.Pred, upd table.Updater, key *KeyRange) (int, error) {
+	return affected(db.ExecutePlan(&plan.Update{
+		Table: name, Sets: []plan.SetExpr{{Value: upd}}, Cond: predExpr(pred), Key: planRange(key),
+	}, funcBinder{}))
+}
+
+// affected unwraps a write's AffectedResult into its count.
+func affected(res *Result, err error) (int, error) {
+	if err != nil {
+		return 0, err
+	}
+	return int(res.Rows[0][0].AsInt()), nil
+}
 
 // Select runs an oblivious selection and materializes the result: the
 // plan Collect(Filter(Scan|IndexScan)), under a Project when
@@ -72,7 +110,15 @@ func leaf(name string, key *KeyRange) plan.Node {
 	if key == nil {
 		return &plan.Scan{Table: name}
 	}
-	return &plan.IndexScan{Table: name, Range: plan.KeyRange{Lo: key.Lo, Hi: key.Hi}}
+	return &plan.IndexScan{Table: name, Range: *planRange(key)}
+}
+
+// planRange converts an engine key range to the plan's (nil stays nil).
+func planRange(key *KeyRange) *plan.KeyRange {
+	if key == nil {
+		return nil
+	}
+	return &plan.KeyRange{Lo: key.Lo, Hi: key.Hi}
 }
 
 // predExpr stores a predicate in a plan's condition slot; a nil
@@ -84,10 +130,12 @@ func predExpr(pred table.Pred) plan.Expr {
 	return pred
 }
 
-// funcBinder is the plan.Binder of the programmatic reads. Their plans
-// carry no SQL: a condition slot holds a table.Pred, a group key slot an
-// exec.GroupBy, and a projection item the name of a column. Go callbacks
-// report no deferred evaluation errors.
+// funcBinder is the plan.Binder of the programmatic reads and writes.
+// Their plans carry no SQL: a condition slot holds a table.Pred, a group
+// key slot an exec.GroupBy, a projection item the name of a column, an
+// insert row's one expression slot the table.Row, and an update's one
+// assignment the table.Updater. Go callbacks report no deferred
+// evaluation errors.
 type funcBinder struct{}
 
 func (funcBinder) Pred(cond plan.Expr, _ *table.Schema, _ *plan.JoinNames) (table.Pred, error) {
@@ -130,12 +178,22 @@ func (funcBinder) Column(plan.Expr, *table.Schema, *plan.JoinNames) (int, error)
 	return 0, fmt.Errorf("core: programmatic reads do not sort")
 }
 
-func (funcBinder) RowValues([]plan.Expr) (table.Row, error) {
-	return nil, fmt.Errorf("core: programmatic reads do not insert")
+func (funcBinder) RowValues(exprs []plan.Expr) (table.Row, error) {
+	if len(exprs) == 1 {
+		if row, ok := exprs[0].(table.Row); ok {
+			return row, nil
+		}
+	}
+	return nil, fmt.Errorf("core: an insert row slot must hold one table.Row")
 }
 
-func (funcBinder) Updater([]plan.SetExpr, *table.Schema) (table.Updater, error) {
-	return nil, fmt.Errorf("core: programmatic reads do not update")
+func (funcBinder) Updater(sets []plan.SetExpr, _ *table.Schema) (table.Updater, error) {
+	if len(sets) == 1 {
+		if upd, ok := sets[0].Value.(table.Updater); ok && upd != nil {
+			return upd, nil
+		}
+	}
+	return nil, fmt.Errorf("core: an update needs one table.Updater assignment")
 }
 
 func (funcBinder) Err() error { return nil }
@@ -574,7 +632,7 @@ func (db *DB) inputFor(c *execCtx, t *Table, key *KeyRange, pred table.Pred) (ex
 		if !c.serial {
 			t.idxMu.Lock()
 		}
-		_, err := t.index.RangeScan(key.Lo, key.Hi, func(r table.Row) error {
+		_, err := t.index.RangeScan(key.Lo, key.Hi, func(_ uint32, r table.Row) error {
 			rows = append(rows, r.Clone())
 			return nil
 		})
@@ -605,7 +663,7 @@ func (db *DB) inputFor(c *execCtx, t *Table, key *KeyRange, pred table.Pred) (ex
 	if !c.serial {
 		t.idxMu.Lock()
 	}
-	err := t.index.ScanRaw(func(r table.Row) error {
+	err := t.index.ScanRaw(func(_ uint32, r table.Row) error {
 		rows = append(rows, r.Clone())
 		return nil
 	})

@@ -80,7 +80,7 @@ func (db *DB) checkpointLocked() error {
 			if err := db.wal.AppendCreate(db.tableDef(t)); err != nil {
 				return err
 			}
-			rows, err := db.collectMatching(t, table.All)
+			rows, err := db.liveRows(t)
 			if err != nil {
 				return err
 			}
@@ -326,6 +326,9 @@ func (db *DB) applyUndo(r undoRec) error {
 // removeOneRow deletes at most one row equal to row from each
 // representation. Absence is not an error: undoInsert records are
 // written before the insert applies, so the row may never have landed.
+// The index finds the equal row among those sharing its key with a
+// [k, k] range lookup and removes that exact entry; the lookup concedes
+// the key's duplicate count, like any §4.1 index range.
 func (db *DB) removeOneRow(t *Table, row table.Row) error {
 	if t.flat != nil {
 		done := false
@@ -340,7 +343,18 @@ func (db *DB) removeOneRow(t *Table, row table.Row) error {
 		}
 	}
 	if t.index != nil {
-		if _, err := t.index.Delete(row[t.keyCol].AsInt()); err != nil {
+		// No entry has id ^0, so an absent row still pays one padded delete.
+		k, none := row[t.keyCol].AsInt(), ^uint32(0)
+		id := none
+		if _, err := t.index.RangeScan(k, k, func(i uint32, r table.Row) error {
+			if id == none && rowsEqual(r, row) {
+				id = i
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+		if _, err := t.index.DeleteEntry(k, id); err != nil {
 			return err
 		}
 	}
@@ -421,7 +435,7 @@ func (db *DB) Recover(l *wal.Log) error {
 		if len(rows) == 0 {
 			continue
 		}
-		if err := db.bulkLoad(name, rows); err != nil {
+		if err := db.bulkLoadBody(name, rows); err != nil {
 			return err
 		}
 	}

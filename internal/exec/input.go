@@ -137,26 +137,6 @@ func AsFlat(in Input) (*storage.Flat, bool) {
 	return fi.f, true
 }
 
-// Transform maps an input row to an output row inside the enclave —
-// projections and computed columns. A nil Transform is the identity. It
-// never affects access patterns.
-type Transform func(table.Row) table.Row
-
-func applyTransform(t Transform, r table.Row) table.Row {
-	if t == nil {
-		return r
-	}
-	return t(r)
-}
-
-// outputSchema picks the schema of an operator's output table.
-func outputSchema(in Input, outSchema *table.Schema) *table.Schema {
-	if outSchema != nil {
-		return outSchema
-	}
-	return in.Schema()
-}
-
 // outGeom picks an operator output's packing factor: inherit the
 // input's. Geometry is public, so propagating it is a deterministic
 // function of public configuration.

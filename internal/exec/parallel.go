@@ -93,7 +93,7 @@ func ParallelSelect(e *enclave.Enclave, workers []*enclave.Enclave, in *storage.
 	if err != nil {
 		return nil, err
 	}
-	schema := outputSchema(FromFlat(in), opts.OutSchema)
+	schema := in.Schema()
 	return compactParts(e, parts, schema, opts.OutSize, outName)
 }
 
@@ -104,7 +104,7 @@ func ParallelSelect(e *enclave.Enclave, workers []*enclave.Enclave, in *storage.
 // blocks write dummies, so the output shape is a function of (|T|, R, P)
 // alone.
 func parallelSelectLarge(e *enclave.Enclave, workers []*enclave.Enclave, pt *storage.Partitioned, pred table.Pred, opts SelectOptions, outName string) (*storage.Flat, error) {
-	schema := outputSchema(FromFlat(pt.Source()), opts.OutSchema)
+	schema := pt.Source().Schema()
 	rpb := pt.Source().RowsPerBlock()
 	partRows := pt.PartRows()
 	out, err := storage.NewFlatGeom(e, outName, schema, max(1, partRows*len(workers)), rpb)
@@ -122,7 +122,7 @@ func parallelSelectLarge(e *enclave.Enclave, workers []*enclave.Enclave, pt *sto
 		// output block.
 		err = ForEachRow(view, func(_ int, row table.Row, used bool) error {
 			if used {
-				return w.Append(applyTransform(opts.Transform, row), true)
+				return w.Append(row, true)
 			}
 			return w.Append(nil, false)
 		})
@@ -177,7 +177,7 @@ func parallelSelectLarge(e *enclave.Enclave, workers []*enclave.Enclave, pt *sto
 // traces are the partition read pass; the emit trace is |R| writes.
 // Wall-clock is N/P reads + |R| writes versus the serial N + |R|.
 func parallelSelectSmall(e *enclave.Enclave, workers []*enclave.Enclave, pt *storage.Partitioned, pred table.Pred, opts SelectOptions, outName string) (*storage.Flat, error) {
-	schema := outputSchema(FromFlat(pt.Source()), opts.OutSchema)
+	schema := pt.Source().Schema()
 	recSize := schema.RecordSize()
 	bound := min(pt.PartRows(), opts.OutSize)
 	reserve := bound * recSize
@@ -209,7 +209,7 @@ func parallelSelectSmall(e *enclave.Enclave, workers []*enclave.Enclave, pt *sto
 				if len(buf) >= bound {
 					return fmt.Errorf("exec: partition %d found more than %d rows, planner promised %d total", p, bound, opts.OutSize)
 				}
-				buf = append(buf, applyTransform(opts.Transform, row).Clone())
+				buf = append(buf, row.Clone())
 			}
 			return nil
 		})

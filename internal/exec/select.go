@@ -65,12 +65,6 @@ type SelectOptions struct {
 	// OutSize is |R|, the number of matching rows, supplied by the query
 	// planner's stats scan (§5) and already part of the permitted leakage.
 	OutSize int
-	// Transform optionally projects each selected row (fused
-	// select+project, §4.2). The output schema must match.
-	Transform Transform
-	// OutSchema overrides the output schema when Transform changes the row
-	// shape. Nil keeps the input schema.
-	OutSchema *table.Schema
 	// Salt perturbs the Hash algorithm's hash functions on retry.
 	Salt uint64
 	// ContinuousStart is the block index of the first matching row, needed
@@ -104,7 +98,7 @@ func Select(e *enclave.Enclave, in Input, pred table.Pred, alg SelectAlgorithm, 
 // of the row if selected, a dummy read otherwise — then an oblivious copy
 // of the ORAM contents into flat form (§4.1 "Naive").
 func selectNaive(e *enclave.Enclave, in Input, pred table.Pred, opts SelectOptions, outName string) (*storage.Flat, error) {
-	schema := outputSchema(in, opts.OutSchema)
+	schema := in.Schema()
 	capacity := max(1, opts.OutSize)
 	o, err := oram.New(e, outName+".naive-oram", capacity, schema.RecordSize(), oram.Options{})
 	if err != nil {
@@ -115,7 +109,7 @@ func selectNaive(e *enclave.Enclave, in Input, pred table.Pred, opts SelectOptio
 	next := 0
 	err = ForEachRow(in, func(i int, row table.Row, used bool) error {
 		if used && pred(row) && next < capacity {
-			if err := schema.EncodeRecord(buf, applyTransform(opts.Transform, row)); err != nil {
+			if err := schema.EncodeRecord(buf, row); err != nil {
 				return err
 			}
 			if _, err := o.Access(oram.OpWrite, next, buf); err != nil {
@@ -160,7 +154,7 @@ func selectNaive(e *enclave.Enclave, in Input, pred table.Pred, opts SelectOptio
 // Each pass costs one read per sealed block; the output is written
 // sequentially, one seal per output block.
 func selectSmall(e *enclave.Enclave, in Input, pred table.Pred, opts SelectOptions, outName string) (*storage.Flat, error) {
-	schema := outputSchema(in, opts.OutSchema)
+	schema := in.Schema()
 	recSize := schema.RecordSize()
 	bufRows := e.Available() / recSize
 	if bufRows < 1 {
@@ -190,7 +184,7 @@ func selectSmall(e *enclave.Enclave, in Input, pred table.Pred, opts SelectOptio
 			if used && pred(row) {
 				// Store only this pass's window of matches.
 				if matchOrdinal >= written && len(buffer) < bufRows {
-					buffer = append(buffer, applyTransform(opts.Transform, row).Clone())
+					buffer = append(buffer, row.Clone())
 				}
 				matchOrdinal++
 			}
@@ -225,7 +219,7 @@ func selectSmall(e *enclave.Enclave, in Input, pred table.Pred, opts SelectOptio
 // clearing pass one input read plus one output read-modify-write per
 // block.
 func selectLarge(e *enclave.Enclave, in Input, pred table.Pred, opts SelectOptions, outName string) (*storage.Flat, error) {
-	schema := outputSchema(in, opts.OutSchema)
+	schema := in.Schema()
 	rpb := outGeom(in)
 	out, err := storage.NewFlatGeom(e, outName, schema, max(1, RowSlots(in)), rpb)
 	if err != nil {
@@ -235,7 +229,7 @@ func selectLarge(e *enclave.Enclave, in Input, pred table.Pred, opts SelectOptio
 	w := out.NewBlockWriter()
 	err = ForEachRow(in, func(_ int, row table.Row, used bool) error {
 		if used {
-			return w.Append(applyTransform(opts.Transform, row), true)
+			return w.Append(row, true)
 		}
 		return w.Append(nil, false)
 	})
@@ -287,7 +281,7 @@ func selectLarge(e *enclave.Enclave, in Input, pred table.Pred, opts SelectOptio
 // write re-seals the block's current contents, indistinguishable from a
 // real write.
 func selectContinuous(e *enclave.Enclave, in Input, pred table.Pred, opts SelectOptions, outName string) (*storage.Flat, error) {
-	schema := outputSchema(in, opts.OutSchema)
+	schema := in.Schema()
 	capacity := max(1, opts.OutSize)
 	out, err := storage.NewFlatGeom(e, outName, schema, capacity, outGeom(in))
 	if err != nil {
@@ -300,7 +294,7 @@ func selectContinuous(e *enclave.Enclave, in Input, pred table.Pred, opts Select
 		return out.RMWSlot(j, func(plain []byte, slot int) error {
 			if match {
 				kept++
-				return schema.EncodeRecordAt(plain, slot, applyTransform(opts.Transform, row))
+				return schema.EncodeRecordAt(plain, slot, row)
 			}
 			return nil // dummy write: re-seal the slot's current contents
 		})
@@ -318,7 +312,7 @@ func selectContinuous(e *enclave.Enclave, in Input, pred table.Pred, opts Select
 // "Hash", Figure 5). The hashes are over the row's position in T, not its
 // contents, so access patterns carry no data. No oblivious memory.
 func selectHash(e *enclave.Enclave, in Input, pred table.Pred, opts SelectOptions, outName string) (*storage.Flat, error) {
-	schema := outputSchema(in, opts.OutSchema)
+	schema := in.Schema()
 	positions := max(1, opts.OutSize)
 	out, err := storage.NewFlatGeom(e, outName, schema, positions*hashSlotsPerPosition, outGeom(in))
 	if err != nil {
@@ -336,7 +330,7 @@ func selectHash(e *enclave.Enclave, in Input, pred table.Pred, opts SelectOption
 				err := out.RMWSlot(slot, func(plain []byte, j int) error {
 					if selected && !placed && !schema.UsedAt(plain, j) {
 						placed = true
-						return schema.EncodeRecordAt(plain, j, applyTransform(opts.Transform, row))
+						return schema.EncodeRecordAt(plain, j, row)
 					}
 					return nil // dummy write
 				})

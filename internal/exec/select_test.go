@@ -160,9 +160,10 @@ func TestSelectSmallMultiplePasses(t *testing.T) {
 	}
 }
 
+// TestSelectWithTransform pins Select's output shape now that it has no
+// row transform: Hash writes the matching rows unchanged, on the input
+// schema, into its padded output of five slots per result position.
 func TestSelectWithTransform(t *testing.T) {
-	outSchema := table.MustSchema(table.Column{Name: "id", Kind: table.KindInt})
-	proj := func(r table.Row) table.Row { return table.Row{r[0]} }
 	e := enclave.MustNew(enclave.Config{})
 	vals := make([]int64, 20)
 	for i := 5; i < 10; i++ {
@@ -170,13 +171,18 @@ func TestSelectWithTransform(t *testing.T) {
 	}
 	in := buildFlat(t, e, "in", vals)
 	out, err := Select(e, FromFlat(in), func(r table.Row) bool { return r[1].AsInt() == 1 },
-		SelectHash, SelectOptions{OutSize: 5, Transform: proj, OutSchema: outSchema}, "out")
+		SelectHash, SelectOptions{OutSize: 5}, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _ := out.Rows()
-	if len(rows) != 5 || len(rows[0]) != 1 {
-		t.Fatalf("projected select wrong shape: %v", rows)
+	if out.Schema() != in.Schema() {
+		t.Fatal("hash select changed the row schema")
+	}
+	if out.Capacity() != 5*hashSlotsPerPosition || out.NumRows() != 5 {
+		t.Fatalf("hash output holds %d rows in %d slots, want 5 in %d", out.NumRows(), out.Capacity(), 5*hashSlotsPerPosition)
+	}
+	if got := ids(t, out); !eqInt64s(got, []int64{5, 6, 7, 8, 9}) {
+		t.Fatalf("hash select kept ids %v, want 5..9", got)
 	}
 }
 

@@ -33,7 +33,7 @@ func attackTable(t *testing.T, opts Options) *Table {
 // scanAll drives a raw scan, the one access pattern guaranteed to touch
 // every untrusted slot.
 func scanAll(tbl *Table) error {
-	return tbl.ScanRaw(func(table.Row) error { return nil })
+	return tbl.ScanRaw(func(uint32, table.Row) error { return nil })
 }
 
 func TestAttackBucketBitFlip(t *testing.T) {

@@ -204,7 +204,7 @@ func TestRangeScanOrdered(t *testing.T) {
 		}
 	}
 	var got []int64
-	n, err := tbl.RangeScan(25, 74, func(r table.Row) error {
+	n, err := tbl.RangeScan(25, 74, func(_ uint32, r table.Row) error {
 		got = append(got, r[0].AsInt())
 		return nil
 	})
@@ -235,14 +235,14 @@ func TestScanRawMatchesRangeScan(t *testing.T) {
 		}
 	}
 	want := map[int64]int{}
-	if _, err := tbl.RangeScan(minInt64, maxInt64, func(r table.Row) error {
+	if _, err := tbl.RangeScan(minInt64, maxInt64, func(_ uint32, r table.Row) error {
 		want[r[0].AsInt()]++
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	got := map[int64]int{}
-	if err := tbl.ScanRaw(func(r table.Row) error {
+	if err := tbl.ScanRaw(func(_ uint32, r table.Row) error {
 		got[r[0].AsInt()]++
 		return nil
 	}); err != nil {

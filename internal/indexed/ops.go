@@ -356,10 +356,21 @@ func deleteTarget(h int) int { return 5*h + 4 }
 // Delete removes the first row whose key equals key, padding to the
 // worst-case access count so merges and borrows are invisible. It reports
 // whether a row was deleted.
-func (t *Table) Delete(key int64) (bool, error) {
+func (t *Table) Delete(key int64) (bool, error) { return t.delete(key, -1) }
+
+// DeleteEntry removes the exact entry (key, id) — the row a RangeScan or
+// ScanRaw reported under that id — so among rows sharing a key the one
+// meant goes, not the first. Same padded access count as Delete.
+func (t *Table) DeleteEntry(key int64, id uint32) (bool, error) {
+	return t.delete(key, int64(id))
+}
+
+// delete removes the entry (key, seq), or the first entry with key when
+// seq is -1, padded to deleteTarget of the height before the deletion.
+func (t *Table) delete(key, seq int64) (bool, error) {
 	t.beginOp()
 	hPre := t.height
-	ok, err := t.deleteInner(key)
+	ok, err := t.deleteInner(key, seq)
 	if err != nil {
 		return false, err
 	}
@@ -369,20 +380,21 @@ func (t *Table) Delete(key int64) (bool, error) {
 	return ok, t.padTo(deleteTarget(hPre))
 }
 
-func (t *Table) deleteInner(key int64) (bool, error) {
+func (t *Table) deleteInner(key, seq int64) (bool, error) {
 	if t.height == 0 {
 		return false, nil
 	}
-	path, err := t.descend(key, -1)
+	path, err := t.descend(key, seq)
 	if err != nil {
 		return false, err
 	}
 	leaf := path[len(path)-1].nd
-	i := lowerBound(leaf, key, -1)
-	if i == leaf.n {
+	i := lowerBound(leaf, key, seq)
+	if i == leaf.n && seq < 0 {
 		// First candidate lives in the next leaf: peek at it, then
 		// re-descend with its exact composite key so the deletion path
-		// (needed for rebalancing) is correct.
+		// (needed for rebalancing) is correct. An exact key needs no hop:
+		// the descent already reached the one leaf that can hold it.
 		if leaf.next == 0 {
 			return false, nil
 		}
@@ -393,7 +405,7 @@ func (t *Table) deleteInner(key int64) (bool, error) {
 		if nxt.n == 0 || nxt.keys[0] != key {
 			return false, nil
 		}
-		seq := int64(nxt.ptrs[0])
+		seq = int64(nxt.ptrs[0])
 		path, err = t.descend(key, seq)
 		if err != nil {
 			return false, err
@@ -401,7 +413,7 @@ func (t *Table) deleteInner(key int64) (bool, error) {
 		leaf = path[len(path)-1].nd
 		i = lowerBound(leaf, key, seq)
 	}
-	if i >= leaf.n || leaf.keys[i] != key {
+	if i >= leaf.n || leaf.keys[i] != key || (seq >= 0 && int64(leaf.ptrs[i]) != seq) {
 		return false, nil
 	}
 	rowID := leaf.ptrs[i]
@@ -622,11 +634,11 @@ func (t *Table) updateInner(key int64, upd table.Updater) (bool, error) {
 	return true, t.writeRecord(rowID, newRow)
 }
 
-// RangeScan visits every row with lo <= key <= hi in key order. Its access
-// count is height + (leaves touched) + (records read); the paper counts
-// this scanned-segment size as part of the leaked intermediate sizes
-// (§4.1, "Selection over Indexes").
-func (t *Table) RangeScan(lo, hi int64, fn func(table.Row) error) (int, error) {
+// RangeScan visits every row with lo <= key <= hi in key order, with the
+// rowID DeleteEntry takes. Its access count is height + (leaves touched) +
+// (records read); the paper counts this scanned-segment size as part of
+// the leaked intermediate sizes (§4.1, "Selection over Indexes").
+func (t *Table) RangeScan(lo, hi int64, fn func(id uint32, r table.Row) error) (int, error) {
 	if t.height == 0 || lo > hi {
 		return 0, nil
 	}
@@ -650,7 +662,7 @@ func (t *Table) RangeScan(lo, hi int64, fn func(table.Row) error) (int, error) {
 			if err != nil {
 				return count, err
 			}
-			if err := fn(row); err != nil {
+			if err := fn(leaf.ptrs[i], row); err != nil {
 				return count, err
 			}
 			count++
@@ -668,10 +680,10 @@ func (t *Table) RangeScan(lo, hi int64, fn func(table.Row) error) (int, error) {
 
 // ScanRaw reads the underlying ORAM buckets linearly — a fixed pattern
 // cheaper than N full ORAM accesses — and yields every stored row in
-// arbitrary order. This is the paper's "scan the index as a flat table"
-// fallback; tree nodes, dummy slots, and ORAM slack all look alike to the
-// adversary.
-func (t *Table) ScanRaw(fn func(table.Row) error) error {
+// arbitrary order, each with its rowID (block*R + slot). This is the
+// paper's "scan the index as a flat table" fallback; tree nodes, dummy
+// slots, and ORAM slack all look alike to the adversary.
+func (t *Table) ScanRaw(fn func(id uint32, r table.Row) error) error {
 	return t.o.RawScan(func(id int, data []byte) error {
 		if id >= t.dataBlocks || data[0] != kindRecord {
 			return nil
@@ -684,7 +696,7 @@ func (t *Table) ScanRaw(fn func(table.Row) error) error {
 			if !used {
 				continue
 			}
-			if err := fn(row); err != nil {
+			if err := fn(uint32(id*t.rpb+j), row); err != nil {
 				return err
 			}
 		}
@@ -695,7 +707,7 @@ func (t *Table) ScanRaw(fn func(table.Row) error) error {
 // Rows collects all rows in key order (test/result helper, not padded).
 func (t *Table) Rows() ([]table.Row, error) {
 	var out []table.Row
-	_, err := t.RangeScan(minInt64, maxInt64, func(r table.Row) error {
+	_, err := t.RangeScan(minInt64, maxInt64, func(_ uint32, r table.Row) error {
 		out = append(out, r.Clone())
 		return nil
 	})

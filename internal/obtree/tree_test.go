@@ -87,7 +87,7 @@ func TestDuplicateKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, err := tree.RangeScan(7, 7, func(table.Row) error { return nil })
+	n, err := tree.RangeScan(7, 7, func(uint32, table.Row) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestRangeScanOrdered(t *testing.T) {
 		}
 	}
 	var got []int64
-	n, err := tree.RangeScan(25, 74, func(r table.Row) error {
+	n, err := tree.RangeScan(25, 74, func(_ uint32, r table.Row) error {
 		got = append(got, r[0].AsInt())
 		return nil
 	})
@@ -133,10 +133,10 @@ func TestRangeScanOrdered(t *testing.T) {
 		}
 	}
 	// Empty and inverted ranges.
-	if n, _ := tree.RangeScan(1000, 2000, func(table.Row) error { return nil }); n != 0 {
+	if n, _ := tree.RangeScan(1000, 2000, func(uint32, table.Row) error { return nil }); n != 0 {
 		t.Fatalf("out-of-range scan returned %d", n)
 	}
-	if n, _ := tree.RangeScan(50, 20, func(table.Row) error { return nil }); n != 0 {
+	if n, _ := tree.RangeScan(50, 20, func(uint32, table.Row) error { return nil }); n != 0 {
 		t.Fatalf("inverted scan returned %d", n)
 	}
 }
@@ -219,7 +219,7 @@ func TestModel(t *testing.T) {
 	}
 	// Final full-content check via range scan.
 	var keys []int64
-	if _, err := tree.RangeScan(math.MinInt64, math.MaxInt64, func(r table.Row) error {
+	if _, err := tree.RangeScan(math.MinInt64, math.MaxInt64, func(_ uint32, r table.Row) error {
 		keys = append(keys, r[0].AsInt())
 		return nil
 	}); err != nil {
@@ -272,7 +272,7 @@ func TestScanRawMatchesRangeScan(t *testing.T) {
 		deleted++
 	}
 	got := map[int64]bool{}
-	if err := tree.ScanRaw(func(r table.Row) error {
+	if err := tree.ScanRaw(func(_ uint32, r table.Row) error {
 		k := r[0].AsInt()
 		if got[k] {
 			return fmt.Errorf("duplicate key %d in raw scan", k)
@@ -354,7 +354,7 @@ func TestDeleteAcrossLeafBoundary(t *testing.T) {
 			t.Fatalf("delete 2 #%d: ok=%v err=%v", i, ok, err)
 		}
 	}
-	n, _ := tree.RangeScan(1, 1, func(table.Row) error { return nil })
+	n, _ := tree.RangeScan(1, 1, func(uint32, table.Row) error { return nil })
 	if n != 30 {
 		t.Fatalf("%d rows with key 1 remain, want 30", n)
 	}

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"oblidb/internal/exec"
 	"oblidb/internal/table"
 	"oblidb/internal/trace"
+	"oblidb/internal/wal"
 )
 
 // TestProgrammaticReadsMatchSQL runs each programmatic read of core.DB
@@ -53,27 +55,8 @@ func TestProgrammaticReadsMatchSQL(t *testing.T) {
 		}, "SELECT * FROM kb JOIN t ON kb.id = t.id WHERE t.v >= 30", false, false},
 	}
 
-	engine := func() (*core.DB, *Executor, *trace.Tracer) {
-		tr := trace.New()
-		db, err := core.Open(core.Config{Tracer: tr, Key: fixedTraceKey, RowsPerBlock: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := New(db)
-		mustExec(t, x, "CREATE TABLE t (id INTEGER, v INTEGER, name VARCHAR(8)) CAPACITY = 16")
-		mustExec(t, x, "INSERT INTO t VALUES (1, 10, 'a'), (2, 10, 'b'), (3, 20, 'c'), (4, 20, 'd'), (5, 30, 'e'), (6, 30, 'f'), (7, 40, 'g'), (8, 40, 'h')")
-		mustExec(t, x, "CREATE TABLE kb (id INTEGER, w INTEGER) STORAGE = BOTH INDEX ON id CAPACITY = 1024")
-		rows := make([]table.Row, 1000)
-		for i := range rows {
-			rows[i] = table.Row{table.Int(int64(i)), table.Int(int64(100 + i))}
-		}
-		if err := db.BulkLoad("kb", rows); err != nil {
-			t.Fatal(err)
-		}
-		return db, x, tr
-	}
-	progDB, _, progTr := engine()
-	_, sqlX, sqlTr := engine()
+	progDB, _, progTr := twinEngine(t, false)
+	_, sqlX, sqlTr := twinEngine(t, false)
 	for _, tc := range cases {
 		progTr.Reset()
 		want, err := tc.read(progDB)
@@ -94,6 +77,94 @@ func TestProgrammaticReadsMatchSQL(t *testing.T) {
 		}
 		if tc.sameTrace && progPrint != sqlTr.CanonicalFingerprint() {
 			t.Errorf("%s: programmatic and SQL traces differ", tc.name)
+		}
+	}
+}
+
+// twinEngine opens a traced engine holding the twin tests' tables: t, a
+// small flat table, and kb, a 1000-row flat-and-index table keyed on id.
+// journal attaches a journal after the load.
+func twinEngine(t *testing.T, journal bool) (*core.DB, *Executor, *trace.Tracer) {
+	t.Helper()
+	tr := trace.New()
+	db, err := core.Open(core.Config{Tracer: tr, Key: fixedTraceKey, RowsPerBlock: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := New(db)
+	mustExec(t, x, "CREATE TABLE t (id INTEGER, v INTEGER, name VARCHAR(8)) CAPACITY = 16")
+	mustExec(t, x, "INSERT INTO t VALUES (1, 10, 'a'), (2, 10, 'b'), (3, 20, 'c'), (4, 20, 'd'), (5, 30, 'e'), (6, 30, 'f'), (7, 40, 'g'), (8, 40, 'h')")
+	mustExec(t, x, "CREATE TABLE kb (id INTEGER, w INTEGER) STORAGE = BOTH INDEX ON id CAPACITY = 1024")
+	rows := make([]table.Row, 1000)
+	for i := range rows {
+		rows[i] = table.Row{table.Int(int64(i)), table.Int(int64(100 + i))}
+	}
+	if err := db.BulkLoad("kb", rows); err != nil {
+		t.Fatal(err)
+	}
+	if journal {
+		l, err := wal.Open(filepath.Join(t.TempDir(), "twin.wal"), fixedTraceKey, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		if err := db.AttachWAL(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db, x, tr
+}
+
+// TestProgrammaticWritesMatchSQL is the write half of the twin test: on
+// two journaled engines with the same key, each programmatic write and
+// the SQL statement of the same shape build the same plan, so they must
+// affect the same rows, leave the same tables and leave byte-identical
+// traces. The keyed writes find their rows through kb's index.
+func TestProgrammaticWritesMatchSQL(t *testing.T) {
+	atLeast := func(r table.Row) bool { return r[1].AsInt() >= 30 }
+	zeroW := func(r table.Row) table.Row { r[1] = table.Int(0); return r }
+	cases := []struct {
+		name  string
+		write func(db *core.DB) (int, error)
+		sql   string
+	}{
+		{"Insert", func(db *core.DB) (int, error) {
+			return 2, db.Insert("kb", table.Row{table.Int(2000), table.Int(1)}, table.Row{table.Int(7), table.Int(2)})
+		}, "INSERT INTO kb VALUES (2000, 1), (7, 2)"},
+		{"Delete KeyRange", func(db *core.DB) (int, error) {
+			return db.Delete("kb", func(r table.Row) bool { return r[1].AsInt() == 2 }, core.Point(7))
+		}, "DELETE FROM kb WHERE id = 7 AND w = 2"},
+		{"Update KeyRange", func(db *core.DB) (int, error) {
+			return db.Update("kb", nil, zeroW, &core.KeyRange{Lo: 8, Hi: 12})
+		}, "UPDATE kb SET w = 0 WHERE id >= 8 AND id <= 12"},
+		{"Update", func(db *core.DB) (int, error) {
+			return db.Update("t", atLeast, zeroW, nil)
+		}, "UPDATE t SET v = 0 WHERE v >= 30"},
+		{"Delete", func(db *core.DB) (int, error) {
+			return db.Delete("t", func(r table.Row) bool { return r[1].AsInt() < 20 }, nil)
+		}, "DELETE FROM t WHERE v < 20"},
+	}
+	progDB, progX, progTr := twinEngine(t, true)
+	_, sqlX, sqlTr := twinEngine(t, true)
+	for _, tc := range cases {
+		progTr.Reset()
+		n, err := tc.write(progDB)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		progPrint := progTr.CanonicalFingerprint()
+		sqlTr.Reset()
+		res := mustExec(t, sqlX, tc.sql)
+		if got := int(res.Rows[0][0].AsInt()); got != n || n == 0 {
+			t.Errorf("%s: programmatic affected %d rows, SQL %d", tc.name, n, got)
+		}
+		if progPrint != sqlTr.CanonicalFingerprint() {
+			t.Errorf("%s: programmatic and SQL traces differ", tc.name)
+		}
+		for _, q := range []string{"SELECT * FROM t", "SELECT * FROM kb"} {
+			if w, g := renderRows(mustExec(t, progX, q)), renderRows(mustExec(t, sqlX, q)); w != g {
+				t.Errorf("%s: %s differs\nprogrammatic %s\nSQL          %s", tc.name, q, w, g)
+			}
 		}
 	}
 }

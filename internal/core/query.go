@@ -201,8 +201,11 @@ func (funcBinder) Err() error { return nil }
 // selectTable runs an oblivious selection into an intermediate table on
 // the execution context c, reading through key when the planner routes
 // it to the index and running force in place of the planner's pick when
-// set. The planner's stats scan supplies |R| and contiguity; padding
-// mode skips planning and pads the output (§2.3).
+// set. The planner's statistics supply |R| and contiguity. A serial
+// select that may run Small gathers them in Small's own first pass and
+// stops there when the matches fit the buffer; otherwise (and on the
+// partitioned path) they come from a stats pass before the operator.
+// Padding mode keeps the stats pass and pads the output (§2.3).
 func (db *DB) selectTable(c *execCtx, t *Table, pred table.Pred, key *KeyRange, force *exec.SelectAlgorithm) (*Table, error) {
 	if pred == nil {
 		pred = table.All
@@ -214,11 +217,14 @@ func (db *DB) selectTable(c *execCtx, t *Table, pred table.Pred, key *KeyRange, 
 	defer release()
 	pred = epred
 
+	recSize := t.schema.RecordSize()
+	name := db.tmpName("select")
 	var execOpts exec.SelectOptions
 	var alg exec.SelectAlgorithm
 	if db.cfg.Padding.Enabled {
 		// Padding mode: no planning, fixed general-purpose operator,
-		// output padded to the configured bound.
+		// output padded to the configured bound. Its stats pass stays:
+		// stopping after a pass that fits would reveal |R| ≤ B.
 		st, err := planner.ScanStats(in, pred)
 		if err != nil {
 			return nil, err
@@ -232,15 +238,31 @@ func (db *DB) selectTable(c *execCtx, t *Table, pred table.Pred, key *KeyRange, 
 		db.pickSelect(alg.String())
 		// The Hash operator places st.Matching real rows among the padded
 		// structure; pred gates real writes, the pad hides |R|.
-		out, err := db.runSelect(c, in, pred, alg, execOpts, st.Matching)
+		out, err := db.runSelect(c, in, pred, alg, execOpts, name)
 		if err != nil {
 			return nil, err
 		}
 		return db.wrapTemp(out), nil
 	}
 
-	st, err := planner.ScanStats(in, pred)
-	if err != nil {
+	// A select that may run Small serially gathers its statistics in
+	// Small's first pass (DESIGN §5); a partitioned dispatch keeps the
+	// stats pass ahead of its partition scan.
+	var st planner.SelectStats
+	_, parts := db.partitionsFor(c, in, recSize)
+	if (force == nil || *force == exec.SelectSmall) && parts < 2 {
+		sc := planner.NewStatsScan(in)
+		out, err := exec.SelectSmallOnePass(c.enc, in, pred, sc.Match, name)
+		if err != nil {
+			return nil, err
+		}
+		st = sc.Stats()
+		if out != nil {
+			db.setLastPlan(PlanInfo{SelectAlg: exec.SelectSmall, Stats: st, UsedIndex: db.useIndexFor(t, key)})
+			db.pickSelect(exec.SelectSmall.String())
+			return db.wrapTemp(out), nil
+		}
+	} else if st, err = planner.ScanStats(in, pred); err != nil {
 		return nil, err
 	}
 	if force != nil {
@@ -248,23 +270,21 @@ func (db *DB) selectTable(c *execCtx, t *Table, pred table.Pred, key *KeyRange, 
 	} else {
 		// Pricing runs against the parent enclave's budget — shared by
 		// all contexts — so the pick is interleaving-independent.
-		alg = planner.ChooseSelect(db.enc, t.schema.RecordSize(), st, db.cfg.Planner)
+		alg = planner.ChooseSelect(db.enc, recSize, st, db.cfg.Planner)
 	}
 	db.setLastPlan(PlanInfo{SelectAlg: alg, Stats: st, UsedIndex: db.useIndexFor(t, key)})
 	db.pickSelect(alg.String())
 	execOpts.OutSize = st.Matching
-	execOpts.ContinuousStart = st.Start
-	out, err := db.runSelect(c, in, pred, alg, execOpts, st.Matching)
+	out, err := db.runSelect(c, in, pred, alg, execOpts, name)
 	if err != nil {
 		return nil, err
 	}
 	return db.wrapTemp(out), nil
 }
 
-// runSelect invokes the operator, retrying hash overflow with fresh salts
-// (the Azar-bound failure case, §4.1).
-func (db *DB) runSelect(c *execCtx, in exec.Input, pred table.Pred, alg exec.SelectAlgorithm, opts exec.SelectOptions, matching int) (*storage.Flat, error) {
-	name := db.tmpName("select")
+// runSelect invokes the operator into the table name, retrying hash
+// overflow with fresh salts (the Azar-bound failure case, §4.1).
+func (db *DB) runSelect(c *execCtx, in exec.Input, pred table.Pred, alg exec.SelectAlgorithm, opts exec.SelectOptions, name string) (*storage.Flat, error) {
 	for attempt := 0; ; attempt++ {
 		opts.Salt = uint64(attempt)
 		out, err := db.execSelect(c, in, pred, alg, opts, name)
@@ -292,22 +312,13 @@ func (db *DB) execSelect(c *execCtx, in exec.Input, pred table.Pred, alg exec.Se
 	return exec.Select(c.enc, in, pred, alg, opts, name)
 }
 
-// parallelFor decides whether an operator over in runs partitioned: the
-// engine must have a pool, the statement must hold the exclusive lock
-// (the Split workers are a single shared pool), the input must be a flat
-// block array, and the planner must find a partition count ≥ 2 worth the
-// handoff. On dispatch every worker is re-budgeted to an equal share of
-// the parent's unreserved memory, so the workers together never hold
-// more than the parent has left (standing ORAM reservations included).
+// parallelFor decides whether an operator over in runs partitioned, as
+// partitionsFor does. On dispatch every worker is re-budgeted to an equal
+// share of the parent's unreserved memory, so the workers together never
+// hold more than the parent has left (standing ORAM reservations
+// included).
 func (db *DB) parallelFor(c *execCtx, in exec.Input, recSize int) ([]*enclave.Enclave, *storage.Flat, bool) {
-	if !c.serial || len(db.workers) < 2 {
-		return nil, nil, false
-	}
-	f, ok := exec.AsFlat(in)
-	if !ok {
-		return nil, nil, false
-	}
-	p := planner.ChooseParallelism(db.enc, f.NumBlocks(), recSize, len(db.workers))
+	f, p := db.partitionsFor(c, in, recSize)
 	if p < 2 {
 		return nil, nil, false
 	}
@@ -316,6 +327,23 @@ func (db *DB) parallelFor(c *execCtx, in exec.Input, recSize int) ([]*enclave.En
 		w.Rebudget(share)
 	}
 	return db.workers[:p], f, true
+}
+
+// partitionsFor returns the partition count an operator over in would
+// run with (1 for serial) and the flat table it partitions, changing
+// nothing. An operator runs partitioned when the engine has a pool, the
+// statement holds the exclusive lock (the Split workers are a single
+// shared pool), the input is a flat block array, and the planner finds a
+// partition count ≥ 2 worth the handoff. Every input is a public size.
+func (db *DB) partitionsFor(c *execCtx, in exec.Input, recSize int) (*storage.Flat, int) {
+	if !c.serial || len(db.workers) < 2 {
+		return nil, 1
+	}
+	f, ok := exec.AsFlat(in)
+	if !ok {
+		return nil, 1
+	}
+	return f, planner.ChooseParallelism(db.enc, f.NumBlocks(), recSize, len(db.workers))
 }
 
 // AggregateSpec is one aggregate over a named column (empty for COUNT).

@@ -76,7 +76,7 @@ func TestPackedSelectContinuous(t *testing.T) {
 		f := packedInput(t, e, "in", vals, r)
 		out, err := Select(e, FromFlat(f),
 			func(rw table.Row) bool { return rw[1].AsInt() == 1 },
-			SelectContinuous, SelectOptions{OutSize: 8, ContinuousStart: 8}, "out")
+			SelectContinuous, SelectOptions{OutSize: 8}, "out")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,7 +82,6 @@ func ParallelSelect(e *enclave.Enclave, workers []*enclave.Enclave, in *storage.
 	}
 	partOpts := opts
 	partOpts.OutSize = min(pt.PartRows(), opts.OutSize)
-	partOpts.ContinuousStart = 0
 
 	parts := make([]*storage.Flat, len(workers))
 	err = runWorkers(len(workers), func(p int) error {

@@ -67,9 +67,6 @@ type SelectOptions struct {
 	OutSize int
 	// Salt perturbs the Hash algorithm's hash functions on retry.
 	Salt uint64
-	// ContinuousStart is the block index of the first matching row, needed
-	// only by SelectContinuous (also from the stats scan).
-	ContinuousStart int
 }
 
 // Select runs one oblivious SELECT algorithm over in, materializing the
@@ -210,6 +207,61 @@ func selectSmall(e *enclave.Enclave, in Input, pred table.Pred, opts SelectOptio
 		return nil, err
 	}
 	out.BumpRows(written)
+	return out, nil
+}
+
+// SelectSmallOnePass runs Small's first pass before |R| is known, so the
+// planner's statistics and Small's buffer fill come from one read per
+// sealed block. It reserves a buffer of every whole row the budget
+// allows — a function of the budget alone — calls observe(i) for each
+// matching row slot i in slot order, and clones matches while they fit.
+// If all matched rows fit a buffer of at least one row, it writes them to
+// an outName table of max(1, |R|) slots, exactly as Small's output, and
+// returns it. Otherwise it drops the buffer, releases the reservation and
+// returns a nil table: the caller plans from the statistics observe saw.
+// Whether the output is written depends only on |R| and the budget.
+func SelectSmallOnePass(e *enclave.Enclave, in Input, pred table.Pred, observe func(i int), outName string) (*storage.Flat, error) {
+	schema := in.Schema()
+	recSize := schema.RecordSize()
+	bufRows := e.Available() / recSize
+	reserve := bufRows * recSize
+	if err := e.Reserve(reserve); err != nil {
+		return nil, err
+	}
+	defer e.Release(reserve)
+
+	var buffer []table.Row
+	matched := 0
+	err := ForEachRow(in, func(i int, row table.Row, used bool) error {
+		if !used || !pred(row) {
+			return nil
+		}
+		observe(i)
+		matched++
+		if matched <= bufRows {
+			buffer = append(buffer, row.Clone())
+		} else {
+			buffer = nil
+		}
+		return nil
+	})
+	if err != nil || bufRows < 1 || matched > bufRows {
+		return nil, err
+	}
+	out, err := storage.NewFlatGeom(e, outName, schema, max(1, matched), outGeom(in))
+	if err != nil {
+		return nil, err
+	}
+	w := out.NewBlockWriter()
+	for _, r := range buffer {
+		if err := w.Append(r, true); err != nil {
+			return nil, err
+		}
+	}
+	if err := w.Flush(); err != nil {
+		return nil, err
+	}
+	out.BumpRows(matched)
 	return out, nil
 }
 

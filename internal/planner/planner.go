@@ -8,7 +8,11 @@
 // computes (1) the number of matching rows and (2) whether they are
 // adjacent, exactly the two statistics §5 lists, and the computed output
 // size is handed to the operators that pre-allocate output storage — which
-// is why the paper calls this first scan "for free".
+// is why the paper calls this first scan "for free". For a selection
+// whose matches fit the enclave buffer, it is literally free: the engine
+// gathers the statistics (through StatsScan) during Small's own first
+// pass and stops there, and only a selection that overflows the buffer
+// goes on to ChooseSelect and a second operator pass.
 //
 // For joins the planner reads no data at all: §5 observes that all join
 // algorithms do work determined entirely by the input sizes, so it plugs
@@ -47,34 +51,56 @@ type SelectStats struct {
 // ScanStats makes the planner's preliminary pass: one read per sealed
 // block, whatever the data.
 func ScanStats(in exec.Input, pred table.Pred) (SelectStats, error) {
-	st := SelectStats{
+	sc := NewStatsScan(in)
+	err := exec.ForEachRow(in, func(i int, row table.Row, used bool) error {
+		if used && pred(row) {
+			sc.Match(i)
+		}
+		return nil
+	})
+	return sc.Stats(), err
+}
+
+// StatsScan accumulates SelectStats from the matching row slots of one
+// pass over an input, fed in slot order. ScanStats and the engine's fused
+// Small pass (exec.SelectSmallOnePass, whose observe callback is Match)
+// both build their statistics through it.
+type StatsScan struct {
+	st   SelectStats
+	last int
+}
+
+// NewStatsScan starts the statistics of a pass over in: its public
+// geometry, no matches yet.
+func NewStatsScan(in exec.Input) *StatsScan {
+	return &StatsScan{st: SelectStats{
 		InputBlocks:  in.Blocks(),
 		InputRows:    exec.RowSlots(in),
 		RowsPerBlock: in.RowsPerBlock(),
 		Contiguous:   true,
 		Start:        -1,
+	}}
+}
+
+// Match records that row slot i satisfies the predicate. Slots must
+// arrive in increasing order.
+func (sc *StatsScan) Match(i int) {
+	if sc.st.Start < 0 {
+		sc.st.Start = i
+	} else if i != sc.last+1 {
+		sc.st.Contiguous = false
 	}
-	last := -1
-	err := exec.ForEachRow(in, func(i int, row table.Row, used bool) error {
-		if !used || !pred(row) {
-			return nil
-		}
-		if st.Start < 0 {
-			st.Start = i
-		} else if i != last+1 {
-			st.Contiguous = false
-		}
-		last = i
-		st.Matching++
-		return nil
-	})
-	if err != nil {
-		return st, err
-	}
+	sc.last = i
+	sc.st.Matching++
+}
+
+// Stats returns the statistics of the slots matched so far.
+func (sc *StatsScan) Stats() SelectStats {
+	st := sc.st
 	if st.Matching == 0 {
 		st.Contiguous = false
 	}
-	return st, nil
+	return st
 }
 
 // blocksFor converts a row count to sealed blocks at the stats' packing.
@@ -135,6 +161,10 @@ func (c Config) largeFraction() float64 {
 // Packing shifts the balance exactly as the implementation does: the
 // block-sequential Small and Large get ~rpb× cheaper while the
 // row-scattered Continuous and Hash keep their per-row RMW cost.
+//
+// Whenever the matches fit one buffer (B ≥ 1 and R ≤ B), Small costs
+// at most 2N and wins outright: the engine's fused pass relies on this
+// when it stops after Small's first pass without consulting ChooseSelect.
 func ChooseSelect(e *enclave.Enclave, recSize int, st SelectStats, cfg Config) exec.SelectAlgorithm {
 	alg, _ := chooseSelectCost(e, recSize, st, cfg)
 	return alg

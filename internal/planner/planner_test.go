@@ -87,6 +87,34 @@ func TestChooseSelectBigMemory(t *testing.T) {
 	}
 }
 
+// TestChooseSelectSmallWhenFits pins what the engine's fused pass relies
+// on when it stops after Small's first pass: whenever the matches fit a
+// buffer of B ≥ 1 rows, no plan is cheaper than Small.
+func TestChooseSelectSmallWhenFits(t *testing.T) {
+	const rec = 100
+	for _, bufRows := range []int{1, 3, 50, 1000, 20000} {
+		e := enclave.MustNew(enclave.Config{ObliviousMemory: bufRows*rec + rec/3})
+		for _, blocks := range []int{1, 16, 190} {
+			for _, rpb := range []int{1, 8, 95} {
+				n := blocks * rpb
+				for _, m := range []int{0, 1, bufRows / 2, bufRows, n} {
+					if m > bufRows || m > n {
+						continue
+					}
+					for _, cfg := range []Config{{}, {DisableContinuous: true}, {LargeFraction: 0.01}, {DisableContinuous: true, LargeFraction: 0.01}} {
+						for _, contiguous := range []bool{false, true} {
+							st := SelectStats{InputBlocks: blocks, InputRows: n, RowsPerBlock: rpb, Matching: m, Contiguous: contiguous && m > 0}
+							if got := ChooseSelect(e, rec, st, cfg); got != exec.SelectSmall {
+								t.Errorf("B=%d %+v %+v: chose %s, want Small", bufRows, st, cfg, got)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestChooseSelectPaperPattern(t *testing.T) {
 	// With a buffer near 1.5% of the table, the Figure 13 pattern
 	// emerges: Small for small scattered outputs, Continuous for runs,

@@ -50,8 +50,7 @@ func main() {
 	epochInterval := flag.Duration("epoch-interval", 5*time.Millisecond, "fixed cadence between epochs")
 	memory := flag.Int("memory", 0, "oblivious memory budget in bytes (0 = paper default 20 MB)")
 	pad := flag.Int("pad", 0, "padding mode: pad intermediate tables to this many rows (0 = off)")
-	parallelism := flag.Int("parallelism", 1, "intra-query worker pool size (-1 = GOMAXPROCS, 1 = serial; exclusive with -workers > 1)")
-	workers := flag.Int("workers", 1, "epoch read slots executed concurrently (1 = serial; exclusive with -parallelism > 1)")
+	workers := flag.Int("workers", 1, "engine context pool: concurrent epoch read slots and intra-query partitions (-1 = GOMAXPROCS, 1 = serial)")
 	contentionProfile := flag.Bool("contention-profile", false, "enable mutex and block profiles on /debug/pprof")
 	slowEpochs := flag.Int("slow-epochs", 0, "log statements that wait at least this many epochs, by literal-free shape (0 = default 8)")
 	walPath := flag.String("wal", "", "write-ahead log file; replayed on startup, journaled while serving (empty = no durability)")
@@ -67,7 +66,7 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress serving diagnostics")
 	flag.Parse()
 
-	engine := core.Config{ObliviousMemory: *memory, Parallelism: *parallelism, ReadConcurrency: *workers}
+	engine := core.Config{ObliviousMemory: *memory, Workers: *workers}
 	if *pad > 0 {
 		engine.Padding = core.PaddingConfig{Enabled: true, PadRows: *pad, PadGroups: *pad}
 	}

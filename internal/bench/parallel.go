@@ -30,7 +30,7 @@ func RunParallel(o Options) error {
 	smallSchema := table.MustSchema(table.Column{Name: "k", Kind: table.KindInt})
 
 	setup := func(p int) (*core.DB, error) {
-		db, err := core.Open(core.Config{ObliviousMemory: o.obliviousMemory(), Seed: o.seed(), Parallelism: p})
+		db, err := core.Open(core.Config{ObliviousMemory: o.obliviousMemory(), Seed: o.seed(), Workers: p})
 		if err != nil {
 			return nil, err
 		}
@@ -112,6 +112,6 @@ func RunParallel(o Options) error {
 		tp.addf(op.name, row[1], row[2], row[4], row[8], ratio(row[1], row[4]))
 	}
 	tp.render(o.Out)
-	o.printf("  (%d-row table; partitioned execution per core.Config.Parallelism, planner-chosen P capped by the pool)\n\n", rows)
+	o.printf("  (%d-row table; partitioned execution per core.Config.Workers, planner-chosen P capped by the pool)\n\n", rows)
 	return nil
 }

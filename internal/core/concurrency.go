@@ -7,21 +7,23 @@ import (
 
 	"oblidb/internal/enclave"
 	"oblidb/internal/exec"
+	"oblidb/internal/plan"
 	"oblidb/internal/storage"
 )
 
 // This file is the engine's read-concurrency layer. The database mutex
-// is a read/write lock: mutations and DDL take the exclusive side, read
-// statements take the shared side plus a per-slot execution context from
-// a fixed pool (Config.ReadConcurrency), so the epoch scheduler can run
-// several read slots truly in parallel. Each context owns what one
-// concurrent statement must not share — a sealer (stateful nonce pool),
-// a tracer, scratch buffers for every table it reads, and an
-// oblivious-memory accountant re-budgeted at checkout to the parent's
-// unreserved memory so the planner's algorithm picks match the serial
-// engine exactly. The catalog itself is resolved through a copy-on-write
-// snapshot republished on every DDL, so a reader never touches the live
-// table map. See DESIGN.md §16 for the leakage argument.
+// is a read/write lock: mutations, DDL and reads the engine partitions
+// take the exclusive side; other reads take the shared side plus a
+// per-slot execution context from the pool (Config.Workers), so the
+// epoch scheduler can run several read slots truly in parallel. Each
+// context owns what one concurrent statement must not share — a sealer
+// (stateful nonce pool), a tracer, scratch buffers for every table it
+// reads, and an oblivious-memory accountant re-budgeted at checkout to
+// the parent's unreserved memory so the planner's algorithm picks match
+// the serial engine exactly. The catalog itself is resolved through a
+// copy-on-write snapshot republished on every DDL, so a reader never
+// touches the live table map. See DESIGN.md §16 for the leakage
+// argument.
 
 // execCtx is the execution context one statement runs under: either the
 // engine's own serial context (exclusive lock held, legacy direct reads)
@@ -130,35 +132,57 @@ func (db *DB) LockStats() LockStats {
 	}
 }
 
-// ReadConcurrency reports the read-slot pool size (1 when reads
-// serialize on the exclusive lock).
-func (db *DB) ReadConcurrency() int {
-	if db.readCtxs == nil {
-		return 1
-	}
-	return cap(db.readCtxs)
-}
-
-// beginRead enters a read statement: with a pool, the shared lock plus a
-// checked-out context whose budget is re-synced to the parent's current
-// availability (standing ORAM reservations included, so operator buffer
-// sizing matches the serial engine) and whose catalog snapshot is the
-// latest published; without one, the exclusive lock and the serial
-// context, exactly the pre-concurrency engine. The returned release
-// undoes both.
-func (db *DB) beginRead() (*execCtx, func()) {
-	if db.readCtxs == nil {
-		db.lockWrite()
-		return db.serialCtx, db.mu.Unlock
-	}
-	db.lockShared()
-	ctx := <-db.readCtxs
-	ctx.enc.Rebudget(db.enc.Available())
-	ctx.snap = db.snap.Load()
-	return ctx, func() {
-		ctx.snap = nil
-		clear(ctx.views) // drop per-statement views (temps would pin their stores)
-		db.readCtxs <- ctx
+// begin enters the statement root. A read on an engine with a pool
+// takes the shared lock and, unless it splits, a checked-out read slot
+// whose budget is re-synced to the parent's current availability
+// (standing ORAM reservations included, so operator buffer sizing
+// matches the serial engine) and whose catalog snapshot is the latest
+// published. Every other statement takes the exclusive lock and the
+// serial context, exactly the pre-concurrency engine. The returned
+// release undoes both.
+func (db *DB) begin(root plan.Node) (*execCtx, func()) {
+	if db.readCtxs != nil && plan.ReadOnly(root) {
+		db.lockShared()
+		if !db.splits(root) {
+			ctx := <-db.readCtxs
+			ctx.enc.Rebudget(db.enc.Available())
+			ctx.snap = db.snap.Load()
+			return ctx, func() {
+				ctx.snap = nil
+				clear(ctx.views) // drop per-statement views (temps would pin their stores)
+				db.readCtxs <- ctx
+				db.mu.RUnlock()
+			}
+		}
 		db.mu.RUnlock()
 	}
+	db.lockWrite()
+	return db.serialCtx, db.mu.Unlock
+}
+
+// splits reports whether a plan has a Scan or IndexScan leaf that
+// resolves to a flat base table db.partitions would split (an index-served
+// IndexScan reads an intermediate instead). It reads the plan without
+// annotating it: compiled plans are shared.
+func (db *DB) splits(n plan.Node) bool {
+	var name string
+	var key *KeyRange
+	switch x := n.(type) {
+	case *plan.Scan:
+		name = x.Table
+	case *plan.IndexScan:
+		name, key = x.Table, &KeyRange{Lo: x.Range.Lo, Hi: x.Range.Hi}
+	default:
+		for _, c := range plan.Children(n) {
+			if db.splits(c) {
+				return true
+			}
+		}
+		return false
+	}
+	t, err := db.lookup(name)
+	if err != nil || t.flat == nil || db.useIndexFor(t, key) {
+		return false
+	}
+	return db.partitions(t.flat.NumBlocks(), t.schema.RecordSize()) > 1
 }

@@ -83,14 +83,15 @@ type Config struct {
 	Planner planner.Config
 	// Padding configures padding mode.
 	Padding PaddingConfig
-	// Parallelism bounds the intra-query worker pool: queries are split
-	// into up to this many equal padded partitions executed concurrently
-	// (the per-query count is chosen by the planner from public sizes
-	// alone). 0 or 1 keeps the engine serial; -1 uses GOMAXPROCS. The
-	// pool size is public configuration, like the epoch cadence. It
-	// cannot be combined with ReadConcurrency > 1: partitioned operators
-	// run only on the serial context, which reads then never take.
-	Parallelism int
+	// Workers sizes the engine's one pool of enclave contexts: 0 or 1
+	// keeps the engine serial, -1 uses GOMAXPROCS. Above 1 a pooled
+	// context is a partition worker while an exclusive-side statement
+	// splits an operator (the planner picks the count from public sizes
+	// alone), and a read slot while a read that does not split runs
+	// under the shared side (see DB). The pool size is public
+	// configuration, like the epoch cadence; the server fans each
+	// epoch's read runs out to this many goroutines.
+	Workers int
 	// RowsPerBlock is the packing factor R: how many records each sealed
 	// block holds. Every full-table pass costs one AEAD open/seal per
 	// block, so packing divides the crypto and trace cost of scans by R.
@@ -102,21 +103,13 @@ type Config struct {
 	// (capacity, R).
 	RowsPerBlock int
 	// WorkerTracers, if non-nil, must hold one tracer per pooled context
-	// — one per partition worker (Parallelism) or per read slot
-	// (ReadConcurrency); each context's untrusted accesses — the
-	// adversarial view of one core — are recorded there. Tests assert the
-	// multiset of worker traces is input-independent
-	// (trace.MultisetFingerprint) and the multiset of read-slot traces
-	// interleaving-independent (trace.EventMultisetFingerprint).
+	// (Workers of them); each context's untrusted accesses — the
+	// adversarial view of one core — are recorded there, whether it ran
+	// a partition or a read slot. Tests assert the multiset of worker
+	// traces is input-independent (trace.MultisetFingerprint) and the
+	// multiset of read-slot traces interleaving-independent
+	// (trace.EventMultisetFingerprint).
 	WorkerTracers []*trace.Tracer
-	// ReadConcurrency sizes the read-slot context pool: up to this many
-	// read statements execute concurrently under the shared side of the
-	// database lock, each on its own pooled enclave context (own sealer,
-	// accountant, tracer, scratch). 0 or 1 keeps reads on the exclusive lock
-	// — the serial engine, byte-identical traces; -1 uses GOMAXPROCS.
-	// The pool size is public configuration, like the epoch cadence. The
-	// server fans each epoch's read runs out to this many goroutines.
-	ReadConcurrency int
 	// StoreLatency models the cost of one untrusted-memory block access
 	// (see enclave.Config.StoreLatency). Zero keeps untrusted memory at
 	// in-process speed; benchmarks set it to measure latency-hiding read
@@ -134,39 +127,41 @@ type Config struct {
 // DB is an ObliDB database: an enclave plus its tables.
 //
 // Concurrency: the database lock is a read/write mutex. Mutations, DDL,
-// and transactions take the exclusive side — one at a time, exactly the
-// seed engine. Read statements take the shared side plus a per-slot
-// execution context from a fixed pool (Config.ReadConcurrency), so up
-// to that many reads run truly in parallel: each context carries its
-// own pooled enclave context (sealer, tracer, accountant) and its
-// own per-table read views, while ORAM-backed index access — which
-// mutates stash and position map even on reads — serializes behind a
-// per-table lock (Table.idxMu). The catalog is resolved against a
-// copy-on-write snapshot republished on every DDL. With
-// ReadConcurrency ≤ 1 reads also take the exclusive side and run on the
+// transactions and EXPLAIN take the exclusive side — one at a time,
+// exactly the seed engine — and run on the engine's own context, whose
+// operators partition over the pool of Config.Workers contexts. A read
+// statement takes the shared side first. If one of its plan's
+// Scan/IndexScan leaves resolves to a flat base table the planner would
+// split (db.partitions), it trades the shared side for the exclusive one
+// and runs partitioned; every other read checks out one pooled context
+// as a read slot, so up to Workers small reads run truly in parallel.
+// A read slot carries its own enclave context (sealer, tracer,
+// accountant) and its own per-table read views, while ORAM-backed index
+// access — which mutates stash and position map even on reads —
+// serializes behind a per-table lock (Table.idxMu). The catalog is
+// resolved against a copy-on-write snapshot republished on every DDL.
+// With Workers ≤ 1 reads also take the exclusive side and run on the
 // engine's own context, preserving the serial engine's byte-identical
-// traces. Statement-internal partition parallelism
-// (Config.Parallelism) stays exclusive to the serial context, so Open
-// accepts only one of the two pools. Statements, reads and writes alike,
-// are plans: ExecutePlan and ExecutePlanTx take the lock once per
-// statement or transaction, and DDL, BulkLoad and the journal methods
-// lock for themselves. Everything they call runs unlocked, so the mutex
-// is never taken reentrantly. See DESIGN.md §16.
+// traces. Statements, reads and writes alike, are plans: ExecutePlan
+// and ExecutePlanTx take the lock once per statement or transaction,
+// and DDL, BulkLoad and the journal methods lock for themselves.
+// Everything they call runs unlocked, so the mutex is never taken
+// reentrantly. See DESIGN.md §9 and §16.
 type DB struct {
 	mu     sync.RWMutex
 	enc    *enclave.Enclave
 	cfg    Config
 	tables map[string]*Table
-	// workers is the partition-worker pool (nil unless Parallelism > 1).
-	// Open builds one pool of Split contexts that backs either these
-	// workers or the read slots (readCtxs), never both.
-	workers []*enclave.Enclave
-	// snap is the latest published catalog snapshot; readCtxs is the
-	// read-slot context pool (nil when reads serialize); serialCtx is
-	// the engine's own context for exclusive-side statements; lockC
-	// counts lock traffic for the contention metrics.
+	// workers is the pool of Split contexts (nil unless Workers > 1);
+	// readCtxs hands the same contexts out as read slots. Partition
+	// workers run only under the exclusive side, read slots only under
+	// the shared side, so no context serves both at once.
+	workers  []*enclave.Enclave
+	readCtxs chan *execCtx
+	// snap is the latest published catalog snapshot; serialCtx is the
+	// engine's own context for exclusive-side statements; lockC counts
+	// lock traffic for the contention metrics.
 	snap      atomic.Pointer[catalogSnap]
-	readCtxs  chan *execCtx
 	serialCtx *execCtx
 	lockC     lockCounters
 	// planMu guards LastPlan and picks: read slots record planner
@@ -348,17 +343,9 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.Padding.Enabled && cfg.Padding.PadRows <= 0 {
 		return nil, fmt.Errorf("core: padding mode needs a positive PadRows")
 	}
-	p, rc := cfg.Parallelism, cfg.ReadConcurrency
-	if p < 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if rc < 0 {
-		rc = runtime.GOMAXPROCS(0)
-	}
-	if p > 1 && rc > 1 {
-		// Partitioned operators run only on the serial context, which no
-		// read takes once read slots exist: the pool would never run.
-		return nil, fmt.Errorf("core: Parallelism %d and ReadConcurrency %d cannot both exceed 1", p, rc)
+	n := cfg.Workers
+	if n < 0 {
+		n = runtime.GOMAXPROCS(0)
 	}
 	enc, err := enclave.New(enclave.Config{
 		ObliviousMemory: cfg.ObliviousMemory,
@@ -373,18 +360,15 @@ func Open(cfg Config) (*DB, error) {
 	}
 	db := &DB{enc: enc, cfg: cfg, tables: make(map[string]*Table)}
 	db.serialCtx = &execCtx{db: db, enc: enc, serial: true}
-	if n := max(p, rc); n > 1 {
+	if n > 1 {
 		pool, err := enc.Split(n, cfg.WorkerTracers)
 		if err != nil {
 			return nil, err
 		}
-		if p > 1 {
-			db.workers = pool
-		} else {
-			db.readCtxs = make(chan *execCtx, n)
-			for _, w := range pool {
-				db.readCtxs <- &execCtx{db: db, enc: w, views: make(map[*storage.Flat]*storage.ReadView)}
-			}
+		db.workers = pool
+		db.readCtxs = make(chan *execCtx, n)
+		for _, w := range pool {
+			db.readCtxs <- &execCtx{db: db, enc: w, views: make(map[*storage.Flat]*storage.ReadView)}
 		}
 	} else if cfg.WorkerTracers != nil {
 		return nil, fmt.Errorf("core: WorkerTracers set on a serial engine")
@@ -393,13 +377,8 @@ func Open(cfg Config) (*DB, error) {
 	return db, nil
 }
 
-// Parallelism reports the worker-pool size (1 when serial).
-func (db *DB) Parallelism() int {
-	if len(db.workers) == 0 {
-		return 1
-	}
-	return len(db.workers)
-}
+// Workers reports the pool size (1 when serial).
+func (db *DB) Workers() int { return max(1, len(db.workers)) }
 
 // MustOpen is Open for tests and examples with known-good configs.
 func MustOpen(cfg Config) *DB {

@@ -2,15 +2,18 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"oblidb/internal/exec"
+	"oblidb/internal/plan"
 	"oblidb/internal/table"
 	"oblidb/internal/trace"
 )
 
-// These tests cover the engine-level Parallelism option: identical
+// These tests cover the engine's partition workers (Config.Workers): identical
 // results to the serial engine, and end-to-end obliviousness of the
 // partitioned execution (parent trace plus per-worker trace multiset).
 
@@ -32,17 +35,66 @@ func sortedIDs(res *Result) []int64 {
 	return out
 }
 
-// TestOpenRejectsBothPools: partitioned operators need the serial
-// context, which no read takes once read slots exist, so a config that
-// asks for both pools would silently run only one.
+// TestOpenRejectsBothPools pins the one-pool contract: Workers sizes a
+// single pool whose contexts serve as partition workers and as read
+// slots. A read of a table the planner splits takes the exclusive side
+// and runs partitioned, as EXPLAIN's P= says; a read of a small table
+// takes one read slot and never the exclusive side.
 func TestOpenRejectsBothPools(t *testing.T) {
-	if _, err := Open(Config{Parallelism: 4, ReadConcurrency: 4}); err == nil {
-		t.Fatal("Parallelism 4 with ReadConcurrency 4 accepted")
+	pred := func(r table.Row) bool { return r[1].AsInt() == 5 }
+	for _, tc := range []struct {
+		rows               int
+		exclusive          uint64
+		minBusy, maxBusy   int
+		explainP, explainN string
+	}{
+		{rows: 256, exclusive: 1, minBusy: 2, maxBusy: 4, explainP: "P=4"},
+		{rows: 16, exclusive: 0, minBusy: 1, maxBusy: 1, explainN: "P="},
+	} {
+		t.Run(fmt.Sprintf("rows=%d", tc.rows), func(t *testing.T) {
+			wts := []*trace.Tracer{trace.New(), trace.New(), trace.New(), trace.New()}
+			db := MustOpen(Config{Workers: 4, WorkerTracers: wts, RowsPerBlock: 1})
+			serial := MustOpen(Config{RowsPerBlock: 1})
+			seedBig(t, db, tc.rows)
+			seedBig(t, serial, tc.rows)
+			for _, w := range wts {
+				w.Reset()
+			}
+			before := db.LockStats()
+			got, err := db.Select("t", pred, SelectOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := db.LockStats().ExclusiveAcquires - before.ExclusiveAcquires; n != tc.exclusive {
+				t.Fatalf("read took the exclusive side %d times, want %d", n, tc.exclusive)
+			}
+			busy := 0
+			for _, w := range wts {
+				if w.Len() > 0 {
+					busy++
+				}
+			}
+			if busy < tc.minBusy || busy > tc.maxBusy {
+				t.Fatalf("read recorded on %d worker tracers, want %d..%d", busy, tc.minBusy, tc.maxBusy)
+			}
+			want, err := serial.Select("t", pred, SelectOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(sortedIDs(got)) != fmt.Sprint(sortedIDs(want)) {
+				t.Fatalf("pooled read %v, serial %v", sortedIDs(got), sortedIDs(want))
+			}
+			explain := strings.Join(db.ExplainPlan(&plan.Collect{Input: &plan.Filter{Input: &plan.Scan{Table: "t"}, Cond: table.Pred(pred)}}), "\n")
+			if tc.explainP != "" && !strings.Contains(explain, tc.explainP) {
+				t.Fatalf("EXPLAIN lacks %s:\n%s", tc.explainP, explain)
+			}
+			if tc.explainN != "" && strings.Contains(explain, tc.explainN) {
+				t.Fatalf("EXPLAIN shows %s on an unsplit read:\n%s", tc.explainN, explain)
+			}
+		})
 	}
-	for _, cfg := range []Config{{Parallelism: 4, ReadConcurrency: 1}, {Parallelism: 1, ReadConcurrency: 4}} {
-		if _, err := Open(cfg); err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
-		}
+	if got, want := MustOpen(Config{Workers: -1}).Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("Workers -1: Workers() = %d, want GOMAXPROCS %d", got, want)
 	}
 }
 
@@ -50,10 +102,10 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 	const n = 256
 	serial := MustOpen(Config{})
 	seedBig(t, serial, n)
-	par := MustOpen(Config{Parallelism: 4})
+	par := MustOpen(Config{Workers: 4})
 	seedBig(t, par, n)
-	if par.Parallelism() != 4 {
-		t.Fatalf("Parallelism() = %d, want 4", par.Parallelism())
+	if par.Workers() != 4 {
+		t.Fatalf("Workers() = %d, want 4", par.Workers())
 	}
 
 	pred := func(r table.Row) bool { return r[1].AsInt() == 5 }
@@ -150,7 +202,7 @@ func TestParallelJoinMatchesSerial(t *testing.T) {
 	}
 	alg := exec.JoinHash
 	serial := setup(Config{})
-	par := setup(Config{Parallelism: 4})
+	par := setup(Config{Workers: 4})
 	a, err := serial.Join("l", "r", "pk", "fk", JoinOptions{Force: &alg})
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +225,7 @@ func TestParallelJoinMatchesSerial(t *testing.T) {
 	}
 }
 
-// parallelTracedRun executes one select on a Parallelism-4 engine with
+// parallelTracedRun executes one select on a Workers-4 engine with
 // per-worker tracers and reduces it to (parent canonical, worker
 // multiset) fingerprints. rpb pins the packing factor: R = 1 keeps the
 // 256-row table at 256 sealed blocks (the paper geometry), R > 1 runs
@@ -185,7 +237,7 @@ func parallelTracedRun(t *testing.T, vals []int64, param int64, force *exec.Sele
 	for i := range wts {
 		wts[i] = trace.New()
 	}
-	db, err := Open(Config{Tracer: parent, Key: fixedKey, Parallelism: 4, WorkerTracers: wts, RowsPerBlock: rpb})
+	db, err := Open(Config{Tracer: parent, Key: fixedKey, Workers: 4, WorkerTracers: wts, RowsPerBlock: rpb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +322,7 @@ func TestEndToEndParallelAggregateTraceOblivious(t *testing.T) {
 		for i := range wts {
 			wts[i] = trace.New()
 		}
-		db, err := Open(Config{Tracer: parent, Key: fixedKey, Parallelism: 4, WorkerTracers: wts, RowsPerBlock: 1})
+		db, err := Open(Config{Tracer: parent, Key: fixedKey, Workers: 4, WorkerTracers: wts, RowsPerBlock: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +351,7 @@ func TestEndToEndParallelAggregateTraceOblivious(t *testing.T) {
 func TestParallelLargeSelect(t *testing.T) {
 	// The Large regime (R ≈ N) exercises the concat combine path
 	// end-to-end through the planner.
-	par := MustOpen(Config{Parallelism: 4})
+	par := MustOpen(Config{Workers: 4})
 	seedBig(t, par, 256)
 	res, err := par.Select("t", func(r table.Row) bool { return r[1].AsInt() >= 0 }, SelectOptions{})
 	if err != nil {
@@ -320,7 +372,7 @@ func TestParallelGroupAggregateFallsBackOnTightMemory(t *testing.T) {
 	// suffices) instead of failing — and the fallback decision is made
 	// up front from public sizes, never mid-scan.
 	run := func(parallelism int) *Result {
-		db := MustOpen(Config{ObliviousMemory: 2048, Parallelism: parallelism})
+		db := MustOpen(Config{ObliviousMemory: 2048, Workers: parallelism})
 		vals := make([]int64, 256)
 		for i := 0; i < 64; i++ {
 			vals[i] = int64(i) // partition 0 holds every distinct value
@@ -330,7 +382,7 @@ func TestParallelGroupAggregateFallsBackOnTightMemory(t *testing.T) {
 			func(r table.Row) table.Value { return r[1] },
 			[]AggregateSpec{{Kind: exec.AggCount}}, nil)
 		if err != nil {
-			t.Fatalf("Parallelism=%d: %v", parallelism, err)
+			t.Fatalf("Workers=%d: %v", parallelism, err)
 		}
 		return res
 	}
@@ -345,7 +397,7 @@ func TestParallelJoinFallsBackOnWideBuildRecords(t *testing.T) {
 	// Build-side records wider than a worker's budget share: the
 	// parallel hash join cannot hold even one build row per worker and
 	// must fall back to the serial join rather than erroring.
-	db := MustOpen(Config{ObliviousMemory: 2048, Parallelism: 4})
+	db := MustOpen(Config{ObliviousMemory: 2048, Workers: 4})
 	wide := table.MustSchema(
 		table.Column{Name: "pk", Kind: table.KindInt},
 		table.Column{Name: "pad", Kind: table.KindString, Width: 900},
@@ -385,7 +437,7 @@ func TestParallelJoinFallsBackOnWideBuildRecords(t *testing.T) {
 // reservations they may never exceed the parent's budget.
 func TestParallelWorkersWithinParentBudget(t *testing.T) {
 	wts := []*trace.Tracer{trace.New(), trace.New(), trace.New(), trace.New()}
-	db := MustOpen(Config{ObliviousMemory: 4 << 20, Parallelism: 4, WorkerTracers: wts, RowsPerBlock: 1})
+	db := MustOpen(Config{ObliviousMemory: 4 << 20, Workers: 4, WorkerTracers: wts, RowsPerBlock: 1})
 	if _, err := db.CreateTable("users", usersSchema(), TableOptions{
 		Kind: KindBoth, KeyColumn: "uid", Capacity: 4096,
 	}); err != nil {

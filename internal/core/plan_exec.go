@@ -94,11 +94,7 @@ func (c lockedCatalog) TableMeta(name string) (plan.TableMeta, bool) {
 func (db *DB) ExplainPlan(root plan.Node) []string {
 	db.lockWrite()
 	defer db.mu.Unlock()
-	workers := len(db.workers)
-	if workers == 0 {
-		workers = 1
-	}
-	planner.Annotate(root, lockedCatalog{db}, db.enc, db.cfg.Planner, workers)
+	planner.Annotate(root, lockedCatalog{db}, db.enc, db.cfg.Planner, db.Workers())
 	return plan.Explain(root)
 }
 
@@ -107,19 +103,12 @@ func (db *DB) ExplainPlan(root plan.Node) []string {
 // the operators complete — they must run their full padded access
 // sequences regardless.
 //
-// Read-only plans (plan.ReadOnly) run under the shared side of the
-// database lock on a pooled read-slot context, so the server's epoch
-// workers execute them concurrently; everything else — DML, DDL,
-// transactions — takes the exclusive side as before.
+// Read-only plans (plan.ReadOnly) that do not partition run under the
+// shared side of the database lock on a pooled read-slot context, so the
+// server's epoch workers execute them concurrently; everything else —
+// partitioned reads, DML, DDL, transactions — takes the exclusive side.
 func (db *DB) ExecutePlan(root plan.Node, b plan.Binder) (*Result, error) {
-	var ec *execCtx
-	var release func()
-	if plan.ReadOnly(root) {
-		ec, release = db.beginRead()
-	} else {
-		db.lockWrite()
-		ec, release = db.serialCtx, db.mu.Unlock
-	}
+	ec, release := db.begin(root)
 	defer release()
 	if err := db.refuseBroken(); err != nil {
 		return nil, err

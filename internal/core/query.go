@@ -331,19 +331,24 @@ func (db *DB) parallelFor(c *execCtx, in exec.Input, recSize int) ([]*enclave.En
 
 // partitionsFor returns the partition count an operator over in would
 // run with (1 for serial) and the flat table it partitions, changing
-// nothing. An operator runs partitioned when the engine has a pool, the
-// statement holds the exclusive lock (the Split workers are a single
-// shared pool), the input is a flat block array, and the planner finds a
-// partition count ≥ 2 worth the handoff. Every input is a public size.
+// nothing. An operator runs partitioned when the statement holds the
+// exclusive lock (the pool's contexts serve as workers only there), the
+// input is a flat block array, and db.partitions finds a count ≥ 2.
 func (db *DB) partitionsFor(c *execCtx, in exec.Input, recSize int) (*storage.Flat, int) {
-	if !c.serial || len(db.workers) < 2 {
-		return nil, 1
+	if f, ok := exec.AsFlat(in); ok && c.serial {
+		return f, db.partitions(f.NumBlocks(), recSize)
 	}
-	f, ok := exec.AsFlat(in)
-	if !ok {
-		return nil, 1
+	return nil, 1
+}
+
+// partitions is the engine's one splitting rule, for operator dispatch
+// and a read's lock side alike: the planner's partition count for blocks
+// blocks of recSize-byte records over the pool, or 1 without one.
+func (db *DB) partitions(blocks, recSize int) int {
+	if len(db.workers) < 2 {
+		return 1
 	}
-	return f, planner.ChooseParallelism(db.enc, f.NumBlocks(), recSize, len(db.workers))
+	return planner.ChooseParallelism(db.enc, blocks, recSize, len(db.workers))
 }
 
 // AggregateSpec is one aggregate over a named column (empty for COUNT).

@@ -12,10 +12,13 @@ import (
 // TestDifferentialConcurrentReads extends the matrix with the
 // concurrent-read engines the server fans epochs out on: the same seeded
 // workloads, but every run of consecutive queries executes across
-// goroutines on an engine whose read-slot pool is 2 or 4 wide — the
-// exact shape RunEpoch drives at ReadConcurrency ∈ {2, 4} — while a chaff
-// writer hammers a table the queries never read, so shared-side reads
-// genuinely race exclusive-side writes on the engine lock. Workload
+// goroutines on an engine whose context pool is 2 or 4 wide — the exact
+// shape RunEpoch drives at Workers ∈ {2, 4} — while a chaff writer
+// hammers a table the queries never read, so shared-side reads genuinely
+// race exclusive-side writes on the engine lock. At R = 1 t0's 512
+// blocks partition, so the workers-W4-R1 engine's read runs mix reads
+// upgraded to the exclusive side (split over the pool) with read-slot
+// reads. Workload
 // DML applies between runs, like the epoch scheduler's mutation
 // barriers. Every query's multiset must still match the serial
 // reference exactly: a read that ever observes a torn catalog, a
@@ -32,15 +35,27 @@ func TestDifferentialConcurrentReads(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			type engine struct {
 				name string
+				db   *core.DB
 				x    *sql.Executor
+				// split counts reads that ran partitioned on the
+				// exclusive side; wantSplit engines must see at least one.
+				split     int
+				wantSplit bool
 			}
-			engines := []engine{}
-			for _, rc := range []int{2, 4} {
-				db, err := core.Open(core.Config{Seed: seed + 1, ReadConcurrency: rc})
+			engines := []*engine{}
+			for _, c := range []struct {
+				name string
+				cfg  core.Config
+			}{
+				{"readconc-W2", core.Config{Seed: seed + 1, Workers: 2}},
+				{"readconc-W4", core.Config{Seed: seed + 1, Workers: 4}},
+				{"workers-W4-R1", core.Config{Seed: seed + 1, Workers: 4, RowsPerBlock: 1}},
+			} {
+				db, err := core.Open(c.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				engines = append(engines, engine{fmt.Sprintf("readconc-W%d", rc), sql.New(db)})
+				engines = append(engines, &engine{name: c.name, db: db, x: sql.New(db), wantSplit: c.cfg.RowsPerBlock == 1})
 			}
 			ref := NewRef()
 			for _, e := range engines {
@@ -69,13 +84,15 @@ func TestDifferentialConcurrentReads(t *testing.T) {
 				if len(pending) == 0 {
 					return
 				}
+				const chaffWrites = 2
 				for _, e := range engines {
 					var wg sync.WaitGroup
+					before := e.db.LockStats().ExclusiveAcquires
 					// Exclusive-side chaff racing the shared-side reads.
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						for i := 0; i < 2; i++ {
+						for i := 0; i < chaffWrites; i++ {
 							if _, err := e.x.Execute("UPDATE chaff SET a = a + 1"); err != nil {
 								t.Errorf("%s: chaff write: %v", e.name, err)
 								return
@@ -98,6 +115,9 @@ func TestDifferentialConcurrentReads(t *testing.T) {
 						}(pr)
 					}
 					wg.Wait()
+					// Every exclusive acquisition beyond the chaff writes is
+					// a read that upgraded to run partitioned.
+					e.split += int(e.db.LockStats().ExclusiveAcquires-before) - chaffWrites
 				}
 				pending = pending[:0]
 			}
@@ -120,6 +140,11 @@ func TestDifferentialConcurrentReads(t *testing.T) {
 				pending = append(pending, pendingRead{op.SQL, Canon(want.Cols, want.Rows), i})
 			}
 			flush()
+			for _, e := range engines {
+				if e.wantSplit && e.split < 1 {
+					t.Errorf("%s: no read ran partitioned", e.name)
+				}
+			}
 			if t.Failed() {
 				t.FailNow()
 			}

@@ -32,7 +32,7 @@ func TestDifferentialSQLWorkloads(t *testing.T) {
 				if p > 0 {
 					name = fmt.Sprintf("parallel-P%d", p)
 				}
-				db, err := core.Open(core.Config{Seed: seed + 1, Parallelism: p})
+				db, err := core.Open(core.Config{Seed: seed + 1, Workers: p})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -50,7 +50,7 @@ func TestDifferentialSQLWorkloads(t *testing.T) {
 				}
 				engines = append(engines, engine{fmt.Sprintf("packed-R%d", r), sql.New(db)})
 			}
-			dbp, err := core.Open(core.Config{Seed: seed + 1, RowsPerBlock: 4, Parallelism: 2})
+			dbp, err := core.Open(core.Config{Seed: seed + 1, RowsPerBlock: 4, Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

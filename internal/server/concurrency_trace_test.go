@@ -13,7 +13,7 @@ import (
 )
 
 // These tests pin the concurrency tentpole's observability claim: a
-// server running four read slots at once (Engine.ReadConcurrency 4)
+// server running four read slots at once (Engine.Workers 4)
 // publishes exactly the observable stream of the serial server — same
 // epoch slot stream, and the same engine-level untrusted-access profile
 // — for the same workload. The workload is
@@ -50,7 +50,7 @@ func driveWorkload(t *testing.T, workers int, setup func(t *testing.T, x *sql.Ex
 		for i := 0; i < workers; i++ {
 			readTrs = append(readTrs, trace.New())
 		}
-		eng.ReadConcurrency = workers
+		eng.Workers = workers
 		eng.WorkerTracers = readTrs
 	}
 	srv, addr := startServer(t, server.Config{

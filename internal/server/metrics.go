@@ -175,10 +175,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func() float64 { return float64(s.db.Enclave().Used()) })
 	r.GaugeFunc("oblidb_enclave_oblivious_memory_peak_bytes", "high-water mark of reserved oblivious memory",
 		func() float64 { return float64(s.db.Enclave().PeakUsed()) })
-	r.GaugeFunc("oblidb_enclave_workers", "partition-parallel worker enclaves",
-		func() float64 { return float64(s.db.Parallelism()) })
-	r.GaugeFunc("oblidb_engine_read_slots", "concurrent read-slot contexts (public configuration)",
-		func() float64 { return float64(s.db.ReadConcurrency()) })
+	r.GaugeFunc("oblidb_enclave_workers", "pooled enclave contexts: partition workers and read slots (public configuration)",
+		func() float64 { return float64(s.db.Workers()) })
 
 	// Engine lock contention: how often statements took each side of the
 	// database lock, and how many of those acquisitions had to wait.

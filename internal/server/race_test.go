@@ -12,7 +12,7 @@ import (
 )
 
 // TestServedConcurrentReadWrite drives the real served path — scheduler
-// goroutine on its cadence, no Manual crutch — at ReadConcurrency 4 with reader
+// goroutine on its cadence, no Manual crutch — at Workers 4 with reader
 // sessions racing writer sessions, so the read-run dispatch, the
 // mutation barriers, the context pool, and the catalog snapshot all run
 // under genuine concurrency. CI runs this package under the race
@@ -24,7 +24,7 @@ func TestServedConcurrentReadWrite(t *testing.T) {
 	srv, addr := startServer(t, server.Config{
 		EpochSize:     8,
 		EpochInterval: time.Millisecond,
-		Engine:        core.Config{ReadConcurrency: 4},
+		Engine:        core.Config{Workers: 4},
 	})
 	defer srv.Close()
 

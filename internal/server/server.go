@@ -17,9 +17,9 @@
 //
 // All engine access funnels through the epoch scheduler. By default it
 // executes an epoch's slots serially on one goroutine; with
-// core.Config.ReadConcurrency > 1 runs of read slots are dispatched to
-// that many goroutines, each on its own read-slot context. See the
-// concurrency note on core.DB.
+// core.Config.Workers > 1 runs of read slots are dispatched to that many
+// goroutines, each read on its own read-slot context or, when it
+// partitions, alone. See the concurrency note on core.DB.
 package server
 
 import (
@@ -43,17 +43,18 @@ import (
 
 // Config configures a server.
 type Config struct {
-	// Engine configures the underlying database. Its ReadConcurrency also
-	// sets how many slots of one epoch execute at once (0 or 1: serially,
-	// in arrival order). Above 1, maximal runs of consecutive read slots
+	// Engine configures the underlying database. Its Workers also sets
+	// how many slots of one epoch execute at once (0 or 1: serially, in
+	// arrival order). Above 1, maximal runs of consecutive read slots
 	// (SELECTs and padding dummies) fan out to that many goroutines, each
-	// on its own read-slot context; mutation slots and transaction
-	// commits are barriers, executing serially in arrival order between
-	// runs. Statements within one read run may complete in any order —
-	// the protocol already answers by request id, not arrival order — so
-	// clients that need ordering await each result. The observable
-	// stream is unchanged: exactly EpochSize slot executions per epoch,
-	// with slot events recorded before any slot runs.
+	// read on its own read-slot context or, when it partitions, alone
+	// (see core.DB). Mutation slots and transaction commits are barriers,
+	// executing serially in arrival order between runs. Statements within
+	// one read run may complete in any order — the protocol already
+	// answers by request id, not arrival order — so clients that need
+	// ordering await each result. The observable stream is unchanged:
+	// exactly EpochSize slot executions per epoch, with slot events
+	// recorded before any slot runs.
 	Engine core.Config
 	// EpochSize is the number of statement slots per epoch (default 8).
 	EpochSize int
@@ -246,7 +247,7 @@ func New(cfg Config) (*Server, error) {
 	go s.schedule()
 	s.log.Info("server started",
 		"epoch_size", cfg.EpochSize, "epoch_interval", cfg.EpochInterval,
-		"read_concurrency", db.ReadConcurrency(), "manual", cfg.Manual)
+		"workers", db.Workers(), "manual", cfg.Manual)
 	return s, nil
 }
 
@@ -310,7 +311,7 @@ collect:
 			s.cfg.Tracer.Record(s.slotRegion, trace.Write, slot)
 		}
 	}
-	workers := min(s.db.ReadConcurrency(), size)
+	workers := min(s.db.Workers(), size)
 	if workers <= 1 {
 		for slot := 0; slot < size; slot++ {
 			s.executeSlot(slot, batch)
@@ -335,21 +336,22 @@ collect:
 			slot = end
 		}
 	}
-	if s.cfg.Tracer != nil {
-		s.mu.Lock()
-		s.epochs = append(s.epochs, size)
-		s.mu.Unlock()
-	}
 	s.m.occupancy.Observe(float64(len(batch)))
-	s.m.realTotal.Add(uint64(len(batch)))
-	s.m.dummyTotal.Add(uint64(size - len(batch)))
 	// Epoch duration is published only at epoch-interval resolution:
 	// the histogram observes whole intervals elapsed, so its buckets
 	// are a function of the epoch schedule, not of micro-timing.
 	s.m.epochDuration.Observe(float64(time.Since(epochStart) / s.cfg.EpochInterval))
-	// Incremented last, under epochMu: a statement submitted during
+	// The counters publish together under mu, as Stats reads them. The
+	// epoch count goes last, under epochMu: a statement submitted during
 	// epoch N observes submitEpoch ≥ N, never a half-counted epoch.
+	s.mu.Lock()
+	if s.cfg.Tracer != nil {
+		s.epochs = append(s.epochs, size)
+	}
+	s.m.realTotal.Add(uint64(len(batch)))
+	s.m.dummyTotal.Add(uint64(size - len(batch)))
 	s.m.epochsTotal.Inc()
+	s.mu.Unlock()
 	s.log.Debug("epoch complete",
 		"epoch", s.m.epochsTotal.Value(), "real", len(batch), "dummies", size-len(batch))
 }

@@ -252,10 +252,12 @@ func TestIdleServerStillPads(t *testing.T) {
 		EpochSize:     3,
 		EpochInterval: time.Millisecond,
 	})
-	time.Sleep(25 * time.Millisecond)
 	st := srv.Stats()
-	if st.Epochs == 0 {
-		t.Fatal("no epochs ran on an idle server")
+	for deadline := time.Now().Add(5 * time.Second); st.Epochs == 0; st = srv.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatal("no epochs ran on an idle server")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if st.Real != 0 {
 		t.Fatalf("idle server executed %d real statements", st.Real)
@@ -263,6 +265,25 @@ func TestIdleServerStillPads(t *testing.T) {
 	if st.Dummy != st.Epochs*uint64(st.EpochSize) {
 		t.Fatalf("dummy count %d does not fill %d epochs × %d slots",
 			st.Dummy, st.Epochs, st.EpochSize)
+	}
+}
+
+// TestStatsEpochCountersConsistent: Stats publishes an epoch's slot
+// counts and the epoch itself together, so every snapshot of an idle
+// server satisfies Real+Dummy = Epochs×EpochSize, however it interleaves
+// with a fast epoch cadence.
+func TestStatsEpochCountersConsistent(t *testing.T) {
+	srv, _ := startServer(t, server.Config{
+		EpochSize:     3,
+		EpochInterval: 20 * time.Microsecond,
+	})
+	snapshots := 0
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); snapshots++ {
+		st := srv.Stats()
+		if st.Real+st.Dummy != st.Epochs*uint64(st.EpochSize) {
+			t.Fatalf("snapshot %d torn: real %d + dummy %d != %d epochs × %d slots",
+				snapshots, st.Real, st.Dummy, st.Epochs, st.EpochSize)
+		}
 	}
 }
 
@@ -520,7 +541,7 @@ func TestGracefulShutdown(t *testing.T) {
 func TestPooledEpochExecution(t *testing.T) {
 	tr := trace.New()
 	srv, addr := startServer(t, server.Config{
-		Engine:    core.Config{ReadConcurrency: 4},
+		Engine:    core.Config{Workers: 4},
 		EpochSize: 8,
 		Manual:    true,
 		Tracer:    tr,

@@ -17,7 +17,7 @@ import (
 // writers ahead of new readers), silently re-serializing the epoch's
 // read runs; counting acquisitions catches that without any timing.
 func TestSelectsAvoidExclusiveLock(t *testing.T) {
-	db := core.MustOpen(core.Config{Seed: 1, ReadConcurrency: 4})
+	db := core.MustOpen(core.Config{Seed: 1, Workers: 4})
 	x := New(db)
 	if _, err := x.Execute("CREATE TABLE s (k INTEGER, payload VARCHAR(32)) CAPACITY = 256"); err != nil {
 		t.Fatal(err)

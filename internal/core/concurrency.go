@@ -8,6 +8,7 @@ import (
 	"oblidb/internal/enclave"
 	"oblidb/internal/exec"
 	"oblidb/internal/plan"
+	"oblidb/internal/planner"
 	"oblidb/internal/storage"
 )
 
@@ -133,17 +134,20 @@ func (db *DB) LockStats() LockStats {
 }
 
 // begin enters the statement root. A read on an engine with a pool
-// takes the shared lock and, unless it splits, a checked-out read slot
-// whose budget is re-synced to the parent's current availability
-// (standing ORAM reservations included, so operator buffer sizing
-// matches the serial engine) and whose catalog snapshot is the latest
-// published. Every other statement takes the exclusive lock and the
-// serial context, exactly the pre-concurrency engine. The returned
-// release undoes both.
+// takes the shared lock and prices its plan with planner.Parallelism —
+// the walk EXPLAIN annotates with, writing nothing, since compiled plans
+// are shared. A read whose operators would all run serially checks out a
+// read slot whose budget is re-synced to the parent's current
+// availability (standing ORAM reservations included, so operator buffer
+// sizing matches the serial engine) and whose catalog snapshot is the
+// latest published. A read with an operator at P ≥ 2 trades the shared
+// side for the exclusive one and runs partitioned on the serial context;
+// so does every other statement, exactly the pre-concurrency engine. The
+// returned release undoes both.
 func (db *DB) begin(root plan.Node) (*execCtx, func()) {
 	if db.readCtxs != nil && plan.ReadOnly(root) {
 		db.lockShared()
-		if !db.splits(root) {
+		if planner.Parallelism(root, lockedCatalog{db}, db.enc, db.cfg.Planner, db.Workers()) < 2 {
 			ctx := <-db.readCtxs
 			ctx.enc.Rebudget(db.enc.Available())
 			ctx.snap = db.snap.Load()
@@ -158,31 +162,4 @@ func (db *DB) begin(root plan.Node) (*execCtx, func()) {
 	}
 	db.lockWrite()
 	return db.serialCtx, db.mu.Unlock
-}
-
-// splits reports whether a plan has a Scan or IndexScan leaf that
-// resolves to a flat base table db.partitions would split (an index-served
-// IndexScan reads an intermediate instead). It reads the plan without
-// annotating it: compiled plans are shared.
-func (db *DB) splits(n plan.Node) bool {
-	var name string
-	var key *KeyRange
-	switch x := n.(type) {
-	case *plan.Scan:
-		name = x.Table
-	case *plan.IndexScan:
-		name, key = x.Table, &KeyRange{Lo: x.Range.Lo, Hi: x.Range.Hi}
-	default:
-		for _, c := range plan.Children(n) {
-			if db.splits(c) {
-				return true
-			}
-		}
-		return false
-	}
-	t, err := db.lookup(name)
-	if err != nil || t.flat == nil || db.useIndexFor(t, key) {
-		return false
-	}
-	return db.partitions(t.flat.NumBlocks(), t.schema.RecordSize()) > 1
 }

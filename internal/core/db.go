@@ -130,9 +130,9 @@ type Config struct {
 // transactions and EXPLAIN take the exclusive side — one at a time,
 // exactly the seed engine — and run on the engine's own context, whose
 // operators partition over the pool of Config.Workers contexts. A read
-// statement takes the shared side first. If one of its plan's
-// Scan/IndexScan leaves resolves to a flat base table the planner would
-// split (db.partitions), it trades the shared side for the exclusive one
+// statement takes the shared side first and prices its plan with
+// planner.Parallelism, the walk behind EXPLAIN's P=. If some operator
+// would run at P ≥ 2, it trades the shared side for the exclusive one
 // and runs partitioned; every other read checks out one pooled context
 // as a read slot, so up to Workers small reads run truly in parallel.
 // A read slot carries its own enclave context (sealer, tracer,

@@ -35,61 +35,113 @@ func sortedIDs(res *Result) []int64 {
 	return out
 }
 
+// seedKeyed loads an n-row [id, val] table "t" of the given storage
+// kind, keyed on id unless it is flat.
+func seedKeyed(t *testing.T, db *DB, kind StorageKind, n int) {
+	t.Helper()
+	s := table.MustSchema(
+		table.Column{Name: "id", Kind: table.KindInt},
+		table.Column{Name: "val", Kind: table.KindInt},
+	)
+	opts := TableOptions{Kind: kind, Capacity: n}
+	if kind != KindFlat {
+		opts.KeyColumn = "id"
+	}
+	if _, err := db.CreateTable("t", s, opts); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]table.Row, n)
+	for i := range rows {
+		rows[i] = table.Row{table.Int(int64(i)), table.Int(int64(i % 17))}
+	}
+	if err := db.BulkLoad("t", rows); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestOpenRejectsBothPools pins the one-pool contract: Workers sizes a
 // single pool whose contexts serve as partition workers and as read
-// slots. A read of a table the planner splits takes the exclusive side
-// and runs partitioned, as EXPLAIN's P= says; a read of a small table
-// takes one read slot and never the exclusive side.
+// slots. A read takes the exclusive side exactly when EXPLAIN gives one
+// of its operators P ≥ 2, and then runs partitioned over at least two
+// workers; every other read takes one read slot and never the exclusive
+// side.
 func TestOpenRejectsBothPools(t *testing.T) {
-	pred := func(r table.Row) bool { return r[1].AsInt() == 5 }
+	pred := table.Pred(func(r table.Row) bool { return r[1].AsInt() == 5 })
+	selectT := func() plan.Node {
+		return &plan.Collect{Input: &plan.Filter{Input: &plan.Scan{Table: "t"}, Cond: pred}}
+	}
 	for _, tc := range []struct {
-		rows               int
-		exclusive          uint64
-		minBusy, maxBusy   int
-		explainP, explainN string
+		name  string
+		kind  StorageKind
+		rows  int
+		plan  func() plan.Node
+		split bool // EXPLAIN shows P=4, one exclusive acquisition, ≥ 2 busy workers
 	}{
-		{rows: 256, exclusive: 1, minBusy: 2, maxBusy: 4, explainP: "P=4"},
-		{rows: 16, exclusive: 0, minBusy: 1, maxBusy: 1, explainN: "P="},
+		{name: "flat-256", kind: KindFlat, rows: 256, plan: selectT, split: true},
+		{name: "flat-16", kind: KindFlat, rows: 16, plan: selectT},
+		// An index-only table's full scan materializes a flat
+		// intermediate the select then partitions.
+		{name: "indexed-256", kind: KindIndexed, rows: 256, plan: selectT, split: true},
+		// An index-served range materializes only its three rows.
+		{name: "index-range-256", kind: KindBoth, rows: 256, plan: func() plan.Node {
+			return &plan.Collect{Input: &plan.Filter{
+				Input: &plan.IndexScan{Table: "t", KeyCol: "id", Range: plan.KeyRange{Lo: 3, Hi: 5}}, Cond: pred}}
+		}},
+		// The sort's copy pass and network never partition.
+		{name: "sort-256", kind: KindFlat, rows: 256, plan: func() plan.Node {
+			return &plan.Collect{Input: &plan.Sort{Input: &plan.Filter{Input: &plan.Scan{Table: "t"}, Cond: pred}}}
+		}},
+		{name: "aggregate-256", kind: KindFlat, rows: 256, split: true, plan: func() plan.Node {
+			return &plan.Aggregate{Input: &plan.Filter{Input: &plan.Scan{Table: "t"}, Cond: pred},
+				Specs: []plan.AggSpec{{Kind: exec.AggCount}, {Kind: exec.AggSum, Column: "id"}}}
+		}},
+		// A fused aggregate over a join output partitions that output.
+		{name: "join-aggregate-256", kind: KindFlat, rows: 256, split: true, plan: func() plan.Node {
+			join := &plan.Join{Left: &plan.Scan{Table: "t"}, Right: &plan.Scan{Table: "t"},
+				LeftTable: "t", RightTable: "t", LeftCol: "id", RightCol: "id"}
+			return &plan.Aggregate{Input: &plan.Filter{Input: join}, Specs: []plan.AggSpec{{Kind: exec.AggCount}}}
+		}},
 	} {
-		t.Run(fmt.Sprintf("rows=%d", tc.rows), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			wts := []*trace.Tracer{trace.New(), trace.New(), trace.New(), trace.New()}
 			db := MustOpen(Config{Workers: 4, WorkerTracers: wts, RowsPerBlock: 1})
 			serial := MustOpen(Config{RowsPerBlock: 1})
-			seedBig(t, db, tc.rows)
-			seedBig(t, serial, tc.rows)
+			seedKeyed(t, db, tc.kind, tc.rows)
+			seedKeyed(t, serial, tc.kind, tc.rows)
+			explain := strings.Join(db.ExplainPlan(tc.plan()), "\n")
+			if got := strings.Contains(explain, "P=4"); got != tc.split {
+				t.Fatalf("EXPLAIN shows P=4: %v, want %v:\n%s", got, tc.split, explain)
+			}
+			if !tc.split && strings.Contains(explain, "P=") {
+				t.Fatalf("EXPLAIN shows a partition count on an unsplit read:\n%s", explain)
+			}
 			for _, w := range wts {
 				w.Reset()
 			}
 			before := db.LockStats()
-			got, err := db.Select("t", pred, SelectOptions{})
+			got, err := db.ExecutePlan(tc.plan(), funcBinder{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := db.LockStats().ExclusiveAcquires - before.ExclusiveAcquires; n != tc.exclusive {
-				t.Fatalf("read took the exclusive side %d times, want %d", n, tc.exclusive)
-			}
+			exclusive := db.LockStats().ExclusiveAcquires - before.ExclusiveAcquires
 			busy := 0
 			for _, w := range wts {
 				if w.Len() > 0 {
 					busy++
 				}
 			}
-			if busy < tc.minBusy || busy > tc.maxBusy {
-				t.Fatalf("read recorded on %d worker tracers, want %d..%d", busy, tc.minBusy, tc.maxBusy)
+			if tc.split && (exclusive != 1 || busy < 2) {
+				t.Fatalf("split read: %d exclusive acquisitions, %d busy workers; want 1 and ≥ 2", exclusive, busy)
 			}
-			want, err := serial.Select("t", pred, SelectOptions{})
+			if !tc.split && (exclusive != 0 || busy != 1) {
+				t.Fatalf("slot read: %d exclusive acquisitions, %d busy workers; want 0 and 1", exclusive, busy)
+			}
+			want, err := serial.ExecutePlan(tc.plan(), funcBinder{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if fmt.Sprint(sortedIDs(got)) != fmt.Sprint(sortedIDs(want)) {
 				t.Fatalf("pooled read %v, serial %v", sortedIDs(got), sortedIDs(want))
-			}
-			explain := strings.Join(db.ExplainPlan(&plan.Collect{Input: &plan.Filter{Input: &plan.Scan{Table: "t"}, Cond: table.Pred(pred)}}), "\n")
-			if tc.explainP != "" && !strings.Contains(explain, tc.explainP) {
-				t.Fatalf("EXPLAIN lacks %s:\n%s", tc.explainP, explain)
-			}
-			if tc.explainN != "" && strings.Contains(explain, tc.explainN) {
-				t.Fatalf("EXPLAIN shows %s on an unsplit read:\n%s", tc.explainN, explain)
 			}
 		})
 	}

@@ -333,22 +333,13 @@ func (db *DB) parallelFor(c *execCtx, in exec.Input, recSize int) ([]*enclave.En
 // run with (1 for serial) and the flat table it partitions, changing
 // nothing. An operator runs partitioned when the statement holds the
 // exclusive lock (the pool's contexts serve as workers only there), the
-// input is a flat block array, and db.partitions finds a count ≥ 2.
+// input is a flat block array, and planner.ChooseParallelism — the rule
+// EXPLAIN's P= and a read's lock side come from — finds a count ≥ 2.
 func (db *DB) partitionsFor(c *execCtx, in exec.Input, recSize int) (*storage.Flat, int) {
 	if f, ok := exec.AsFlat(in); ok && c.serial {
-		return f, db.partitions(f.NumBlocks(), recSize)
+		return f, planner.ChooseParallelism(db.enc, f.NumBlocks(), recSize, len(db.workers))
 	}
 	return nil, 1
-}
-
-// partitions is the engine's one splitting rule, for operator dispatch
-// and a read's lock side alike: the planner's partition count for blocks
-// blocks of recSize-byte records over the pool, or 1 without one.
-func (db *DB) partitions(blocks, recSize int) int {
-	if len(db.workers) < 2 {
-		return 1
-	}
-	return planner.ChooseParallelism(db.enc, blocks, recSize, len(db.workers))
 }
 
 // AggregateSpec is one aggregate over a named column (empty for COUNT).

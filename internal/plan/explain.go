@@ -33,7 +33,7 @@ func Explain(root Node) []string {
 				childPrefix += "│  "
 			}
 		}
-		kids := Children(n)
+		kids := children(n)
 		for i, k := range kids {
 			walk(k, childPrefix, i == len(kids)-1, false)
 		}
@@ -42,8 +42,8 @@ func Explain(root Node) []string {
 	return lines
 }
 
-// Children lists a node's inputs in display order.
-func Children(n Node) []Node {
+// children lists a node's inputs in display order.
+func children(n Node) []Node {
 	switch x := n.(type) {
 	case *Filter:
 		return []Node{x.Input}

@@ -20,105 +20,131 @@ import (
 // stats scan that learns the exact |R| runs only at execution); their
 // Choice is marked Estimated. Join, sort, and limit decisions depend on
 // sizes alone, so their annotations are the runtime picks.
+//
+// A node's Parallelism is the partition count its operator runs with
+// under the engine's exclusive lock, priced from the same padded sizes
+// as its cost. Only operators with a partitioned variant get one above
+// 1: a SELECT whose algorithm has one, the fused scan of an Aggregate or
+// GroupBy, and the hash join's probe side.
 func Annotate(root plan.Node, cat plan.Catalog, e *enclave.Enclave, cfg Config, maxWorkers int) {
-	annotate(root, cat, e, cfg, maxWorkers, false)
+	a := annotator{cat: cat, e: e, cfg: cfg, maxWorkers: maxWorkers, write: true}
+	a.walk(root, ownSelect)
+}
+
+// Parallelism returns the largest Parallelism Annotate would give any
+// node of the plan, writing nothing: compiled plans are shared across
+// concurrent executions, so a statement may price its plan but never
+// annotate it outside the exclusive lock.
+func Parallelism(root plan.Node, cat plan.Catalog, e *enclave.Enclave, cfg Config, maxWorkers int) int {
+	a := annotator{cat: cat, e: e, cfg: cfg, maxWorkers: maxWorkers, maxP: 1}
+	a.walk(root, ownSelect)
+	return a.maxP
+}
+
+// annotator carries one walk's public inputs; write says whether it
+// fills the nodes' Choices or only tracks their largest Parallelism.
+type annotator struct {
+	cat              plan.Catalog
+	e                *enclave.Enclave
+	cfg              Config
+	maxWorkers, maxP int
+	write            bool
+}
+
+// set records one node's Choice.
+func (a *annotator) set(dst *plan.Choice, c plan.Choice) {
+	a.maxP = max(a.maxP, c.Parallelism)
+	if a.write {
+		*dst = c
+	}
 }
 
 // nodeInfo is the public size estimate a subtree produces.
 type nodeInfo struct {
-	blocks  int // output size in sealed blocks (padded estimate)
-	rows    int // output row slots (blocks × rpb)
-	rpb     int // packing factor R of the output
-	recSize int // output record size in bytes
+	blocks      int // output size in sealed blocks (padded estimate)
+	rows        int // output row slots (blocks × rpb)
+	rpb         int // packing factor R of the output
+	recSize     int // output record size in bytes
+	splitBlocks int // blocks an operator over the output reads: blocks, or an index-served range's
 }
 
 // geom fills a nodeInfo's derived fields from rows and R.
 func geom(rows, rpb, recSize int) nodeInfo {
-	if rpb < 1 {
-		rpb = 1
-	}
-	return nodeInfo{
-		blocks:  (rows + rpb - 1) / rpb,
-		rows:    rows,
-		rpb:     rpb,
-		recSize: recSize,
-	}
+	rpb = max(rpb, 1)
+	blocks := (rows + rpb - 1) / rpb
+	return nodeInfo{blocks: blocks, rows: rows, rpb: rpb, recSize: recSize, splitBlocks: blocks}
 }
 
-// fused marks a Filter that is the direct input of an Aggregate,
-// GroupBy, or Sort: the interpreter folds its predicate into that
-// operator's own scan, so no SELECT algorithm runs and no intermediate
-// table exists.
-func annotate(n plan.Node, cat plan.Catalog, e *enclave.Enclave, cfg Config, maxWorkers int, fused bool) nodeInfo {
-	rec := func(child plan.Node) nodeInfo { return annotate(child, cat, e, cfg, maxWorkers, false) }
-	recFused := func(child plan.Node) nodeInfo { return annotate(child, cat, e, cfg, maxWorkers, true) }
+// filterMode says where a Filter's predicate runs: in its own SELECT,
+// or fused into the one scan of the operator it feeds, which partitions
+// (Aggregate, GroupBy) or not (Sort).
+type filterMode int
+
+const (
+	ownSelect filterMode = iota
+	fusedSplit
+	fusedSerial
+)
+
+func (a *annotator) walk(n plan.Node, mode filterMode) nodeInfo {
 	switch x := n.(type) {
 	case *plan.Scan:
-		m, ok := cat.TableMeta(x.Table)
+		m, ok := a.cat.TableMeta(x.Table)
 		if !ok {
 			return nodeInfo{}
 		}
-		x.InBlocks, x.OutBlocks = m.Blocks, m.Blocks
-		x.RowsPerBlock = m.RowsPerBlock
+		a.set(&x.Choice, plan.Choice{InBlocks: m.Blocks, OutBlocks: m.Blocks, RowsPerBlock: m.RowsPerBlock})
 		return geom(m.Rows, m.RowsPerBlock, m.RecordSize)
 	case *plan.IndexScan:
-		m, ok := cat.TableMeta(x.Table)
+		m, ok := a.cat.TableMeta(x.Table)
 		if !ok {
 			return nodeInfo{}
 		}
 		// Price the two §3 storage methods against each other: full flat
 		// scan vs. ORAM-backed B+ tree descent. Choosing the index leaks
-		// the scanned segment's size (the conceded leakage of §4.1); the
-		// materialized output is still padded to the whole table, and
-		// range-scan materializations repack at the engine's geometry,
-		// which the catalog reports per table.
+		// the scanned segment's size (the conceded leakage of §4.1). The
+		// output is priced padded to the whole table, at the geometry the
+		// catalog reports per table; an operator over an index-served
+		// range reads only the range's materialized rows, at most its
+		// width, so that bounds the operator's partitions.
 		ch := ChooseAccess(m, x.Range)
-		x.IndexCost, x.FlatCost = ch.IndexCost, ch.FlatCost
+		c := plan.Choice{Algorithm: "FlatScan", Cost: ch.FlatCost, Estimated: true,
+			InBlocks: m.Blocks, OutBlocks: m.Blocks, RowsPerBlock: m.RowsPerBlock}
+		out := geom(m.Rows, m.RowsPerBlock, m.RecordSize)
 		if ch.UseIndex {
-			x.Algorithm, x.Cost = "IndexRange", ch.IndexCost
-		} else {
-			x.Algorithm, x.Cost = "FlatScan", ch.FlatCost
+			c.Algorithm, c.Cost = "IndexRange", ch.IndexCost
+			out.splitBlocks = geom(rangeRows(x.Range, m.Rows), m.RowsPerBlock, m.RecordSize).blocks
 		}
-		x.Estimated = true
-		x.InBlocks, x.OutBlocks = m.Blocks, m.Blocks
-		x.RowsPerBlock = m.RowsPerBlock
-		return geom(m.Rows, m.RowsPerBlock, m.RecordSize)
+		if a.write {
+			x.IndexCost, x.FlatCost = ch.IndexCost, ch.FlatCost
+		}
+		a.set(&x.Choice, c)
+		return out
 	case *plan.Filter:
-		in := rec(x.Input)
-		if fused {
-			// The parent operator's scan evaluates this predicate in
-			// its own single pass; no SELECT algorithm runs.
-			x.Algorithm, x.Estimated = "FusedScan", false
-			x.InBlocks, x.OutBlocks = in.blocks, in.blocks
-			x.RowsPerBlock = in.rpb
-			x.Parallelism = ChooseParallelism(e, in.blocks, in.recSize, maxWorkers)
-			x.Cost = int64(in.blocks)
-			return in
+		in := a.walk(x.Input, ownSelect)
+		// A fused Filter's predicate runs in the single scan of the
+		// operator it feeds; no SELECT algorithm runs.
+		c := plan.Choice{Algorithm: "FusedScan", InBlocks: in.blocks, OutBlocks: in.blocks,
+			RowsPerBlock: in.rpb, Cost: int64(in.blocks)}
+		split := mode == fusedSplit
+		if mode == ownSelect {
+			st := SelectStats{InputBlocks: in.blocks, InputRows: in.rows, RowsPerBlock: in.rpb, Matching: in.rows}
+			alg, cost := chooseSelectCost(a.e, in.recSize, st, a.cfg)
+			if x.Force != nil {
+				alg, cost = *x.Force, SelectCost(*x.Force, a.e, in.recSize, st, a.cfg)
+			}
+			c.Algorithm, c.Estimated, c.Cost = alg.String(), x.Force == nil, finiteCost(cost)
+			// The runtime pick replaces an estimate, so only a forced
+			// algorithm without a parallel variant rules partitions out.
+			split = x.Force == nil || exec.ParallelizableSelect(alg)
 		}
-		st := SelectStats{
-			InputBlocks:  in.blocks,
-			InputRows:    in.rows,
-			RowsPerBlock: in.rpb,
-			Matching:     in.rows,
+		if split {
+			c.Parallelism = ChooseParallelism(a.e, in.splitBlocks, in.recSize, a.maxWorkers)
 		}
-		var alg exec.SelectAlgorithm
-		var cost float64
-		if x.Force != nil {
-			alg = *x.Force
-			cost = SelectCost(alg, e, in.recSize, st, cfg)
-			x.Estimated = false
-		} else {
-			alg, cost = chooseSelectCost(e, in.recSize, st, cfg)
-			x.Estimated = true
-		}
-		x.Algorithm = alg.String()
-		x.InBlocks, x.OutBlocks = in.blocks, in.blocks
-		x.RowsPerBlock = in.rpb
-		x.Parallelism = ChooseParallelism(e, in.blocks, in.recSize, maxWorkers)
-		x.Cost = finiteCost(cost)
+		a.set(&x.Choice, c)
 		return in
 	case *plan.Join:
-		l, r := rec(x.Left), rec(x.Right)
+		l, r := a.walk(x.Left, ownSelect), a.walk(x.Right, ownSelect)
 		sizes := JoinSizes{
 			T1Blocks:      l.blocks,
 			T2Blocks:      r.blocks,
@@ -132,35 +158,31 @@ func annotate(n plan.Node, cat plan.Catalog, e *enclave.Enclave, cfg Config, max
 		if x.Force != nil {
 			alg, cost = *x.Force, math.NaN()
 		} else {
-			alg, cost = chooseJoinCost(e, sizes)
+			alg, cost = chooseJoinCost(a.e, sizes)
 		}
-		x.Algorithm = alg.String()
-		x.InBlocks = l.blocks + r.blocks
-		x.OutBlocks = l.blocks + r.blocks
 		// Output geometry matches execution: the hash join's output
 		// inherits the probe side's R, the sort-merge joins the primary
-		// side's.
-		outRpb := l.rpb
+		// side's. Only the hash join partitions, over its probe side.
+		c := plan.Choice{Algorithm: alg.String(), InBlocks: l.blocks + r.blocks,
+			OutBlocks: l.blocks + r.blocks, RowsPerBlock: l.rpb, Cost: finiteCost(cost)}
 		if alg == exec.JoinHash {
-			outRpb = r.rpb
+			c.RowsPerBlock = r.rpb
+			c.Parallelism = ChooseParallelism(a.e, r.splitBlocks, r.recSize, a.maxWorkers)
 		}
-		x.RowsPerBlock = outRpb
-		x.Cost = finiteCost(cost)
-		return geom(l.rows+r.rows, outRpb, l.recSize+r.recSize)
+		a.set(&x.Choice, c)
+		return geom(l.rows+r.rows, c.RowsPerBlock, l.recSize+r.recSize)
 	case *plan.Aggregate:
-		in := recFused(x.Input)
+		in := a.walk(x.Input, fusedSplit)
 		return geom(1, 1, in.recSize)
 	case *plan.GroupBy:
-		in := recFused(x.Input)
-		x.Algorithm = "HashGroup"
-		x.InBlocks, x.OutBlocks = in.blocks, in.blocks
-		x.RowsPerBlock = in.rpb
-		x.Cost = int64(in.blocks)
+		in := a.walk(x.Input, fusedSplit)
+		a.set(&x.Choice, plan.Choice{Algorithm: "HashGroup", InBlocks: in.blocks, OutBlocks: in.blocks,
+			RowsPerBlock: in.rpb, Cost: int64(in.blocks)})
 		return in
 	case *plan.Sort:
-		in := recFused(x.Input)
+		in := a.walk(x.Input, fusedSerial)
 		n2 := exec.NextPow2(maxInt(1, in.rows))
-		chunk := exec.FloorPow2(e.Available() / maxInt(1, in.recSize))
+		chunk := exec.FloorPow2(a.e.Available() / maxInt(1, in.recSize))
 		if chunk < 1 {
 			chunk = 1
 		}
@@ -168,10 +190,6 @@ func annotate(n plan.Node, cat plan.Catalog, e *enclave.Enclave, cfg Config, max
 			chunk = n2
 		}
 		out := geom(n2, in.rpb, in.recSize)
-		x.Algorithm = "BitonicSort"
-		x.InBlocks, x.OutBlocks = in.blocks, out.blocks
-		x.RowsPerBlock = in.rpb
-		x.Parallelism = 1
 		// Fill pass (one read per input block, one write per scratch
 		// record), the record-granular network's passes at two accesses
 		// per record per pass, then — at R > 1 only — the emit pass that
@@ -181,15 +199,17 @@ func annotate(n plan.Node, cat plan.Catalog, e *enclave.Enclave, cfg Config, max
 		if in.rpb > 1 {
 			emit = int64(n2) + int64(out.blocks)
 		}
-		x.Cost = int64(in.blocks+n2) + int64(2*n2)*int64(sortNetworkPasses(n2, chunk)) + emit
+		a.set(&x.Choice, plan.Choice{Algorithm: "BitonicSort", InBlocks: in.blocks, OutBlocks: out.blocks,
+			RowsPerBlock: in.rpb, Parallelism: 1,
+			Cost: int64(in.blocks+n2) + int64(2*n2)*int64(sortNetworkPasses(n2, chunk)) + emit})
 		return out
 	case *plan.Limit:
-		in := rec(x.Input)
+		in := a.walk(x.Input, ownSelect)
 		return geom(x.N, in.rpb, in.recSize)
 	case *plan.Project:
-		return rec(x.Input)
+		return a.walk(x.Input, ownSelect)
 	case *plan.Collect:
-		return rec(x.Input)
+		return a.walk(x.Input, ownSelect)
 	case *plan.Update, *plan.Delete, *plan.Insert:
 		// DML nodes carry no Choice: their operators are fixed
 		// full-scan (or index-ranged) passes.

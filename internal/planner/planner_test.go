@@ -5,6 +5,7 @@ import (
 
 	"oblidb/internal/enclave"
 	"oblidb/internal/exec"
+	"oblidb/internal/plan"
 	"oblidb/internal/storage"
 	"oblidb/internal/table"
 	"oblidb/internal/trace"
@@ -199,5 +200,42 @@ func TestChooseParallelism(t *testing.T) {
 	tight.Reserve(1)
 	if p := ChooseParallelism(tight, 4096, 64, 8); p != 1 {
 		t.Fatalf("memory-starved engine chose P=%d, want 1", p)
+	}
+}
+
+// metaCatalog serves fixed table metadata.
+type metaCatalog map[string]plan.TableMeta
+
+func (c metaCatalog) TableMeta(name string) (plan.TableMeta, bool) {
+	m, ok := c[name]
+	return m, ok
+}
+
+// TestParallelismWritesNothing pins the read-side walk: it returns the
+// largest P that Annotate writes, leaves the shared plan untouched, and
+// counts only operators that partition (a Sort's fused scan does not).
+func TestParallelismWritesNothing(t *testing.T) {
+	e := enclave.MustNew(enclave.Config{})
+	cat := metaCatalog{"t": {Blocks: 4096, Rows: 4096, RowsPerBlock: 1, RecordSize: 64, HasFlat: true}}
+	agg := &plan.Filter{Input: &plan.Scan{Table: "t"}}
+	sorted := &plan.Filter{Input: &plan.Scan{Table: "t"}}
+	for _, tc := range []struct {
+		root   plan.Node
+		filter *plan.Filter
+		want   int
+	}{
+		{&plan.Aggregate{Input: agg}, agg, 8},
+		{&plan.Collect{Input: &plan.Sort{Input: sorted}}, sorted, 1},
+	} {
+		if p := Parallelism(tc.root, cat, e, Config{}, 8); p != tc.want {
+			t.Fatalf("%T: Parallelism = %d, want %d", tc.root, p, tc.want)
+		}
+		if tc.filter.Choice != (plan.Choice{}) {
+			t.Fatalf("%T: Parallelism wrote %+v into the plan", tc.root, tc.filter.Choice)
+		}
+		Annotate(tc.root, cat, e, Config{}, 8)
+		if got := max(1, tc.filter.Parallelism); got != tc.want {
+			t.Fatalf("%T: Annotate wrote P=%d, Parallelism said %d", tc.root, got, tc.want)
+		}
 	}
 }

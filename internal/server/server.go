@@ -614,7 +614,10 @@ func (s *Server) Pending() int { return len(s.jobs) }
 // Stats reports the server's public counters, including the SQL layer's
 // plan-cache counters, the engine's per-algorithm pick tallies (plan
 // choices are already-conceded leakage, §2.3), and the full
-// metric-registry snapshot as MetricsJSON.
+// metric-registry snapshot as MetricsJSON. Epochs, Real and Dummy are
+// published together, so Real+Dummy = Epochs×EpochSize in every reply;
+// MetricsJSON, like a /metrics scrape, reads each counter on its own
+// (its gauges take mu) and may straddle an epoch.
 func (s *Server) Stats() wire.Stats {
 	cache := s.exec.CacheStats()
 	picks := enginePicks(s.db.PlanStats())

@@ -1,0 +1,291 @@
+package core
+
+import (
+	"fmt"
+	"path/filepath"
+	"testing"
+
+	"oblidb/internal/crypt"
+	"oblidb/internal/faultstore"
+	"oblidb/internal/oberr"
+	"oblidb/internal/plan"
+	"oblidb/internal/table"
+	"oblidb/internal/wal"
+)
+
+// runEngine opens a journaled engine holding a flat-and-index table bb
+// of eight rows and a flat-only table bf of twelve, both at capacity
+// 16, which the run below outgrows for bf.
+func runEngine(t *testing.T, key []byte, inj *faultstore.Injector) (*DB, string) {
+	t.Helper()
+	cfg := Config{Key: key, Seed: 7, RowsPerBlock: 4}
+	if inj != nil {
+		cfg.Fault = inj
+	}
+	db := MustOpen(cfg)
+	s := walTestSchema()
+	for _, tc := range []struct {
+		name string
+		rows int
+		opts TableOptions
+	}{
+		{"bb", 8, TableOptions{Kind: KindBoth, KeyColumn: "id", Capacity: 16}},
+		{"bf", 12, TableOptions{Capacity: 16}},
+	} {
+		if _, err := db.CreateTable(tc.name, s, tc.opts); err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]table.Row, tc.rows)
+		for i := range rows {
+			rows[i] = table.Row{table.Int(int64(i)), table.Str(fmt.Sprintf("%s%d", tc.name, i))}
+		}
+		if err := db.BulkLoad(tc.name, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "run.wal")
+	if err := db.AttachWAL(openTestLog(t, path, key, wal.Options{})); err != nil {
+		t.Fatal(err)
+	}
+	return db, path
+}
+
+// writeRun is a run of writes: on the flat-only bf, inserts that
+// outgrow it, so its flush expands the table first, and an unkeyed
+// delete and update; with index set, also on the flat-and-index bb, a
+// delete of a row the run inserted and keyed and unkeyed updates and
+// deletes.
+func writeRun(index bool) []PlanBinding {
+	ins := func(name string, keys ...int64) PlanBinding {
+		exprs := make([][]plan.Expr, len(keys))
+		for i, k := range keys {
+			exprs[i] = []plan.Expr{table.Row{table.Int(k), table.Str(fmt.Sprintf("new%d", k))}}
+		}
+		return PlanBinding{&plan.Insert{Table: name, Rows: exprs}, funcBinder{}}
+	}
+	del := func(name string, pred table.Pred, key *KeyRange) PlanBinding {
+		return PlanBinding{&plan.Delete{Table: name, Cond: predExpr(pred), Key: planRange(key)}, funcBinder{}}
+	}
+	upd := func(name string, pred table.Pred) PlanBinding {
+		set := table.Updater(func(r table.Row) table.Row { r[1] = table.Str("upd"); return r })
+		return PlanBinding{&plan.Update{Table: name, Sets: []plan.SetExpr{{Value: set}}, Cond: predExpr(pred)}, funcBinder{}}
+	}
+	below := func(n int64) table.Pred { return func(r table.Row) bool { return r[0].AsInt() < n } }
+	run := []PlanBinding{
+		ins("bf", 200, 201, 202, 203, 204),
+		del("bf", func(r table.Row) bool { return r[0].AsInt() == 1 || r[0].AsInt() == 201 }, nil),
+		upd("bf", below(4)),
+		ins("bf", 205),
+	}
+	if index {
+		run = append(run,
+			ins("bb", 100, 101),
+			del("bb", table.All, Point(100)),
+			upd("bb", below(3)),
+			ins("bb", 102, 103, 104, 105),
+			del("bb", func(r table.Row) bool { return r[0].AsInt() >= 5 && r[0].AsInt() < 100 }, nil),
+			ins("bf", 206),
+		)
+	}
+	return run
+}
+
+// runState snapshots both tables.
+func runState(t *testing.T, db *DB) []string {
+	t.Helper()
+	return append(snapshotRows(t, db, "bb"), snapshotRows(t, db, "bf")...)
+}
+
+// TestWriteRunMatchesOneAtATime: a run through ExecutePlanBatch answers
+// and leaves both tables exactly as its statements executed one at a
+// time, with one journal commit for the run.
+func TestWriteRunMatchesOneAtATime(t *testing.T) {
+	key := crypt.NewRandomKey()
+	one, _ := runEngine(t, key, nil)
+	var want []int
+	for _, it := range writeRun(true) {
+		res, err := one.ExecutePlan(it.Root, it.Binder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, int(res.Rows[0][0].AsInt()))
+	}
+	db, _ := runEngine(t, key, nil)
+	commits := db.WALStats().Commits
+	res, errs := db.ExecutePlanBatch(writeRun(true))
+	for i := range want {
+		if errs[i] != nil {
+			t.Fatalf("statement %d: %v", i, errs[i])
+		}
+		if got := int(res[i].Rows[0][0].AsInt()); got != want[i] {
+			t.Fatalf("statement %d: %d affected in the run, %d one at a time", i, got, want[i])
+		}
+	}
+	if got, w := runState(t, db), runState(t, one); rowsDiffer(got, w) {
+		t.Fatalf("run left\n%v\none at a time\n%v", got, w)
+	}
+	if n := db.WALStats().Commits - commits; n != 1 {
+		t.Fatalf("run made %d journal commits, want 1", n)
+	}
+}
+
+// TestFaultInWriteRunContained sweeps one store fault over every access
+// of a write run — its index work, its flat-only match passes, the
+// growth copy and the batched flat passes. A fault in the flat tables
+// is always contained: the whole run answers CodeStoreFault and is a
+// no-op, both tables and the journal keep their pre-run rows, the
+// engine is not latched, and the retried run lands exactly as the
+// fault-free one. A fault inside an index ORAM operation may instead
+// latch the engine (its undo cannot replay over a torn ORAM step, as
+// for a single statement); then the journal must still recover the
+// pre-run rows, and the run retried there lands.
+func TestFaultInWriteRunContained(t *testing.T) {
+	for _, index := range []bool{false, true} {
+		t.Run(fmt.Sprintf("index=%v", index), func(t *testing.T) {
+			key := crypt.NewRandomKey()
+			counter := faultstore.NewInjector(faultstore.Schedule{})
+			ref, _ := runEngine(t, key, counter)
+			from := counter.Accesses()
+			if _, errs := ref.ExecutePlanBatch(writeRun(index)); errs[0] != nil {
+				t.Fatal(errs[0])
+			}
+			to := counter.Accesses()
+			post := runState(t, ref)
+			untouched, _ := runEngine(t, key, nil)
+			pre := runState(t, untouched)
+			// The index run's ORAM work runs to thousands of accesses:
+			// sample it, and sweep the flat-only run whole.
+			stride := uint64(1)
+			if index {
+				stride = (to-from)/150 + 1
+			}
+			if testing.Short() {
+				stride = (to-from)/40 + 1
+			}
+			latched := 0
+			for k := from; k < to; k += stride {
+				inj := faultstore.NewInjector(faultstore.Schedule{FailAt: []uint64{k}, MaxFaults: 1})
+				db, path := runEngine(t, key, inj)
+				_, errs := db.ExecutePlanBatch(writeRun(index))
+				want := oberr.CodeStoreFault
+				if db.Broken() != nil {
+					if !index {
+						t.Fatalf("fault at access %d latched a flat-only engine: %v", k, db.Broken())
+					}
+					want = oberr.CodeEngineFailed
+					latched++
+				}
+				for i, err := range errs {
+					if oberr.CodeOf(err) != want {
+						t.Fatalf("fault at access %d: statement %d answered %v, want %s", k, i, err, want)
+					}
+				}
+				if want == oberr.CodeStoreFault {
+					if got := runState(t, db); rowsDiffer(got, pre) {
+						t.Fatalf("fault at access %d changed the tables:\n got %v\nwant %v", k, got, pre)
+					}
+				}
+				rec := MustOpen(Config{Key: key, Seed: 7, RowsPerBlock: 4})
+				if err := rec.Recover(openTestLog(t, path, key, wal.Options{})); err != nil {
+					t.Fatal(err)
+				}
+				if got := runState(t, rec); rowsDiffer(got, pre) {
+					t.Fatalf("fault at access %d: journal recovers\n %v\nwant %v", k, got, pre)
+				}
+				if want == oberr.CodeEngineFailed {
+					db = rec
+				}
+				if _, errs := db.ExecutePlanBatch(writeRun(index)); errs[0] != nil {
+					t.Fatalf("retry after fault at access %d: %v", k, errs[0])
+				}
+				if got := runState(t, db); rowsDiffer(got, post) {
+					t.Fatalf("retry after fault at access %d left\n %v\nwant %v", k, got, post)
+				}
+			}
+			t.Logf("%d fault points, %d latched the engine", (to-from+stride-1)/stride, latched)
+		})
+	}
+}
+
+// TestWriteRunOwnErrorIsolated: a statement that fails validation —
+// here a multi-row INSERT whose second row is too wide, found before
+// any of its rows applies — answers its own error, while the rest of
+// the run lands as it would without it.
+func TestWriteRunOwnErrorIsolated(t *testing.T) {
+	key := crypt.NewRandomKey()
+	db, _ := runEngine(t, key, nil)
+	bad := PlanBinding{&plan.Insert{Table: "bb", Rows: [][]plan.Expr{
+		{table.Row{table.Int(300), table.Str("fine")}},
+		{table.Row{table.Int(301), table.Str("far too long for twelve")}},
+	}}, funcBinder{}}
+	items := append([]PlanBinding{bad}, writeRun(true)...)
+	_, errs := db.ExecutePlanBatch(items)
+	if errs[0] == nil || oberr.CodeOf(errs[0]) != oberr.CodeUnknown {
+		t.Fatalf("invalid insert answered %v, want its own untyped error", errs[0])
+	}
+	for i, err := range errs[1:] {
+		if err != nil {
+			t.Fatalf("statement %d failed beside the invalid one: %v", i+1, err)
+		}
+	}
+	want, _ := runEngine(t, key, nil)
+	if _, errs := want.ExecutePlanBatch(writeRun(true)); errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	if got, w := runState(t, db), runState(t, want); rowsDiffer(got, w) {
+		t.Fatalf("run with an invalid statement left\n%v\nwant\n%v", got, w)
+	}
+	if _, ok, err := mustTable(t, db, "bb").Index().Lookup(300); err != nil || ok {
+		t.Fatalf("undone insert left its index entry (found=%v, err=%v)", ok, err)
+	}
+}
+
+func mustTable(t *testing.T, db *DB, name string) *Table {
+	t.Helper()
+	tab, err := db.Table(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+// TestRolledBackRunKeepsEqualRows: when a run rolls back, a queued
+// insert that never reached the flat table must not be undone there —
+// its undo would remove an equal row the table held before. Here a
+// transaction inserts an exact copy of an existing row, then fails
+// validation, so the whole run rolls back with the copy still queued.
+func TestRolledBackRunKeepsEqualRows(t *testing.T) {
+	db, _ := runEngine(t, crypt.NewRandomKey(), nil)
+	pre := runState(t, db)
+	copyRow := table.Row{table.Int(3), table.Str("bf3")}
+	bad := table.Row{table.Int(300), table.Str("far too long for twelve")}
+	_, err := db.ExecutePlanTx([]PlanBinding{
+		{&plan.Insert{Table: "bf", Rows: [][]plan.Expr{{copyRow}}}, funcBinder{}},
+		{&plan.Insert{Table: "bb", Rows: [][]plan.Expr{{bad}}}, funcBinder{}},
+	})
+	if err == nil {
+		t.Fatal("transaction with an invalid row committed")
+	}
+	if got := runState(t, db); rowsDiffer(got, pre) {
+		t.Fatalf("rolled-back run changed the tables:\n got %v\nwant %v", got, pre)
+	}
+}
+
+// TestReadInRunSeesQueuedWrites: a read inside ExecutePlanTx flushes
+// the run's queued flat mutations first, so it sees the writes before
+// it.
+func TestReadInRunSeesQueuedWrites(t *testing.T) {
+	db, _ := runEngine(t, crypt.NewRandomKey(), nil)
+	row := table.Row{table.Int(500), table.Str("queued")}
+	is500 := predExpr(func(r table.Row) bool { return r[0].AsInt() == 500 })
+	res, err := db.ExecutePlanTx([]PlanBinding{
+		{&plan.Insert{Table: "bf", Rows: [][]plan.Expr{{row}}}, funcBinder{}},
+		{&plan.Collect{Input: &plan.Filter{Input: &plan.Scan{Table: "bf"}, Cond: is500}}, funcBinder{}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := res[1].Rows; len(rows) != 1 || !rowsEqual(rows[0], row) {
+		t.Fatalf("read in the run returned %v, want the queued row", rows)
+	}
+}

@@ -142,9 +142,10 @@ type Config struct {
 // resolved against a copy-on-write snapshot republished on every DDL.
 // With Workers ≤ 1 reads also take the exclusive side and run on the
 // engine's own context, preserving the serial engine's byte-identical
-// traces. Statements, reads and writes alike, are plans: ExecutePlan
-// and ExecutePlanTx take the lock once per statement or transaction,
-// and DDL, BulkLoad and the journal methods lock for themselves.
+// traces. Statements, reads and writes alike, are plans: ExecutePlan,
+// ExecutePlanTx and ExecutePlanBatch take the lock once per statement,
+// transaction or write run, and DDL, BulkLoad and the journal methods
+// lock for themselves.
 // Everything they call runs unlocked, so the mutex is never taken
 // reentrantly. See DESIGN.md §9 and §16.
 type DB struct {
@@ -173,12 +174,16 @@ type DB struct {
 	// does. recovering suppresses re-logging during replay.
 	wal        *wal.Log
 	recovering bool
-	// inTx defers the journal commit across statements (ExecutePlanTx);
-	// undo records how to reverse applied-but-uncommitted changes, and
-	// inUndo suppresses tracking while it replays (see wal.go).
-	inTx   bool
-	inUndo bool
-	undo   []undoRec
+	// inRun defers the flat flush and the journal commit across the
+	// statements of a run (ExecutePlanTx, ExecutePlanBatch); undo
+	// records how to reverse applied-but-uncommitted changes, and inUndo
+	// suppresses tracking while it replays (see wal.go). pending holds
+	// the flat mutations the bracket has queued but not yet applied
+	// (see batch.go).
+	inRun   bool
+	inUndo  bool
+	undo    []undoRec
+	pending []flatOp
 	// broken latches when fault containment itself fails — a rollback
 	// hit a second store fault — so the in-memory state can no longer
 	// be trusted. Every subsequent statement is refused with a typed
@@ -615,25 +620,35 @@ func (db *DB) dropTableBody(name string) error {
 	return nil
 }
 
-// insertRowsBody applies the inserts, journaling each row only after it
-// lands: a pass that fails midway leaves nothing staged for the rows it
-// never wrote. The undo record is taken *before* each apply (removal
-// tolerates absence), so a failed apply still unwinds cleanly.
+// insertRowsBody validates every row first, so a bad row fails the
+// statement before it touches one, then inserts them: the index at
+// once, the flat table through the bracket's pending list (one pass per
+// run, see batch.go). Each row's undo record is taken before it
+// applies (removal tolerates absence), so a failed apply still unwinds
+// cleanly; its journal record is staged after, and a bracket that
+// fails rewinds the stage.
 func (db *DB) insertRowsBody(name string, rows []table.Row) error {
 	t, err := db.lookup(name)
 	if err != nil {
 		return err
 	}
-	track := db.trackingMutations()
 	for _, r := range rows {
 		if err := t.schema.ValidateRow(r); err != nil {
 			return err
 		}
+	}
+	track := db.trackingMutations()
+	for _, r := range rows {
 		if track {
 			db.undo = append(db.undo, undoRec{op: undoInsert, table: t.name, post: []table.Row{r.Clone()}})
 		}
-		if err := db.applyInsert(t, r); err != nil {
-			return err
+		if t.flat != nil {
+			db.queueFlat(t, storage.Mutation{Kind: storage.MutInsert, Row: r})
+		}
+		if t.index != nil {
+			if err := t.index.Insert(r); err != nil {
+				return err
+			}
 		}
 		if err := db.logMutation(wal.OpInsert, t, r); err != nil {
 			return err
@@ -642,10 +657,12 @@ func (db *DB) insertRowsBody(name string, rows []table.Row) error {
 	return nil
 }
 
-// applyInsert writes one row into every representation the table keeps.
-func (db *DB) applyInsert(t *Table, r table.Row) error {
-	if t.flat != nil {
-		if err := db.insertFlat(t, r); err != nil {
+// applyInsert writes one row at once into the representations the
+// table keeps — the flat table only when flat is set. Undo replay uses
+// it; statements queue their flat inserts instead.
+func (db *DB) applyInsert(t *Table, r table.Row, flat bool) error {
+	if flat && t.flat != nil {
+		if _, err := db.applyFlat(t, []storage.Mutation{{Kind: storage.MutInsert, Row: r}}); err != nil {
 			return err
 		}
 	}
@@ -662,6 +679,9 @@ func (db *DB) applyInsert(t *Table, r table.Row) error {
 func (db *DB) liveRows(t *Table) ([]table.Row, error) {
 	var out []table.Row
 	if t.flat != nil {
+		if err := db.flushFlat(t); err != nil {
+			return nil, err
+		}
 		err := t.flat.Scan(func(_ int, r table.Row, used bool) error {
 			if used {
 				out = append(out, r.Clone())
@@ -675,39 +695,6 @@ func (db *DB) liveRows(t *Table) ([]table.Row, error) {
 		return nil
 	})
 	return out, err
-}
-
-func (db *DB) insertFlat(t *Table, r table.Row) error {
-	insert := t.flat.InsertFast
-	if t.oblivIn {
-		insert = t.flat.Insert
-	}
-	err := insert(r)
-	if err == nil {
-		return nil
-	}
-	if !strings.Contains(err.Error(), "is full") {
-		return err
-	}
-	if t.flat.NumRows() < t.flat.Capacity() {
-		// Deletions opened holes before the append cursor: the table
-		// reports full to the fast path but has free slots. Reuse them
-		// with the scanning insert instead of growing without bound on
-		// insert/delete churn.
-		return t.flat.Insert(r)
-	}
-	// Grow by copying to a larger table (§3: capacity "can be increased
-	// later by copying to a new, larger table"). The growth is public —
-	// table sizes always are.
-	bigger, gerr := t.flat.Expand(t.name+".flat", 2*t.flat.Capacity())
-	if gerr != nil {
-		return gerr
-	}
-	t.flat = bigger
-	if t.oblivIn {
-		return t.flat.Insert(r)
-	}
-	return t.flat.InsertFast(r)
 }
 
 // BulkLoad fills an empty table with rows: constant-time appends into the
@@ -743,12 +730,8 @@ func (db *DB) bulkLoadBody(name string, rows []table.Row) error {
 		db.undo = append(db.undo, undoRec{op: undoInsert, table: t.name, post: pre})
 	}
 	if t.flat != nil {
-		for t.flat.Capacity() < len(rows) {
-			bigger, err := t.flat.Expand(t.name+".flat", 2*t.flat.Capacity())
-			if err != nil {
-				return err
-			}
-			t.flat = bigger
+		if err := db.growFlat(t, len(rows)); err != nil {
+			return err
 		}
 		for _, r := range rows {
 			if err := t.flat.InsertFast(r); err != nil {
@@ -780,12 +763,16 @@ func (db *DB) bulkLoadBody(name string, rows []table.Row) error {
 // needs no matches and skips the pass. That one set is the undo
 // pre-images, recorded before anything applies; the index victims,
 // removed by their exact entry so a repeated key loses the right row;
-// and the journal records, staged only after every representation
-// succeeded. Post-images are computed and validated up front, so an
-// updater that breaks a row fails the statement before it touches one.
+// the affected count; and the journal records. Post-images are computed
+// and validated up front, so an updater that breaks a row fails the
+// statement before it touches one — and the flat update, queued on the
+// bracket's pending list, needs no validation pass of its own. Only an
+// untracked flat-only statement, which has no match set to count or
+// validate, applies its flat pass at once and counts from it.
 func (db *DB) rewriteRows(t *Table, pred table.Pred, upd table.Updater, key *KeyRange) (int, error) {
 	full := combinePred(t, pred, key)
 	track := db.trackingMutations()
+	matched := t.index != nil || track
 
 	var pre []table.Row
 	var ids []uint32
@@ -803,6 +790,9 @@ func (db *DB) rewriteRows(t *Table, pred table.Pred, upd table.Updater, key *Key
 	case t.index != nil:
 		err = t.index.ScanRaw(match)
 	case track:
+		if err = db.flushFlat(t); err != nil {
+			return 0, err
+		}
 		err = t.flat.Scan(func(i int, r table.Row, used bool) error {
 			if !used {
 				return nil
@@ -837,13 +827,19 @@ func (db *DB) rewriteRows(t *Table, pred table.Pred, upd table.Updater, key *Key
 
 	n := len(pre)
 	if t.flat != nil {
-		if upd == nil {
-			n, err = t.flat.Delete(full)
-		} else {
-			n, err = t.flat.Update(full, upd)
+		m := storage.Mutation{Kind: storage.MutDelete, Pred: full}
+		if upd != nil {
+			m = storage.Mutation{Kind: storage.MutUpdate, Pred: full, Upd: upd, Validated: matched}
 		}
-		if err != nil {
-			return n, err
+		if matched {
+			db.queueFlat(t, m)
+		} else {
+			// Untracked means outside any run, so nothing else is queued.
+			counts, err := db.applyFlat(t, []storage.Mutation{m})
+			if err != nil {
+				return 0, err
+			}
+			n = counts[0]
 		}
 	}
 	if t.index != nil {

@@ -204,6 +204,10 @@ func TestLatchedEngineRefusesEveryEntryPoint(t *testing.T) {
 			_, err := db.ExecutePlanTx([]PlanBinding{{Root: &plan.Delete{Table: "lt"}, Binder: funcBinder{}}})
 			return err
 		}},
+		{"ExecutePlanBatch", func(db *DB) error {
+			_, errs := db.ExecutePlanBatch([]PlanBinding{{Root: &plan.Delete{Table: "lt"}, Binder: funcBinder{}}})
+			return errs[0]
+		}},
 		{"CreateTable", func(db *DB) error {
 			_, err := db.CreateTable("other", s, TableOptions{Capacity: 8})
 			return err

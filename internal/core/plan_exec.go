@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"oblidb/internal/exec"
+	"oblidb/internal/oberr"
 	"oblidb/internal/plan"
 	"oblidb/internal/planner"
 	"oblidb/internal/table"
@@ -123,8 +124,15 @@ func (db *DB) ExecutePlan(root plan.Node, b plan.Binder) (*Result, error) {
 	return res, nil
 }
 
-// runPlan executes a statement-level plan node.
+// runPlan executes a statement-level plan node. A read inside a run
+// first flushes the run's queued flat mutations, so it sees the writes
+// before it.
 func (db *DB) runPlan(ec *execCtx, n plan.Node, b plan.Binder) (*Result, error) {
+	if !isWrite(n) && len(db.pending) > 0 {
+		if err := db.flushAll(); err != nil {
+			return nil, err
+		}
+	}
 	switch x := n.(type) {
 	case *plan.Collect:
 		return db.runCollect(ec, x, b)
@@ -140,8 +148,9 @@ func (db *DB) runPlan(ec *execCtx, n plan.Node, b plan.Binder) (*Result, error) 
 		return db.aggregateTable(ec, t, pred, x.Specs, names, key)
 	case *plan.Insert, *plan.Update, *plan.Delete:
 		// The one bracket of every write: a failed body is undone and its
-		// staged journal records discarded; a successful one commits, or
-		// stays staged for the enclosing transaction.
+		// staged journal records discarded; a successful one flushes its
+		// flat mutations and commits, or leaves both pending for the
+		// enclosing run.
 		wm, um := db.mutationMarks()
 		count, err := db.runWrite(n, b)
 		if err = db.endMutation(err, wm, um); err != nil {
@@ -207,12 +216,13 @@ type PlanBinding struct {
 	Binder plan.Binder
 }
 
-// ExecutePlanTx executes a transaction's statements as one atomic batch
-// under a single hold of the database mutex: all succeed and their
-// journal records commit durably together, or any failure rolls every
-// in-memory change back and discards the staged records. The engine is
+// ExecutePlanTx executes a transaction's statements as one atomic run
+// under a single hold of the database mutex: the flat mutations of all
+// its writes flush together (one pass per table) and their journal
+// records commit durably together, or any failure rolls every in-memory
+// change back and discards the staged records. The engine is
 // single-writer, so atomicity needs no cross-statement locking — only
-// the deferred journal commit and the undo log (see wal.go).
+// the deferred flush and commit and the undo log (see wal.go).
 func (db *DB) ExecutePlanTx(items []PlanBinding) ([]*Result, error) {
 	db.lockWrite()
 	defer db.mu.Unlock()
@@ -220,7 +230,7 @@ func (db *DB) ExecutePlanTx(items []PlanBinding) ([]*Result, error) {
 		return nil, err
 	}
 	walMark, undoMark := db.mutationMarks()
-	db.inTx = true
+	db.inRun = true
 	results := make([]*Result, 0, len(items))
 	var err error
 	for _, it := range items {
@@ -233,7 +243,10 @@ func (db *DB) ExecutePlanTx(items []PlanBinding) ([]*Result, error) {
 		}
 		results = append(results, res)
 	}
-	db.inTx = false
+	db.inRun = false
+	if err == nil {
+		err = db.flushAll()
+	}
 	if err != nil {
 		if rerr := db.rollbackTo(walMark, undoMark); rerr != nil {
 			return nil, db.latchBroken(err, rerr)
@@ -244,6 +257,94 @@ func (db *DB) ExecutePlanTx(items []PlanBinding) ([]*Result, error) {
 		return nil, err
 	}
 	return results, nil
+}
+
+// ExecutePlanBatch executes a run of autocommit writes — the server's
+// consecutive INSERT, UPDATE and DELETE slots of one epoch — under one
+// hold of the database mutex, with one flat pass per table the run
+// touches and one journal commit for the run. Each statement's index
+// work, validation, undo and journal records still happen in order, so
+// every statement sees the ones before it. A statement that fails on
+// its own — a bind or validation error, found before any of its
+// mutations — is undone alone and answers its own error, and the run
+// goes on. A typed failure (a store fault, a refused access), a failed
+// flush or a failed journal commit rolls the whole run back and answers
+// every statement with the same error, so each is a no-op and a
+// retriable one may simply be retried (DESIGN.md §17). It returns one
+// result or error per item; nothing is acknowledged before the commit.
+func (db *DB) ExecutePlanBatch(items []PlanBinding) ([]*Result, []error) {
+	db.lockWrite()
+	defer db.mu.Unlock()
+	errs := make([]error, len(items))
+	fail := func(err error) ([]*Result, []error) {
+		for i := range errs {
+			if errs[i] == nil {
+				errs[i] = err
+			}
+		}
+		return nil, errs
+	}
+	if err := db.refuseBroken(); err != nil {
+		return fail(err)
+	}
+	walMark, undoMark := db.mutationMarks()
+	counts := make([]int, len(items))
+	db.inRun = true
+	var runErr error
+	for i, it := range items {
+		if !isWrite(it.Root) {
+			errs[i] = fmt.Errorf("core: batch item %d is %T, not a write", i, it.Root)
+			continue
+		}
+		wm, um := db.mutationMarks()
+		n, err := db.runWrite(it.Root, it.Binder)
+		if err == nil {
+			counts[i] = n
+			continue
+		}
+		if oberr.CodeOf(err) != oberr.CodeUnknown {
+			runErr = err
+			break
+		}
+		if err = db.endMutation(err, wm, um); oberr.CodeOf(err) == oberr.CodeEngineFailed {
+			runErr = err
+			break
+		}
+		errs[i] = err
+	}
+	db.inRun = false
+	if runErr == nil {
+		runErr = db.flushAll()
+	}
+	if runErr != nil {
+		if db.broken == nil {
+			if rerr := db.rollbackTo(walMark, undoMark); rerr != nil {
+				runErr = db.latchBroken(runErr, rerr)
+			}
+		}
+		return fail(runErr)
+	}
+	if err := db.commitLocked(walMark, undoMark); err != nil {
+		return fail(err)
+	}
+	results := make([]*Result, len(items))
+	for i, it := range items {
+		if errs[i] == nil {
+			if errs[i] = it.Binder.Err(); errs[i] == nil {
+				results[i] = AffectedResult(counts[i])
+			}
+		}
+	}
+	return results, errs
+}
+
+// isWrite reports whether n is a write statement.
+func isWrite(n plan.Node) bool {
+	switch n.(type) {
+	case *plan.Insert, *plan.Update, *plan.Delete:
+		return true
+	}
+	return false
 }
 
 // runCollect materializes the subtree and decrypts it into a Result,

@@ -12,13 +12,14 @@ import (
 
 // This file wires the durable journal (internal/wal) into the engine.
 // Every mutating statement runs inside an implicit transaction: its
-// journal records are staged as the mutation pass applies, and endMutation
-// commits them (or rewinds the stage and undoes the in-memory changes on
-// failure). Explicit transactions (ExecutePlanTx) stretch the same
-// mechanism across statements. Journaling happens *after* each row is
-// applied, so a pass that fails midway stages nothing replayable — the
-// log can never describe state that did not exist (the seed logged ahead
-// of the pass and could).
+// journal records are staged as its body runs, and endMutation flushes
+// the queued flat mutations (batch.go) and commits them — or rewinds the
+// stage and undoes the in-memory changes on failure. Runs
+// (ExecutePlanTx, ExecutePlanBatch) stretch the same mechanism across
+// statements, with one flush and one commit for the run. Staged records
+// reach the file only through a commit that follows a successful flush,
+// so the log can never describe state that did not exist (the seed
+// logged ahead of the pass and could).
 
 // AttachWAL starts journaling this database's mutations into l. The log
 // is immediately checkpointed to a snapshot of the current catalog and
@@ -134,10 +135,11 @@ func (db *DB) logMutation(op wal.Op, t *Table, row table.Row) error {
 }
 
 // trackingMutations reports whether mutation bodies must record undo
-// entries and journal records: yes under a journal or an explicit
-// transaction, never while replaying or unwinding.
+// entries and journal records: yes under a journal or inside a run,
+// which may have to roll back statements that succeeded, never while
+// replaying or unwinding.
 func (db *DB) trackingMutations() bool {
-	return (db.wal != nil || db.inTx) && !db.recovering && !db.inUndo
+	return (db.wal != nil || db.inRun) && !db.recovering && !db.inUndo
 }
 
 // mutationMarks snapshots the journal stage and undo log at statement
@@ -149,14 +151,18 @@ func (db *DB) mutationMarks() (walMark, undoMark int) {
 	return walMark, len(db.undo)
 }
 
-// endMutation finishes one mutating statement: on error, its staged
-// journal records are discarded and its in-memory changes undone; on
-// success outside an explicit transaction, the staged batch commits
-// durably. Inside a transaction both stay staged for the enclosing
-// commit. During recovery or unwinding it is a passthrough.
+// endMutation finishes one mutating statement: on error, its queued
+// flat mutations are dropped, its staged journal records discarded and
+// its in-memory changes undone; on success outside a run, the queued
+// flat mutations flush and the staged batch commits durably. Inside a
+// run both stay pending for the run's end. During recovery or unwinding
+// it is a passthrough.
 func (db *DB) endMutation(err error, walMark, undoMark int) error {
 	if db.recovering || db.inUndo {
 		return err
+	}
+	if err == nil && !db.inRun {
+		err = db.flushAll()
 	}
 	if err != nil {
 		if rerr := db.rollbackTo(walMark, undoMark); rerr != nil {
@@ -164,7 +170,7 @@ func (db *DB) endMutation(err error, walMark, undoMark int) error {
 		}
 		return err
 	}
-	if db.inTx {
+	if db.inRun {
 		return nil
 	}
 	return db.commitLocked(walMark, undoMark)
@@ -217,9 +223,11 @@ func (db *DB) commitLocked(walMark, undoMark int) error {
 	return nil
 }
 
-// rollbackTo rewinds the journal stage and replays the undo log (newest
+// rollbackTo drops the queued flat mutations of the statements it
+// reverses, rewinds the journal stage and replays the undo log (newest
 // first) down to the marks.
 func (db *DB) rollbackTo(walMark, undoMark int) error {
+	db.dropPending(undoMark)
 	if db.wal != nil {
 		db.wal.Rewind(walMark)
 	}
@@ -252,11 +260,14 @@ const (
 
 // undoRec is one entry of the in-memory undo log, recorded by mutation
 // bodies so a failed statement (or an explicit ROLLBACK) restores the
-// engine to the state the durable journal describes.
+// engine to the state the durable journal describes. flatDropped marks
+// a record whose flat mutation was dropped from the pending list
+// unapplied: its replay leaves the flat table alone.
 type undoRec struct {
-	op        undoOp
-	table     string
-	pre, post []table.Row
+	op          undoOp
+	table       string
+	pre, post   []table.Row
+	flatDropped bool
 }
 
 // applyUndo reverses one undo record.
@@ -278,10 +289,11 @@ func (db *DB) applyUndo(r undoRec) error {
 	if err != nil {
 		return err
 	}
+	flat := !r.flatDropped
 	switch r.op {
 	case undoInsert:
 		for _, row := range r.post {
-			if err := db.removeOneRow(t, row); err != nil {
+			if err := db.removeOneRow(t, row, flat); err != nil {
 				return err
 			}
 		}
@@ -291,12 +303,12 @@ func (db *DB) applyUndo(r undoRec) error {
 		// pre multiset — the result is exactly pre regardless of how far
 		// the failed pass got.
 		for _, row := range r.pre {
-			if err := db.removeOneRow(t, row); err != nil {
+			if err := db.removeOneRow(t, row, flat); err != nil {
 				return err
 			}
 		}
 		for _, row := range r.pre {
-			if err := db.applyInsert(t, row); err != nil {
+			if err := db.applyInsert(t, row, flat); err != nil {
 				return err
 			}
 		}
@@ -305,17 +317,17 @@ func (db *DB) applyUndo(r undoRec) error {
 		// both images (each row is present as exactly one of the two),
 		// then reinsert the pre multiset.
 		for i := range r.post {
-			if err := db.removeOneRow(t, r.post[i]); err != nil {
+			if err := db.removeOneRow(t, r.post[i], flat); err != nil {
 				return err
 			}
 		}
 		for i := range r.pre {
-			if err := db.removeOneRow(t, r.pre[i]); err != nil {
+			if err := db.removeOneRow(t, r.pre[i], flat); err != nil {
 				return err
 			}
 		}
 		for i := range r.pre {
-			if err := db.applyInsert(t, r.pre[i]); err != nil {
+			if err := db.applyInsert(t, r.pre[i], flat); err != nil {
 				return err
 			}
 		}
@@ -324,13 +336,17 @@ func (db *DB) applyUndo(r undoRec) error {
 }
 
 // removeOneRow deletes at most one row equal to row from each
-// representation. Absence is not an error: undoInsert records are
-// written before the insert applies, so the row may never have landed.
-// The index finds the equal row among those sharing its key with a
-// [k, k] range lookup and removes that exact entry; the lookup concedes
-// the key's duplicate count, like any §4.1 index range.
-func (db *DB) removeOneRow(t *Table, row table.Row) error {
-	if t.flat != nil {
+// representation — from the flat table only when flat is set. Absence
+// is not an error: undoInsert records are written before the insert
+// applies, so the row may never have landed. The index finds the equal
+// row among those sharing its key with a [k, k] range lookup and
+// removes that exact entry; the lookup concedes the key's duplicate
+// count, like any §4.1 index range.
+func (db *DB) removeOneRow(t *Table, row table.Row, flat bool) error {
+	if flat && t.flat != nil {
+		if err := db.flushFlat(t); err != nil {
+			return err
+		}
 		done := false
 		if _, err := t.flat.Delete(func(r table.Row) bool {
 			if done || !rowsEqual(r, row) {

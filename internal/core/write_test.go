@@ -246,3 +246,37 @@ func TestJournaledKeyedDeleteOneFlatPass(t *testing.T) {
 		t.Fatalf("keyed delete opened %d blocks, want fewer than two flat passes (%d)", opened, limit)
 	}
 }
+
+// TestJournaledKeyedUpdateOneFlatPass is the UPDATE twin of
+// TestJournaledKeyedDeleteOneFlatPass: the write path validated the
+// post-image of every row its index match found, so the flat table is
+// rewritten in one pass with no validation scan of its own — fewer than
+// two flat passes of opened blocks.
+func TestJournaledKeyedUpdateOneFlatPass(t *testing.T) {
+	key := crypt.NewRandomKey()
+	db := MustOpen(Config{Key: key, RowsPerBlock: 1})
+	tab, err := db.CreateTable("p", dupSchema(), TableOptions{Kind: KindBoth, KeyColumn: "k", Capacity: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]table.Row, 1024)
+	for i := range rows {
+		rows[i] = table.Row{table.Int(int64(i)), table.Int(int64(i % 7))}
+	}
+	if err := db.BulkLoad("p", rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AttachWAL(openTestLog(t, filepath.Join(t.TempDir(), "p.wal"), key, wal.Options{})); err != nil {
+		t.Fatal(err)
+	}
+	before := db.IOStats().BlocksOpened
+	upd := table.Updater(func(r table.Row) table.Row { r[1] = table.Int(99); return r })
+	n, err := db.Update("p", nil, upd, Point(500))
+	if err != nil || n != 1 {
+		t.Fatalf("keyed update: n=%d err=%v", n, err)
+	}
+	opened := db.IOStats().BlocksOpened - before
+	if limit := uint64(2 * tab.Flat().NumBlocks()); opened >= limit {
+		t.Fatalf("keyed update opened %d blocks, want fewer than two flat passes (%d)", opened, limit)
+	}
+}

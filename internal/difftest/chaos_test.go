@@ -125,6 +125,54 @@ func (e *chaosEngine) recover() {
 	e.t.Fatal("recovery made no progress after 200 attempts")
 }
 
+// execRun runs a run of consecutive writes under chaos as one engine
+// batch (Executor.ExecBatch, the server's write-run entry point). A
+// typed-retriable failure rolls the whole run back and answers every
+// statement with it, so the run is retried whole; a broken engine is
+// rebuilt from its journal first. A run that lands only in part fails
+// the test.
+func (e *chaosEngine) execRun(stmts []string) []*core.Result {
+	e.t.Helper()
+	items := make([]sql.TxItem, len(stmts))
+	for attempt := 0; attempt < 200; attempt++ {
+		if e.db.Broken() != nil {
+			e.recover()
+		}
+		for i, stmt := range stmts {
+			prep, err := e.x.PrepareOneShot(stmt)
+			if err != nil {
+				e.t.Fatalf("%s: %v", stmt, err)
+			}
+			items[i] = sql.TxItem{Prep: prep}
+		}
+		res, errs := e.x.ExecBatch(items)
+		var failed error
+		for _, err := range errs {
+			if err != nil {
+				failed = err
+				break
+			}
+		}
+		if failed == nil {
+			return res
+		}
+		for i, err := range errs {
+			if err == nil {
+				e.t.Fatalf("write run landed in part: %s succeeded beside %v", stmts[i], failed)
+			}
+		}
+		if oberr.CodeOf(failed) == oberr.CodeEngineFailed || e.db.Broken() != nil {
+			e.recover()
+			continue
+		}
+		if !oberr.Retriable(failed) {
+			e.t.Fatalf("non-retriable error under chaos: %v: %v", stmts, failed)
+		}
+	}
+	e.t.Fatalf("write run made no progress after 200 attempts: %v", stmts)
+	return nil
+}
+
 // TestChaosDifferential is the end-to-end resilience pin: seeded random
 // workloads run on a journaled engine under a randomized store-fault
 // schedule, diffed statement by statement against a fault-free engine
@@ -133,7 +181,9 @@ func (e *chaosEngine) recover() {
 // journal recoveries) — never a wrong answer, a hang, or corruption.
 // Afterward the journal is replayed into a clean engine and the final
 // state diffed again, pinning that the fault-and-retry history left a
-// consistent durable record.
+// consistent durable record. The batch subtests send each run of
+// consecutive writes through the write-run batch, against the reference
+// running them one at a time.
 func TestChaosDifferential(t *testing.T) {
 	seeds := []uint64{5, 21, 77}
 	ops := 50
@@ -142,75 +192,104 @@ func TestChaosDifferential(t *testing.T) {
 		ops = 25
 	}
 	for _, seed := range seeds {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			refDB, err := core.Open(core.Config{Seed: seed + 1, RowsPerBlock: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			refX := sql.New(refDB)
-			ce := newChaosEngine(t, seed, faultstore.Schedule{
-				Seed:       seed,
-				ReadFault:  0.002,
-				WriteFault: 0.002,
-				MaxFaults:  25,
-			})
-			for _, ddl := range Setup() {
-				if _, err := refX.Execute(ddl); err != nil {
-					t.Fatal(err)
-				}
-				ce.exec(ddl)
-			}
-			g := NewGenerator(seed)
-			for i := 0; i < ops; i++ {
-				op := g.Next()
-				want, err := refX.Execute(op.SQL)
-				if err != nil {
-					t.Fatalf("op %d on fault-free reference: %s: %v", i, op.SQL, err)
-				}
-				got := ce.exec(op.SQL)
-				// DML included: affected counts must survive retries exactly
-				// (a retried statement must not double-apply).
-				if w, g := Canon(want.Cols, want.Rows), Canon(got.Cols, got.Rows); w != g {
-					t.Fatalf("op %d diverged under chaos:\n  %s\n chaos:\n%s\n reference:\n%s",
-						i, op.SQL, g, w)
-				}
-			}
-			// The journal must describe the same final state: replay it into
-			// a clean (fault-free) engine and diff the full tables.
-			ce.l.Close()
-			l, err := wal.Open(ce.path, ce.key, wal.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer l.Close()
-			rec, err := core.Open(core.Config{Key: ce.key, Seed: seed + 1, RowsPerBlock: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := rec.Recover(l); err != nil {
-				t.Fatalf("chaos run left an unrecoverable journal: %v", err)
-			}
-			recX := sql.New(rec)
-			for _, q := range []string{"SELECT * FROM t0", "SELECT * FROM t1"} {
-				want, err := refX.Execute(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := recX.Execute(q)
-				if err != nil {
-					t.Fatalf("recovered engine: %s: %v", q, err)
-				}
-				if w, g := Canon(want.Cols, want.Rows), Canon(got.Cols, got.Rows); w != g {
-					t.Fatalf("journal diverged from reference on %s:\n recovered:\n%s\n reference:\n%s", q, g, w)
-				}
-			}
-			if ce.inj.Injected() == 0 {
-				t.Fatal("schedule injected no faults — the chaos run was vacuous")
-			}
-			t.Logf("chaos seed=%d: %d faults injected, %d journal recoveries", seed, ce.inj.Injected(), ce.recoveries)
-		})
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { chaosDifferential(t, seed, ops, false) })
+		t.Run(fmt.Sprintf("batch/seed=%d", seed), func(t *testing.T) { chaosDifferential(t, seed, ops, true) })
 	}
+}
+
+// chaosDifferential is one TestChaosDifferential run.
+func chaosDifferential(t *testing.T, seed uint64, ops int, batch bool) {
+	refDB, err := core.Open(core.Config{Seed: seed + 1, RowsPerBlock: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refX := sql.New(refDB)
+	ce := newChaosEngine(t, seed, faultstore.Schedule{
+		Seed:       seed,
+		ReadFault:  0.002,
+		WriteFault: 0.002,
+		MaxFaults:  25,
+	})
+	for _, ddl := range Setup() {
+		if _, err := refX.Execute(ddl); err != nil {
+			t.Fatal(err)
+		}
+		ce.exec(ddl)
+	}
+	// DML included: affected counts must survive retries exactly (a
+	// retried statement must not double-apply).
+	check := func(i int, stmt string, got *core.Result) {
+		t.Helper()
+		want, err := refX.Execute(stmt)
+		if err != nil {
+			t.Fatalf("op %d on fault-free reference: %s: %v", i, stmt, err)
+		}
+		if w, g := Canon(want.Cols, want.Rows), Canon(got.Cols, got.Rows); w != g {
+			t.Fatalf("op %d diverged under chaos:\n  %s\n chaos:\n%s\n reference:\n%s",
+				i, stmt, g, w)
+		}
+	}
+	var run []string
+	flush := func(end int) {
+		t.Helper()
+		if len(run) == 0 {
+			return
+		}
+		for k, res := range ce.execRun(run) {
+			check(end-len(run)+k, run[k], res)
+		}
+		run = run[:0]
+	}
+	g := NewGenerator(seed)
+	for i := 0; i < ops; i++ {
+		op := g.Next()
+		if batch {
+			stmt, err := sql.Parse(op.SQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sql.IsWrite(stmt) {
+				run = append(run, op.SQL)
+				continue
+			}
+			flush(i)
+		}
+		check(i, op.SQL, ce.exec(op.SQL))
+	}
+	flush(ops)
+	// The journal must describe the same final state: replay it into a
+	// clean (fault-free) engine and diff the full tables.
+	ce.l.Close()
+	l, err := wal.Open(ce.path, ce.key, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rec, err := core.Open(core.Config{Key: ce.key, Seed: seed + 1, RowsPerBlock: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Recover(l); err != nil {
+		t.Fatalf("chaos run left an unrecoverable journal: %v", err)
+	}
+	recX := sql.New(rec)
+	for _, q := range []string{"SELECT * FROM t0", "SELECT * FROM t1"} {
+		want, err := refX.Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := recX.Execute(q)
+		if err != nil {
+			t.Fatalf("recovered engine: %s: %v", q, err)
+		}
+		if w, g := Canon(want.Cols, want.Rows), Canon(got.Cols, got.Rows); w != g {
+			t.Fatalf("journal diverged from reference on %s:\n recovered:\n%s\n reference:\n%s", q, g, w)
+		}
+	}
+	if ce.inj.Injected() == 0 {
+		t.Fatal("schedule injected no faults — the chaos run was vacuous")
+	}
+	t.Logf("chaos seed=%d batch=%v: %d faults injected, %d journal recoveries", seed, batch, ce.inj.Injected(), ce.recoveries)
 }
 
 // TestChaosTraceIdentity pins the leakage side of the fault path at the

@@ -16,10 +16,11 @@
 // paper); run the engine in padding mode to flatten the latter.
 //
 // All engine access funnels through the epoch scheduler. By default it
-// executes an epoch's slots serially on one goroutine; with
-// core.Config.Workers > 1 runs of read slots are dispatched to that many
-// goroutines, each read on its own read-slot context or, when it
-// partitions, alone. See the concurrency note on core.DB.
+// executes an epoch's slots serially on one goroutine, each run of
+// consecutive writes as one engine batch; with core.Config.Workers > 1
+// runs of read slots are dispatched to that many goroutines, each read
+// on its own read-slot context or, when it partitions, alone. See the
+// concurrency note on core.DB.
 package server
 
 import (
@@ -48,13 +49,15 @@ type Config struct {
 	// arrival order). Above 1, maximal runs of consecutive read slots
 	// (SELECTs and padding dummies) fan out to that many goroutines, each
 	// read on its own read-slot context or, when it partitions, alone
-	// (see core.DB). Mutation slots and transaction commits are barriers,
-	// executing serially in arrival order between runs. Statements within
-	// one read run may complete in any order — the protocol already
-	// answers by request id, not arrival order — so clients that need
-	// ordering await each result. The observable stream is unchanged:
-	// exactly EpochSize slot executions per epoch, with slot events
-	// recorded before any slot runs.
+	// (see core.DB). Maximal runs of consecutive INSERT/UPDATE/DELETE
+	// slots execute as one engine batch at any Workers (one flat pass
+	// per table, one journal commit); write runs, transaction commits
+	// and DDL are barriers, executing in arrival order between read
+	// runs. Statements within one read run may complete in any order —
+	// the protocol already answers by request id, not arrival order — so
+	// clients that need ordering await each result. The observable
+	// stream is unchanged: exactly EpochSize slot executions per epoch,
+	// with slot events recorded before any slot runs.
 	Engine core.Config
 	// EpochSize is the number of statement slots per epoch (default 8).
 	EpochSize int
@@ -228,12 +231,14 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Tracer != nil {
 		s.slotRegion = cfg.Tracer.Region("server.epochs")
 	}
-	// The padding statement is an aggregate over a one-row table.
+	// The padding statement is an aggregate over a one-row table of
+	// capacity one: one block at any packing, so the dummy is the
+	// cheapest read there is and never splits across workers.
 	// Recovery may have rebuilt the pad table from the journal; only a
 	// fresh database creates it.
 	if _, err := db.Table(padTable); err != nil {
 		for _, stmt := range []string{
-			"CREATE TABLE " + padTable + " (k INTEGER)",
+			"CREATE TABLE " + padTable + " (k INTEGER) CAPACITY = 1",
 			"INSERT INTO " + padTable + " VALUES (0)",
 		} {
 			if _, err := s.exec.Execute(stmt); err != nil {
@@ -311,30 +316,32 @@ collect:
 			s.cfg.Tracer.Record(s.slotRegion, trace.Write, slot)
 		}
 	}
+	// Maximal runs of consecutive read slots fan out across the worker
+	// pool; maximal runs of consecutive write slots execute as one
+	// engine batch (one flat pass per table, one journal commit); every
+	// other slot (a commit, DDL, EXPLAIN) runs alone. Runs execute in
+	// arrival order, so writes apply in arrival order and every read
+	// observes a quiescent engine state. Run boundaries depend on slot
+	// kinds alone, and the slot events above were already recorded, so
+	// this scheduling is invisible.
 	workers := min(s.db.Workers(), size)
-	if workers <= 1 {
-		for slot := 0; slot < size; slot++ {
-			s.executeSlot(slot, batch)
-		}
-	} else {
-		// Maximal runs of consecutive read slots fan out across the
-		// worker pool; each mutation slot (or tx commit) is a barrier
-		// executed alone, so writes apply in arrival order and every
-		// read observes a quiescent engine state. The slot events above
-		// were already recorded, so this scheduling is invisible.
-		for slot := 0; slot < size; {
-			if !readSlot(slot, batch) {
-				s.executeSlot(slot, batch)
-				slot++
-				continue
-			}
-			end := slot + 1
+	for slot := 0; slot < size; {
+		end := slot + 1
+		switch {
+		case readSlot(slot, batch):
 			for end < size && readSlot(end, batch) {
 				end++
 			}
 			s.runReadRun(slot, end, batch, workers)
-			slot = end
+		case writeSlot(slot, batch):
+			for end < size && writeSlot(end, batch) {
+				end++
+			}
+			s.runWriteRun(batch[slot:end])
+		default:
+			s.executeSlot(slot, batch)
 		}
+		slot = end
 	}
 	s.m.occupancy.Observe(float64(len(batch)))
 	// Epoch duration is published only at epoch-interval resolution:
@@ -367,6 +374,30 @@ func readSlot(slot int, batch []*job) bool {
 	}
 	j := batch[slot]
 	return !j.commit && j.prep.Kind() == "select"
+}
+
+// writeSlot classifies one epoch slot as an autocommit write — INSERT,
+// UPDATE or DELETE, not a transaction's commit — which joins the
+// epoch's write runs. Like readSlot it uses only the statement kind.
+func writeSlot(slot int, batch []*job) bool {
+	if slot >= len(batch) || batch[slot].commit {
+		return false
+	}
+	return sql.IsWrite(batch[slot].prep.Stmt())
+}
+
+// runWriteRun executes a run of write slots as one engine batch and
+// answers each statement once the run has committed, so an
+// acknowledged write is a durable one.
+func (s *Server) runWriteRun(jobs []*job) {
+	items := make([]sql.TxItem, len(jobs))
+	for i, j := range jobs {
+		items[i] = sql.TxItem{Prep: j.prep, Args: j.args}
+	}
+	results, errs := s.exec.ExecBatch(items)
+	for i, j := range jobs {
+		s.answer(j, j.prep.Kind(), results[i], errs[i])
+	}
 }
 
 // runReadRun executes slots [start, end) — all reads — across up to
@@ -421,28 +452,35 @@ func (s *Server) executeSlot(slot int, batch []*job) {
 			res, err = j.prep.Exec(j.args)
 			kind = j.prep.Kind()
 		}
-		j.sess.reply(j.id, res, err)
-		s.m.statements.WithCounter(kind).Inc()
-		// Latency in whole epochs waited: epochs completed since the
-		// statement was submitted. Epoch-schedule-derived, no wall clock.
-		waited := s.m.epochsTotal.Value() - j.submitEpoch
-		s.m.latency.WithHistogram(kind).Observe(float64(waited))
-		if waited >= uint64(s.cfg.SlowStatementEpochs) {
-			s.m.slowTotal.Inc()
-			// The shape is literal-free (sql.Shape): argument values and
-			// statement literals never reach a log line. A commit logs its
-			// keyword plus the (public) buffered-statement count.
-			shape := "COMMIT"
-			if !j.commit {
-				shape = j.prep.Shape()
-			}
-			s.log.Warn("slow statement",
-				"shape", shape, "kind", kind, "epochs_waited", waited)
-		}
+		s.answer(j, kind, res, err)
 		return
 	}
 	if _, err := s.dummy.Exec(nil); err != nil {
 		s.log.Error("dummy statement failed", "err", err)
+	}
+}
+
+// answer replies to one executed statement and counts it: the
+// per-kind statement counter, its latency in whole epochs, and the
+// slow-statement log.
+func (s *Server) answer(j *job, kind string, res *core.Result, err error) {
+	j.sess.reply(j.id, res, err)
+	s.m.statements.WithCounter(kind).Inc()
+	// Latency in whole epochs waited: epochs completed since the
+	// statement was submitted. Epoch-schedule-derived, no wall clock.
+	waited := s.m.epochsTotal.Value() - j.submitEpoch
+	s.m.latency.WithHistogram(kind).Observe(float64(waited))
+	if waited >= uint64(s.cfg.SlowStatementEpochs) {
+		s.m.slowTotal.Inc()
+		// The shape is literal-free (sql.Shape): argument values and
+		// statement literals never reach a log line. A commit logs its
+		// keyword plus the (public) buffered-statement count.
+		shape := "COMMIT"
+		if !j.commit {
+			shape = j.prep.Shape()
+		}
+		s.log.Warn("slow statement",
+			"shape", shape, "kind", kind, "epochs_waited", waited)
 	}
 }
 

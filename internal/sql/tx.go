@@ -202,6 +202,42 @@ func (t *TxState) Rollback() error {
 	return nil
 }
 
+// ExecBatch executes a run of autocommit writes — each item an INSERT,
+// UPDATE or DELETE with its arguments — as one engine batch
+// (core.DB.ExecutePlanBatch): one flat pass per table and one journal
+// commit for the run. It returns one result or error per item. An item
+// whose arity or compilation fails answers that error and stays out of
+// the batch; the engine answers the rest, and rejects any that is not
+// a write.
+func (x *Executor) ExecBatch(items []TxItem) ([]*core.Result, []error) {
+	results := make([]*core.Result, len(items))
+	errs := make([]error, len(items))
+	bindings := make([]core.PlanBinding, 0, len(items))
+	idx := make([]int, 0, len(items))
+	for i, it := range items {
+		if errs[i] = checkArity(it.Prep.NumParams(), len(it.Args)); errs[i] != nil {
+			continue
+		}
+		root, err := x.compiledPlan(it.Prep.entry)
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		bindings = append(bindings, core.PlanBinding{Root: root, Binder: newBinder(it.Args)})
+		idx = append(idx, i)
+	}
+	if len(bindings) == 0 {
+		return results, errs
+	}
+	res, berrs := x.db.ExecutePlanBatch(bindings)
+	for k, i := range idx {
+		if errs[i] = berrs[k]; errs[i] == nil {
+			results[i] = res[k]
+		}
+	}
+	return results, errs
+}
+
 // ExecTx executes a transaction's buffered writes as one atomic batch.
 // It returns the usual one-row "affected" result summing every
 // statement's count — the deferred writes each acknowledged 0 at buffer

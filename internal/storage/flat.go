@@ -189,44 +189,202 @@ func (f *Flat) encodeAt(plain []byte, j int, r table.Row, used bool) error {
 	return f.schema.EncodeRecordAt(plain, j, r)
 }
 
-// Insert obliviously inserts a row: one pass over the table in which the
-// block holding the first unused slot receives the real write (a
-// read-modify-write) and every other block a dummy write (a re-seal of
-// the data it already holds). One read and one write per block; leaks
-// only the table size and geometry.
-func (f *Flat) Insert(r table.Row) error {
-	if err := f.schema.ValidateRow(r); err != nil {
-		return err
+// MutKind tags one flat-table mutation.
+type MutKind uint8
+
+const (
+	// MutInsert places Row in the first free slot.
+	MutInsert MutKind = iota
+	// MutDelete overwrites every row matching Pred with a dummy.
+	MutDelete
+	// MutUpdate rewrites every row matching Pred to Upd(row).
+	MutUpdate
+)
+
+// Mutation is one statement's write to a flat table, as ApplyBatch
+// takes it. In a batch holding an unvalidated update, every Pred and
+// Upd must be pure: the read-only pre-pass evaluates them too.
+type Mutation struct {
+	Kind MutKind
+	Row  table.Row     // MutInsert: the row to place
+	Pred table.Pred    // MutDelete, MutUpdate: the rows to touch
+	Upd  table.Updater // MutUpdate: the rewrite of a matching row
+	// Validated marks an update whose post-images the caller has
+	// already checked against the schema; it needs no read-only
+	// pre-pass.
+	Validated bool
+}
+
+// ApplyBatch obliviously applies a run of mutations in one pass over
+// the table: every block gets exactly one read and one write, whatever
+// the data and however many mutations the run holds. Within each block
+// the mutations apply in order; an insert still unplaced takes the
+// block's first free slot. The table ends exactly as applying the
+// mutations one by one would leave it, slot for slot. It returns each
+// mutation's affected row count (1 for a placed insert).
+//
+// Insert rows are validated before any access. A run holding an update
+// whose post-images the caller has not validated first makes a
+// read-only pre-pass that replays the same per-block sequence without
+// writing, so a misbehaving updater (wrong arity, wrong kind, oversized
+// string) fails with the table untouched; nothing is buffered, so
+// tables arbitrarily larger than the oblivious memory update in O(1)
+// enclave space. The trace is therefore the pass, preceded by one read
+// per block exactly when an unvalidated update is present — a function
+// of the mutation kinds and the block count only. The row count and the
+// append cursor follow each block as its write lands, so a pass cut
+// short by a store fault leaves them matching the blocks it rewrote. An
+// insert left unplaced because the table is full fails the batch after
+// the pass.
+func (f *Flat) ApplyBatch(muts []Mutation) ([]int, error) {
+	if len(muts) == 0 {
+		return nil, nil
 	}
-	inserted := false
-	for b := 0; b < f.store.Len(); b++ {
-		if err := f.readBlk(b); err != nil {
-			return err
+	check := false
+	for _, m := range muts {
+		switch m.Kind {
+		case MutInsert:
+			if err := f.schema.ValidateRow(m.Row); err != nil {
+				return nil, err
+			}
+		case MutUpdate:
+			check = check || !m.Validated
 		}
-		if !inserted {
-			for j := 0; j < f.rpb; j++ {
-				if f.schema.UsedAt(f.blk, j) {
-					continue
-				}
-				if err := f.schema.EncodeRecordAt(f.blk, j, r); err != nil {
-					return err
-				}
-				inserted = true
-				if i := b*f.rpb + j; i >= f.appendAt {
-					f.appendAt = i + 1
-				}
-				break
+	}
+	if f.dec == nil {
+		f.dec = f.schema.NewBlockBuf(f.rpb)
+	}
+	if check {
+		pre := newBatchPass(muts)
+		for b := 0; b < f.store.Len(); b++ {
+			if err := f.readBlk(b); err != nil {
+				return nil, err
+			}
+			if err := f.applyBlock(f.blk, b, pre, true); err != nil {
+				return nil, err
 			}
 		}
-		if err := f.store.Write(b, f.blk); err != nil {
-			return err
+	}
+	p := newBatchPass(muts)
+	for b := 0; b < f.store.Len(); b++ {
+		p.rows, p.top, p.deleted = 0, 0, false
+		var err error
+		f.blk, err = f.store.RMW(b, f.blk, func(plain []byte) error {
+			return f.applyBlock(plain, b, p, false)
+		})
+		if err != nil {
+			return nil, err
+		}
+		f.rows += p.rows
+		if p.top > f.appendAt {
+			f.appendAt = p.top
+		}
+		if p.deleted {
+			// Deletions may open holes before appendAt; fall back to
+			// scanning inserts for correctness (the paper offers
+			// InsertFast for tables "with few deletions").
+			f.appendAt = f.Capacity()
 		}
 	}
-	if !inserted {
-		return fmt.Errorf("storage: table %q is full (%d rows)", f.name, f.Capacity())
+	for i, m := range muts {
+		if m.Kind == MutInsert && !p.placed[i] {
+			return nil, fmt.Errorf("storage: table %q is full (%d rows)", f.name, f.Capacity())
+		}
 	}
-	f.rows++
+	return p.counts, nil
+}
+
+// batchPass is one ApplyBatch pass's progress: which inserts have been
+// placed, the per-mutation counts, and the current block's effect on
+// the row count (rows), the append cursor (top, one past the highest
+// slot an insert took) and whether it deleted anything.
+type batchPass struct {
+	muts    []Mutation
+	placed  []bool
+	counts  []int
+	rows    int
+	top     int
+	deleted bool
+}
+
+func newBatchPass(muts []Mutation) *batchPass {
+	return &batchPass{muts: muts, placed: make([]bool, len(muts)), counts: make([]int, len(muts))}
+}
+
+// applyBlock applies the batch, in order, to block b's plaintext. With
+// check set (the read-only pre-pass) it validates the post-image of
+// every unvalidated update.
+func (f *Flat) applyBlock(plain []byte, b int, p *batchPass, check bool) error {
+	decoded := false // f.dec holds plain's current records
+	for i, m := range p.muts {
+		if m.Kind == MutInsert {
+			if p.placed[i] {
+				continue
+			}
+			for j := 0; j < f.rpb; j++ {
+				if f.schema.UsedAt(plain, j) {
+					continue
+				}
+				if err := f.schema.EncodeRecordAt(plain, j, m.Row); err != nil {
+					return err
+				}
+				p.placed[i], decoded = true, false
+				p.counts[i]++
+				p.rows++
+				p.top = max(p.top, b*f.rpb+j+1)
+				break
+			}
+			continue
+		}
+		if !decoded {
+			if err := f.schema.DecodeBlockInto(f.dec, plain); err != nil {
+				return err
+			}
+			decoded = true
+		}
+		n := 0
+		for j := 0; j < f.rpb; j++ {
+			row, used := f.dec.Row(j)
+			if !used || !m.Pred(row) {
+				continue
+			}
+			var err error
+			if m.Kind == MutDelete {
+				err = f.schema.EncodeDummyAt(plain, j)
+			} else {
+				post := m.Upd(row.Clone())
+				if check && !m.Validated {
+					if verr := f.schema.ValidateRow(post); verr != nil {
+						return fmt.Errorf("storage: update on %q produced an invalid row: %w", f.name, verr)
+					}
+				}
+				err = f.schema.EncodeRecordAt(plain, j, post)
+			}
+			if err != nil {
+				return err
+			}
+			n++
+		}
+		if n > 0 {
+			decoded = false
+			p.counts[i] += n
+			if m.Kind == MutDelete {
+				p.rows -= n
+				p.deleted = true
+			}
+		}
+	}
 	return nil
+}
+
+// Insert obliviously inserts a row: a one-mutation ApplyBatch, so the
+// block holding the first unused slot receives the real write and every
+// other block a dummy write (a re-seal of the data it already holds).
+// One read and one write per block; leaks only the table size and
+// geometry.
+func (f *Flat) Insert(r table.Row) error {
+	_, err := f.ApplyBatch([]Mutation{{Kind: MutInsert, Row: r}})
+	return err
 }
 
 // InsertFast is the constant-time insertion variant for tables with few
@@ -249,97 +407,34 @@ func (f *Flat) InsertFast(r table.Row) error {
 	return nil
 }
 
-// Update obliviously applies upd to every row matching pred. It runs two
-// full passes whose traces depend only on the block count: a read-only
-// validation pass that applies upd to every matching row and checks the
-// result (ValidateRow), then a read-modify-write pass giving every block
-// one read and one write (re-applying upd to its matching records, or a
-// dummy re-encryption). A misbehaving updater — wrong arity, wrong kind,
-// oversized string — fails cleanly in the first pass with the table
-// untouched, instead of erroring mid-pass with the table half-rewritten;
-// nothing is buffered, so tables arbitrarily larger than the oblivious
-// memory update in O(1) enclave space. pred and upd must be pure: both
-// passes evaluate them, so side-effecting or non-deterministic callbacks
-// would diverge between validation and write. It returns the number of
-// rows updated.
+// AppendRoom returns how many more rows InsertFast can take: the slots
+// past the append cursor.
+func (f *Flat) AppendRoom() int { return f.Capacity() - f.appendAt }
+
+// Update obliviously applies upd to every row matching pred: a
+// one-mutation ApplyBatch with an unvalidated update, so a read-only
+// validation pass precedes the read-modify-write pass and a
+// misbehaving updater fails with the table untouched. pred and upd must
+// be pure: both passes evaluate them. It returns the number of rows
+// updated.
 func (f *Flat) Update(pred table.Pred, upd table.Updater) (int, error) {
-	err := f.Scan(func(i int, row table.Row, used bool) error {
-		if !used || !pred(row) {
-			return nil
-		}
-		if err := f.schema.ValidateRow(upd(row.Clone())); err != nil {
-			return fmt.Errorf("storage: update on %q produced an invalid row: %w", f.name, err)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	if f.dec == nil {
-		f.dec = f.schema.NewBlockBuf(f.rpb)
-	}
-	updated := 0
-	for b := 0; b < f.store.Len(); b++ {
-		f.blk, err = f.store.RMW(b, f.blk, func(plain []byte) error {
-			if err := f.schema.DecodeBlockInto(f.dec, plain); err != nil {
-				return err
-			}
-			for j := 0; j < f.rpb; j++ {
-				row, used := f.dec.Row(j)
-				if !used || !pred(row) {
-					continue
-				}
-				if err := f.schema.EncodeRecordAt(plain, j, upd(row.Clone())); err != nil {
-					return err
-				}
-				updated++
-			}
-			return nil
-		})
-		if err != nil {
-			return updated, err
-		}
-	}
-	return updated, nil
+	return f.applyOne(Mutation{Kind: MutUpdate, Pred: pred, Upd: upd})
 }
 
 // Delete obliviously marks every row matching pred unused, overwriting
 // it with dummy data; every block gets exactly one read and one write
 // (its survivors re-encrypted). It returns the number of rows deleted.
 func (f *Flat) Delete(pred table.Pred) (int, error) {
-	if f.dec == nil {
-		f.dec = f.schema.NewBlockBuf(f.rpb)
+	return f.applyOne(Mutation{Kind: MutDelete, Pred: pred})
+}
+
+// applyOne runs a one-mutation batch and returns its count.
+func (f *Flat) applyOne(m Mutation) (int, error) {
+	counts, err := f.ApplyBatch([]Mutation{m})
+	if err != nil {
+		return 0, err
 	}
-	deleted := 0
-	for b := 0; b < f.store.Len(); b++ {
-		var err error
-		f.blk, err = f.store.RMW(b, f.blk, func(plain []byte) error {
-			if err := f.schema.DecodeBlockInto(f.dec, plain); err != nil {
-				return err
-			}
-			for j := 0; j < f.rpb; j++ {
-				row, used := f.dec.Row(j)
-				if used && pred(row) {
-					if err := f.schema.EncodeDummyAt(plain, j); err != nil {
-						return err
-					}
-					deleted++
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return deleted, err
-		}
-	}
-	f.rows -= deleted
-	if deleted > 0 {
-		// Deletions may open holes before appendAt; fall back to scanning
-		// inserts for correctness (the paper offers InsertFast for tables
-		// "with few deletions").
-		f.appendAt = f.Capacity()
-	}
-	return deleted, nil
+	return counts[0], nil
 }
 
 // Scan reads every block once in order, invoking fn inside the enclave

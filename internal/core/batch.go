@@ -12,7 +12,7 @@ import (
 // order, and queues its flat mutation; the bracket's end flushes the
 // queue with one storage.Flat.ApplyBatch per table — one read and one
 // write per block for the whole run. A single ExecutePlan write is a
-// run of one; ExecutePlanTx and ExecutePlanBatch run many.
+// run of one; ExecutePlanBatch runs many.
 //
 // Whatever reads a table's flat representation inside a bracket — a
 // flat-only table's match pass, an undo's removal, a checkpoint's scan
@@ -40,13 +40,17 @@ func (db *DB) queueFlat(t *Table, m storage.Mutation) {
 
 // flushFlat applies t's queued mutations in one batch. They leave the
 // list before the pass starts: a pass cut short by a fault has touched
-// the table, so rollback must undo them in the flat table as well.
+// the table, so rollback must undo them in the flat table as well. It
+// marks the undo records of the inserts that never landed unlanded, so
+// their replay's removal pass matches nothing.
 func (db *DB) flushFlat(t *Table) error {
 	var muts []storage.Mutation
+	var undos []int
 	keep := db.pending[:0]
 	for _, op := range db.pending {
 		if op.t == t {
 			muts = append(muts, op.mut)
+			undos = append(undos, op.undo)
 		} else {
 			keep = append(keep, op)
 		}
@@ -56,7 +60,14 @@ func (db *DB) flushFlat(t *Table) error {
 	if len(muts) == 0 {
 		return nil
 	}
-	_, err := db.applyFlat(t, muts)
+	counts, err := db.applyFlat(t, muts)
+	if err != nil {
+		for i, m := range muts {
+			if m.Kind == storage.MutInsert && undos[i] >= 0 && (i >= len(counts) || counts[i] == 0) {
+				db.undo[undos[i]].unlanded = true
+			}
+		}
+	}
 	return err
 }
 
@@ -89,10 +100,11 @@ func (db *DB) dropPending(undoMark int) {
 }
 
 // applyFlat applies mutations to t's flat table now and returns their
-// counts. It first grows the table until the inserts fit. A batch of
-// inserts only that fits behind the append cursor takes the
-// constant-time InsertFast path (unless the table asked for oblivious
-// inserts); anything else is one ApplyBatch pass.
+// counts — on failure, those of what landed (an insert counts 1 once it
+// is placed and written). It first grows the table until the inserts
+// fit. A batch of inserts only that fits behind the append cursor takes
+// the constant-time InsertFast path (unless the table asked for
+// oblivious inserts); anything else is one ApplyBatch pass.
 func (db *DB) applyFlat(t *Table, muts []storage.Mutation) ([]int, error) {
 	inserts := 0
 	for _, m := range muts {
@@ -109,7 +121,7 @@ func (db *DB) applyFlat(t *Table, muts []storage.Mutation) ([]int, error) {
 	counts := make([]int, len(muts))
 	for i, m := range muts {
 		if err := t.flat.InsertFast(m.Row); err != nil {
-			return nil, err
+			return counts, err
 		}
 		counts[i] = 1
 	}

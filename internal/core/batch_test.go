@@ -10,6 +10,7 @@ import (
 	"oblidb/internal/oberr"
 	"oblidb/internal/plan"
 	"oblidb/internal/table"
+	"oblidb/internal/trace"
 	"oblidb/internal/wal"
 )
 
@@ -90,6 +91,26 @@ func writeRun(index bool) []PlanBinding {
 	return run
 }
 
+// autocommit makes each statement a group of its own, as the server
+// batches its autocommit writes.
+func autocommit(items []PlanBinding) [][]PlanBinding {
+	groups := make([][]PlanBinding, len(items))
+	for i, it := range items {
+		groups[i] = []PlanBinding{it}
+	}
+	return groups
+}
+
+// execGroup runs items as a write run of one group, as a transaction
+// commits, and returns the group's answer.
+func execGroup(db *DB, items ...PlanBinding) (*Result, error) {
+	res, errs := db.ExecutePlanBatch([][]PlanBinding{items})
+	if errs[0] != nil {
+		return nil, errs[0]
+	}
+	return res[0], nil
+}
+
 // runState snapshots both tables.
 func runState(t *testing.T, db *DB) []string {
 	t.Helper()
@@ -112,7 +133,7 @@ func TestWriteRunMatchesOneAtATime(t *testing.T) {
 	}
 	db, _ := runEngine(t, key, nil)
 	commits := db.WALStats().Commits
-	res, errs := db.ExecutePlanBatch(writeRun(true))
+	res, errs := db.ExecutePlanBatch(autocommit(writeRun(true)))
 	for i := range want {
 		if errs[i] != nil {
 			t.Fatalf("statement %d: %v", i, errs[i])
@@ -146,7 +167,7 @@ func TestFaultInWriteRunContained(t *testing.T) {
 			counter := faultstore.NewInjector(faultstore.Schedule{})
 			ref, _ := runEngine(t, key, counter)
 			from := counter.Accesses()
-			if _, errs := ref.ExecutePlanBatch(writeRun(index)); errs[0] != nil {
+			if _, errs := ref.ExecutePlanBatch(autocommit(writeRun(index))); errs[0] != nil {
 				t.Fatal(errs[0])
 			}
 			to := counter.Accesses()
@@ -166,7 +187,7 @@ func TestFaultInWriteRunContained(t *testing.T) {
 			for k := from; k < to; k += stride {
 				inj := faultstore.NewInjector(faultstore.Schedule{FailAt: []uint64{k}, MaxFaults: 1})
 				db, path := runEngine(t, key, inj)
-				_, errs := db.ExecutePlanBatch(writeRun(index))
+				_, errs := db.ExecutePlanBatch(autocommit(writeRun(index)))
 				want := oberr.CodeStoreFault
 				if db.Broken() != nil {
 					if !index {
@@ -195,7 +216,7 @@ func TestFaultInWriteRunContained(t *testing.T) {
 				if want == oberr.CodeEngineFailed {
 					db = rec
 				}
-				if _, errs := db.ExecutePlanBatch(writeRun(index)); errs[0] != nil {
+				if _, errs := db.ExecutePlanBatch(autocommit(writeRun(index))); errs[0] != nil {
 					t.Fatalf("retry after fault at access %d: %v", k, errs[0])
 				}
 				if got := runState(t, db); rowsDiffer(got, post) {
@@ -219,7 +240,7 @@ func TestWriteRunOwnErrorIsolated(t *testing.T) {
 		{table.Row{table.Int(301), table.Str("far too long for twelve")}},
 	}}, funcBinder{}}
 	items := append([]PlanBinding{bad}, writeRun(true)...)
-	_, errs := db.ExecutePlanBatch(items)
+	_, errs := db.ExecutePlanBatch(autocommit(items))
 	if errs[0] == nil || oberr.CodeOf(errs[0]) != oberr.CodeUnknown {
 		t.Fatalf("invalid insert answered %v, want its own untyped error", errs[0])
 	}
@@ -229,7 +250,7 @@ func TestWriteRunOwnErrorIsolated(t *testing.T) {
 		}
 	}
 	want, _ := runEngine(t, key, nil)
-	if _, errs := want.ExecutePlanBatch(writeRun(true)); errs[0] != nil {
+	if _, errs := want.ExecutePlanBatch(autocommit(writeRun(true))); errs[0] != nil {
 		t.Fatal(errs[0])
 	}
 	if got, w := runState(t, db), runState(t, want); rowsDiffer(got, w) {
@@ -259,10 +280,10 @@ func TestRolledBackRunKeepsEqualRows(t *testing.T) {
 	pre := runState(t, db)
 	copyRow := table.Row{table.Int(3), table.Str("bf3")}
 	bad := table.Row{table.Int(300), table.Str("far too long for twelve")}
-	_, err := db.ExecutePlanTx([]PlanBinding{
-		{&plan.Insert{Table: "bf", Rows: [][]plan.Expr{{copyRow}}}, funcBinder{}},
-		{&plan.Insert{Table: "bb", Rows: [][]plan.Expr{{bad}}}, funcBinder{}},
-	})
+	_, err := execGroup(db,
+		PlanBinding{&plan.Insert{Table: "bf", Rows: [][]plan.Expr{{copyRow}}}, funcBinder{}},
+		PlanBinding{&plan.Insert{Table: "bb", Rows: [][]plan.Expr{{bad}}}, funcBinder{}},
+	)
 	if err == nil {
 		t.Fatal("transaction with an invalid row committed")
 	}
@@ -271,21 +292,110 @@ func TestRolledBackRunKeepsEqualRows(t *testing.T) {
 	}
 }
 
-// TestReadInRunSeesQueuedWrites: a read inside ExecutePlanTx flushes
-// the run's queued flat mutations first, so it sees the writes before
-// it.
-func TestReadInRunSeesQueuedWrites(t *testing.T) {
-	db, _ := runEngine(t, crypt.NewRandomKey(), nil)
-	row := table.Row{table.Int(500), table.Str("queued")}
-	is500 := predExpr(func(r table.Row) bool { return r[0].AsInt() == 500 })
-	res, err := db.ExecutePlanTx([]PlanBinding{
-		{&plan.Insert{Table: "bf", Rows: [][]plan.Expr{{row}}}, funcBinder{}},
-		{&plan.Collect{Input: &plan.Filter{Input: &plan.Scan{Table: "bf"}, Cond: is500}}, funcBinder{}},
-	})
+// TestFaultedInsertRollbackKeepsEqualRow: an insert whose flat write
+// faults before it lands must not be undone in the flat table, where
+// its undo would remove an equal row the table already held. A
+// journaled flat-only table holds (1, 'x'); inserting (1, 'x') again
+// with one fault at each of its flat accesses — the constant-time
+// append's one block, and every block of an oblivious-insert pass —
+// fails retriably and leaves exactly the one row.
+func TestFaultedInsertRollbackKeepsEqualRow(t *testing.T) {
+	key := crypt.NewRandomKey()
+	x := table.Row{table.Int(1), table.Str("x")}
+	for _, oblivious := range []bool{false, true} {
+		t.Run(fmt.Sprintf("oblivious=%v", oblivious), func(t *testing.T) {
+			engine := func(inj *faultstore.Injector) *DB {
+				cfg := Config{Key: key, Seed: 7, RowsPerBlock: 4}
+				if inj != nil {
+					cfg.Fault = inj
+				}
+				db := MustOpen(cfg)
+				if _, err := db.CreateTable("eq", walTestSchema(), TableOptions{Capacity: 8, ObliviousInserts: oblivious}); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.Insert("eq", x); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.AttachWAL(openTestLog(t, filepath.Join(t.TempDir(), "eq.wal"), key, wal.Options{})); err != nil {
+					t.Fatal(err)
+				}
+				return db
+			}
+			counter := faultstore.NewInjector(faultstore.Schedule{})
+			db := engine(counter)
+			from := counter.Accesses()
+			if err := db.Insert("eq", x); err != nil {
+				t.Fatal(err)
+			}
+			to := counter.Accesses()
+			if blocks := uint64(mustTable(t, db, "eq").Flat().NumBlocks()); !oblivious && to-from != 2 || oblivious && to-from != 2*blocks {
+				t.Fatalf("insert made %d store accesses", to-from)
+			}
+			want := snapshotRows(t, engine(nil), "eq")
+			for k := from; k < to; k++ {
+				db := engine(faultstore.NewInjector(faultstore.Schedule{FailAt: []uint64{k}, MaxFaults: 1}))
+				if err := db.Insert("eq", x); oberr.CodeOf(err) != oberr.CodeStoreFault {
+					t.Fatalf("fault at access %d: insert answered %v, want CodeStoreFault", k, err)
+				}
+				if got := snapshotRows(t, db, "eq"); rowsDiffer(got, want) {
+					t.Fatalf("fault at access %d left %v, want %v", k, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestFaultedInsertRollbackTraceOblivious pins the trace of an insert's
+// undo after its pass faults. An earlier DELETE leaves the table's one
+// hole in block 0 in one run and in block 3 in the other, so a fault at
+// block 2 of the INSERT's pass finds the insert landed in the first run
+// and not in the second. Both rollbacks must make the same accesses:
+// whether an insert landed may change only what its undo matches.
+func TestFaultedInsertRollbackTraceOblivious(t *testing.T) {
+	key := crypt.NewRandomKey()
+	run := func(order []int64, inj *faultstore.Injector) (*DB, *trace.Tracer, uint64, error) {
+		tr := trace.New()
+		db := MustOpen(Config{Key: key, Seed: 7, RowsPerBlock: 1, Tracer: tr, Fault: inj})
+		if _, err := db.CreateTable("h", walTestSchema(), TableOptions{Capacity: 8}); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range order {
+			if err := db.Insert("h", table.Row{table.Int(k), table.Str("x")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.AttachWAL(openTestLog(t, filepath.Join(t.TempDir(), "h.wal"), key, wal.Options{})); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := db.Delete("h", func(r table.Row) bool { return r[0].AsInt() == 1 }, nil); err != nil || n != 1 {
+			t.Fatalf("delete: %d rows, %v", n, err)
+		}
+		from := inj.Accesses()
+		return db, tr, from, db.Insert("h", table.Row{table.Int(9), table.Str("y")})
+	}
+	holeFirst, holeLater := []int64{1, 2, 3, 4, 5, 6}, []int64{2, 3, 4, 1, 5, 6}
+	counter := faultstore.NewInjector(faultstore.Schedule{})
+	db, _, from, err := run(holeFirst, counter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows := res[1].Rows; len(rows) != 1 || !rowsEqual(rows[0], row) {
-		t.Fatalf("read in the run returned %v, want the queued row", rows)
+	blocks := uint64(mustTable(t, db, "h").Flat().NumBlocks())
+	if n := counter.Accesses() - from; blocks != 8 || n != 2*blocks {
+		t.Fatalf("insert made %d accesses over %d blocks, want one pass over 8", n, blocks)
+	}
+	failAt := from + 4 // the read of block 2
+	var prints [2][32]byte
+	for i, order := range [][]int64{holeFirst, holeLater} {
+		db, tr, _, err := run(order, faultstore.NewInjector(faultstore.Schedule{FailAt: []uint64{failAt}, MaxFaults: 1}))
+		if oberr.CodeOf(err) != oberr.CodeStoreFault {
+			t.Fatalf("order %v: insert answered %v, want CodeStoreFault", order, err)
+		}
+		prints[i] = tr.Fingerprint()
+		if got := snapshotRows(t, db, "h"); len(got) != 5 {
+			t.Fatalf("order %v: rollback left %v, want the 5 rows the DELETE kept", order, got)
+		}
+	}
+	if prints[0] != prints[1] {
+		t.Fatal("an insert's undo made different accesses depending on whether the faulted pass had placed it")
 	}
 }

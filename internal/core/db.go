@@ -126,10 +126,9 @@ type Config struct {
 
 // DB is an ObliDB database: an enclave plus its tables.
 //
-// Concurrency: the database lock is a read/write mutex. Mutations, DDL,
-// transactions and EXPLAIN take the exclusive side — one at a time,
-// exactly the seed engine — and run on the engine's own context, whose
-// operators partition over the pool of Config.Workers contexts. A read
+// Concurrency: the database lock is a read/write mutex. Mutations, DDL
+// and EXPLAIN take the exclusive side — one at a time, exactly the seed
+// engine — and run on the engine's own context, whose operators partition over the pool of Config.Workers contexts. A read
 // statement takes the shared side first and prices its plan with
 // planner.Parallelism, the walk behind EXPLAIN's P=. If some operator
 // would run at P ≥ 2, it trades the shared side for the exclusive one
@@ -142,12 +141,12 @@ type Config struct {
 // resolved against a copy-on-write snapshot republished on every DDL.
 // With Workers ≤ 1 reads also take the exclusive side and run on the
 // engine's own context, preserving the serial engine's byte-identical
-// traces. Statements, reads and writes alike, are plans: ExecutePlan,
-// ExecutePlanTx and ExecutePlanBatch take the lock once per statement,
-// transaction or write run, and DDL, BulkLoad and the journal methods
-// lock for themselves.
-// Everything they call runs unlocked, so the mutex is never taken
-// reentrantly. See DESIGN.md §9 and §16.
+// traces. Statements, reads and writes alike, are plans: ExecutePlan
+// and ExecutePlanBatch take the lock once per statement or write run
+// (transactions commit as groups of a run), and DDL, BulkLoad and the
+// journal methods lock for themselves. Everything they call runs
+// unlocked, so the mutex is never taken reentrantly. See DESIGN.md §9
+// and §16.
 type DB struct {
 	mu     sync.RWMutex
 	enc    *enclave.Enclave
@@ -175,8 +174,8 @@ type DB struct {
 	wal        *wal.Log
 	recovering bool
 	// inRun defers the flat flush and the journal commit across the
-	// statements of a run (ExecutePlanTx, ExecutePlanBatch); undo
-	// records how to reverse applied-but-uncommitted changes, and inUndo
+	// groups of a write run (ExecutePlanBatch); undo records how to
+	// reverse applied-but-uncommitted changes, and inUndo
 	// suppresses tracking while it replays (see wal.go). pending holds
 	// the flat mutations the bracket has queued but not yet applied
 	// (see batch.go).

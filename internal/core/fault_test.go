@@ -200,12 +200,11 @@ func TestLatchedEngineRefusesEveryEntryPoint(t *testing.T) {
 			_, err := db.ExecutePlan(&plan.Delete{Table: "lt"}, funcBinder{})
 			return err
 		}},
-		{"ExecutePlanTx", func(db *DB) error {
-			_, err := db.ExecutePlanTx([]PlanBinding{{Root: &plan.Delete{Table: "lt"}, Binder: funcBinder{}}})
-			return err
-		}},
 		{"ExecutePlanBatch", func(db *DB) error {
-			_, errs := db.ExecutePlanBatch([]PlanBinding{{Root: &plan.Delete{Table: "lt"}, Binder: funcBinder{}}})
+			_, errs := db.ExecutePlanBatch([][]PlanBinding{{
+				{Root: &plan.Insert{Table: "lt", Rows: [][]plan.Expr{{row(101)}}}, Binder: funcBinder{}},
+				{Root: &plan.Delete{Table: "lt"}, Binder: funcBinder{}},
+			}})
 			return errs[0]
 		}},
 		{"CreateTable", func(db *DB) error {

@@ -107,7 +107,7 @@ func (db *DB) ExplainPlan(root plan.Node) []string {
 // Read-only plans (plan.ReadOnly) that do not partition run under the
 // shared side of the database lock on a pooled read-slot context, so the
 // server's epoch workers execute them concurrently; everything else —
-// partitioned reads, DML, DDL, transactions — takes the exclusive side.
+// partitioned reads, DML, DDL — takes the exclusive side.
 func (db *DB) ExecutePlan(root plan.Node, b plan.Binder) (*Result, error) {
 	ec, release := db.begin(root)
 	defer release()
@@ -124,15 +124,8 @@ func (db *DB) ExecutePlan(root plan.Node, b plan.Binder) (*Result, error) {
 	return res, nil
 }
 
-// runPlan executes a statement-level plan node. A read inside a run
-// first flushes the run's queued flat mutations, so it sees the writes
-// before it.
+// runPlan executes a statement-level plan node.
 func (db *DB) runPlan(ec *execCtx, n plan.Node, b plan.Binder) (*Result, error) {
-	if !isWrite(n) && len(db.pending) > 0 {
-		if err := db.flushAll(); err != nil {
-			return nil, err
-		}
-	}
 	switch x := n.(type) {
 	case *plan.Collect:
 		return db.runCollect(ec, x, b)
@@ -147,12 +140,16 @@ func (db *DB) runPlan(ec *execCtx, n plan.Node, b plan.Binder) (*Result, error) 
 		}
 		return db.aggregateTable(ec, t, pred, x.Specs, names, key)
 	case *plan.Insert, *plan.Update, *plan.Delete:
-		// The one bracket of every write: a failed body is undone and its
+		// The bracket of a single write: a failed body is undone and its
 		// staged journal records discarded; a successful one flushes its
-		// flat mutations and commits, or leaves both pending for the
-		// enclosing run.
+		// flat mutations and commits. Where undo records are kept, a
+		// deferred evaluation error fails the body inside the bracket,
+		// so it is undone too; untracked, it surfaces after the flush.
 		wm, um := db.mutationMarks()
 		count, err := db.runWrite(n, b)
+		if err == nil && db.trackingMutations() {
+			err = b.Err()
+		}
 		if err = db.endMutation(err, wm, um); err != nil {
 			return nil, err
 		}
@@ -216,66 +213,26 @@ type PlanBinding struct {
 	Binder plan.Binder
 }
 
-// ExecutePlanTx executes a transaction's statements as one atomic run
-// under a single hold of the database mutex: the flat mutations of all
-// its writes flush together (one pass per table) and their journal
-// records commit durably together, or any failure rolls every in-memory
-// change back and discards the staged records. The engine is
-// single-writer, so atomicity needs no cross-statement locking — only
-// the deferred flush and commit and the undo log (see wal.go).
-func (db *DB) ExecutePlanTx(items []PlanBinding) ([]*Result, error) {
-	db.lockWrite()
-	defer db.mu.Unlock()
-	if err := db.refuseBroken(); err != nil {
-		return nil, err
-	}
-	walMark, undoMark := db.mutationMarks()
-	db.inRun = true
-	results := make([]*Result, 0, len(items))
-	var err error
-	for _, it := range items {
-		var res *Result
-		if res, err = db.runPlan(db.serialCtx, it.Root, it.Binder); err == nil {
-			err = it.Binder.Err()
-		}
-		if err != nil {
-			break
-		}
-		results = append(results, res)
-	}
-	db.inRun = false
-	if err == nil {
-		err = db.flushAll()
-	}
-	if err != nil {
-		if rerr := db.rollbackTo(walMark, undoMark); rerr != nil {
-			return nil, db.latchBroken(err, rerr)
-		}
-		return nil, err
-	}
-	if err := db.commitLocked(walMark, undoMark); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// ExecutePlanBatch executes a run of autocommit writes — the server's
-// consecutive INSERT, UPDATE and DELETE slots of one epoch — under one
-// hold of the database mutex, with one flat pass per table the run
+// ExecutePlanBatch executes a run of write groups — the server's
+// consecutive write slots of one epoch, each an autocommit write (a
+// group of one) or a transaction's COMMIT (its buffered writes) — under
+// one hold of the database mutex, with one flat pass per table the run
 // touches and one journal commit for the run. Each statement's index
 // work, validation, undo and journal records still happen in order, so
-// every statement sees the ones before it. A statement that fails on
-// its own — a bind or validation error, found before any of its
-// mutations — is undone alone and answers its own error, and the run
-// goes on. A typed failure (a store fault, a refused access), a failed
-// flush or a failed journal commit rolls the whole run back and answers
-// every statement with the same error, so each is a no-op and a
-// retriable one may simply be retried (DESIGN.md §17). It returns one
-// result or error per item; nothing is acknowledged before the commit.
-func (db *DB) ExecutePlanBatch(items []PlanBinding) ([]*Result, []error) {
+// every statement sees the ones before it. A group is the atomic unit:
+// one that fails on its own — a bind, validation or deferred evaluation
+// error, found before the run's flush — is undone alone, to its own
+// marks, and answers its own error, and the run goes on. A typed
+// failure (a store fault, a refused access), a failed flush or a failed
+// journal commit rolls the whole run back and answers every group with
+// the same error, so each is a no-op and a retriable one may simply be
+// retried (DESIGN.md §17). It returns one result or error per group —
+// the affected-row sum of the group's statements — and nothing is
+// acknowledged before the commit.
+func (db *DB) ExecutePlanBatch(groups [][]PlanBinding) ([]*Result, []error) {
 	db.lockWrite()
 	defer db.mu.Unlock()
-	errs := make([]error, len(items))
+	errs := make([]error, len(groups))
 	fail := func(err error) ([]*Result, []error) {
 		for i := range errs {
 			if errs[i] == nil {
@@ -288,25 +245,22 @@ func (db *DB) ExecutePlanBatch(items []PlanBinding) ([]*Result, []error) {
 		return fail(err)
 	}
 	walMark, undoMark := db.mutationMarks()
-	counts := make([]int, len(items))
+	counts := make([]int, len(groups))
 	db.inRun = true
 	var runErr error
-	for i, it := range items {
-		if !isWrite(it.Root) {
-			errs[i] = fmt.Errorf("core: batch item %d is %T, not a write", i, it.Root)
-			continue
-		}
+	for i, g := range groups {
 		wm, um := db.mutationMarks()
-		n, err := db.runWrite(it.Root, it.Binder)
+		n, err := db.runGroup(g)
 		if err == nil {
 			counts[i] = n
 			continue
 		}
-		if oberr.CodeOf(err) != oberr.CodeUnknown {
-			runErr = err
-			break
+		if oberr.CodeOf(err) == oberr.CodeUnknown {
+			// The group's own failure: undo it alone. Only a failed
+			// undo, which latches the engine, ends the run.
+			err = db.endMutation(err, wm, um)
 		}
-		if err = db.endMutation(err, wm, um); oberr.CodeOf(err) == oberr.CodeEngineFailed {
+		if oberr.CodeOf(err) != oberr.CodeUnknown {
 			runErr = err
 			break
 		}
@@ -327,24 +281,31 @@ func (db *DB) ExecutePlanBatch(items []PlanBinding) ([]*Result, []error) {
 	if err := db.commitLocked(walMark, undoMark); err != nil {
 		return fail(err)
 	}
-	results := make([]*Result, len(items))
-	for i, it := range items {
+	results := make([]*Result, len(groups))
+	for i := range groups {
 		if errs[i] == nil {
-			if errs[i] = it.Binder.Err(); errs[i] == nil {
-				results[i] = AffectedResult(counts[i])
-			}
+			results[i] = AffectedResult(counts[i])
 		}
 	}
 	return results, errs
 }
 
-// isWrite reports whether n is a write statement.
-func isWrite(n plan.Node) bool {
-	switch n.(type) {
-	case *plan.Insert, *plan.Update, *plan.Delete:
-		return true
+// runGroup runs one group's writes in order and returns their summed
+// affected count. A statement's deferred evaluation error fails it
+// here, inside the bracket, so the group's undo covers it.
+func (db *DB) runGroup(g []PlanBinding) (int, error) {
+	total := 0
+	for _, it := range g {
+		n, err := db.runWrite(it.Root, it.Binder)
+		if err == nil {
+			err = it.Binder.Err()
+		}
+		if err != nil {
+			return 0, err
+		}
+		total += n
 	}
-	return false
+	return total, nil
 }
 
 // runCollect materializes the subtree and decrypts it into a Result,

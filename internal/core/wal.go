@@ -14,9 +14,9 @@ import (
 // Every mutating statement runs inside an implicit transaction: its
 // journal records are staged as its body runs, and endMutation flushes
 // the queued flat mutations (batch.go) and commits them — or rewinds the
-// stage and undoes the in-memory changes on failure. Runs
-// (ExecutePlanTx, ExecutePlanBatch) stretch the same mechanism across
-// statements, with one flush and one commit for the run. Staged records
+// stage and undoes the in-memory changes on failure. A write run
+// (ExecutePlanBatch) stretches the same mechanism across its groups,
+// with one flush and one commit for the run. Staged records
 // reach the file only through a commit that follows a successful flush,
 // so the log can never describe state that did not exist (the seed
 // logged ahead of the pass and could).
@@ -153,15 +153,15 @@ func (db *DB) mutationMarks() (walMark, undoMark int) {
 
 // endMutation finishes one mutating statement: on error, its queued
 // flat mutations are dropped, its staged journal records discarded and
-// its in-memory changes undone; on success outside a run, the queued
-// flat mutations flush and the staged batch commits durably. Inside a
-// run both stay pending for the run's end. During recovery or unwinding
-// it is a passthrough.
+// its in-memory changes undone; on success, the queued flat mutations
+// flush and the staged batch commits durably. A write run calls it only
+// to undo a failed group, and flushes and commits once at its end.
+// During recovery or unwinding it is a passthrough.
 func (db *DB) endMutation(err error, walMark, undoMark int) error {
 	if db.recovering || db.inUndo {
 		return err
 	}
-	if err == nil && !db.inRun {
+	if err == nil {
 		err = db.flushAll()
 	}
 	if err != nil {
@@ -169,9 +169,6 @@ func (db *DB) endMutation(err error, walMark, undoMark int) error {
 			return db.latchBroken(err, rerr)
 		}
 		return err
-	}
-	if db.inRun {
-		return nil
 	}
 	return db.commitLocked(walMark, undoMark)
 }
@@ -238,9 +235,31 @@ func (db *DB) rollbackTo(walMark, undoMark int) error {
 		if err := db.applyUndo(db.undo[i]); err != nil && firstErr == nil {
 			firstErr = err
 		}
+		if r := db.undo[i]; !r.flatDropped && (r.op == undoDelete || r.op == undoUpdate) {
+			db.relandInserts(r, undoMark, i)
+		}
 	}
 	db.undo = db.undo[:undoMark]
 	return firstErr
+}
+
+// relandInserts clears unlanded on the one-row insert records in
+// undo[from:to] whose row r's replay just restored: the flat table now
+// holds it, landed or not, so their undo's removal pass must match it.
+// Only the pass's predicate changes, never its accesses.
+func (db *DB) relandInserts(r undoRec, from, to int) {
+	for k := from; k < to; k++ {
+		u := &db.undo[k]
+		if u.op != undoInsert || !u.unlanded || u.table != r.table {
+			continue
+		}
+		for _, row := range r.pre {
+			if rowsEqual(row, u.post[0]) {
+				u.unlanded = false
+				break
+			}
+		}
+	}
 }
 
 // undoOp tags one undo record.
@@ -259,15 +278,22 @@ const (
 )
 
 // undoRec is one entry of the in-memory undo log, recorded by mutation
-// bodies so a failed statement (or an explicit ROLLBACK) restores the
-// engine to the state the durable journal describes. flatDropped marks
-// a record whose flat mutation was dropped from the pending list
-// unapplied: its replay leaves the flat table alone.
+// bodies so a failed statement (or group of a run) restores the engine
+// to the state the durable journal describes. flatDropped marks a
+// record whose flat mutation was dropped from the pending list
+// unapplied: its replay leaves the flat table alone. Which records
+// that marks follows from the statements' kinds alone. unlanded marks
+// an insert its failed flush did not place and write: its replay still
+// makes the removal pass an insert's undo always makes, but matching
+// nothing, lest it remove an equal row already there. Whether an
+// insert landed depends on where its slot lay, so it may change only
+// what the pass matches, never whether the pass runs.
 type undoRec struct {
 	op          undoOp
 	table       string
 	pre, post   []table.Row
 	flatDropped bool
+	unlanded    bool
 }
 
 // applyUndo reverses one undo record.
@@ -293,7 +319,7 @@ func (db *DB) applyUndo(r undoRec) error {
 	switch r.op {
 	case undoInsert:
 		for _, row := range r.post {
-			if err := db.removeOneRow(t, row, flat); err != nil {
+			if err := db.removeOneRow(t, row, flat, !r.unlanded); err != nil {
 				return err
 			}
 		}
@@ -303,7 +329,7 @@ func (db *DB) applyUndo(r undoRec) error {
 		// pre multiset — the result is exactly pre regardless of how far
 		// the failed pass got.
 		for _, row := range r.pre {
-			if err := db.removeOneRow(t, row, flat); err != nil {
+			if err := db.removeOneRow(t, row, flat, true); err != nil {
 				return err
 			}
 		}
@@ -317,12 +343,12 @@ func (db *DB) applyUndo(r undoRec) error {
 		// both images (each row is present as exactly one of the two),
 		// then reinsert the pre multiset.
 		for i := range r.post {
-			if err := db.removeOneRow(t, r.post[i], flat); err != nil {
+			if err := db.removeOneRow(t, r.post[i], flat, true); err != nil {
 				return err
 			}
 		}
 		for i := range r.pre {
-			if err := db.removeOneRow(t, r.pre[i], flat); err != nil {
+			if err := db.removeOneRow(t, r.pre[i], flat, true); err != nil {
 				return err
 			}
 		}
@@ -336,20 +362,22 @@ func (db *DB) applyUndo(r undoRec) error {
 }
 
 // removeOneRow deletes at most one row equal to row from each
-// representation — from the flat table only when flat is set. Absence
-// is not an error: undoInsert records are written before the insert
-// applies, so the row may never have landed. The index finds the equal
-// row among those sharing its key with a [k, k] range lookup and
+// representation — from the flat table only when flat is set, and
+// there only when match is set: otherwise the flat pass runs with a
+// predicate that matches nothing. Absence
+// is not an error: undoDelete and undoUpdate records are written before
+// their pass, which may not have reached the row. The index finds the
+// equal row among those sharing its key with a [k, k] range lookup and
 // removes that exact entry; the lookup concedes the key's duplicate
 // count, like any §4.1 index range.
-func (db *DB) removeOneRow(t *Table, row table.Row, flat bool) error {
+func (db *DB) removeOneRow(t *Table, row table.Row, flat, match bool) error {
 	if flat && t.flat != nil {
 		if err := db.flushFlat(t); err != nil {
 			return err
 		}
 		done := false
 		if _, err := t.flat.Delete(func(r table.Row) bool {
-			if done || !rowsEqual(r, row) {
+			if !match || done || !rowsEqual(r, row) {
 				return false
 			}
 			done = true

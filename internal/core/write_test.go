@@ -201,12 +201,12 @@ func TestDuplicateKeyFaultedRollback(t *testing.T) {
 			for at := from; at < to; at++ {
 				inj := faultstore.NewInjector(faultstore.Schedule{FailAt: []uint64{at}, MaxFaults: 1})
 				db, tab := engine(kind, inj)
-				_, err := db.ExecutePlanTx(tx)
+				_, err := execGroup(db, tx...)
 				if err == nil || !oberr.Retriable(err) {
 					t.Fatalf("fault at access %d: got %v, want a retriable error", at, err)
 				}
 				checkRepresentations(t, db, tab, dupRows(), fmt.Sprintf("rolled back at access %d", at))
-				if _, err := db.ExecutePlanTx(tx); err != nil {
+				if _, err := execGroup(db, tx...); err != nil {
 					t.Fatalf("retry after fault at access %d: %v", at, err)
 				}
 				checkRepresentations(t, db, tab, after, fmt.Sprintf("retried after access %d", at))

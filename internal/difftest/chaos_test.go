@@ -133,7 +133,7 @@ func (e *chaosEngine) recover() {
 // the test.
 func (e *chaosEngine) execRun(stmts []string) []*core.Result {
 	e.t.Helper()
-	items := make([]sql.TxItem, len(stmts))
+	groups := make([][]sql.TxItem, len(stmts))
 	for attempt := 0; attempt < 200; attempt++ {
 		if e.db.Broken() != nil {
 			e.recover()
@@ -143,9 +143,9 @@ func (e *chaosEngine) execRun(stmts []string) []*core.Result {
 			if err != nil {
 				e.t.Fatalf("%s: %v", stmt, err)
 			}
-			items[i] = sql.TxItem{Prep: prep}
+			groups[i] = []sql.TxItem{{Prep: prep}}
 		}
-		res, errs := e.x.ExecBatch(items)
+		res, errs := e.x.ExecBatch(groups)
 		var failed error
 		for _, err := range errs {
 			if err != nil {

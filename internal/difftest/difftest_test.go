@@ -207,5 +207,5 @@ func execInTx(x *sql.Executor, tx *sql.TxState, stmt string) (*core.Result, erro
 	if err != nil {
 		return nil, err
 	}
-	return x.ExecTx(items)
+	return sql.Local(x).Commit(items)
 }

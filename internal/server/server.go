@@ -50,12 +50,13 @@ type Config struct {
 	// (SELECTs and padding dummies) fan out to that many goroutines, each
 	// read on its own read-slot context or, when it partitions, alone
 	// (see core.DB). Maximal runs of consecutive INSERT/UPDATE/DELETE
-	// slots execute as one engine batch at any Workers (one flat pass
-	// per table, one journal commit); write runs, transaction commits
-	// and DDL are barriers, executing in arrival order between read
-	// runs. Statements within one read run may complete in any order —
-	// the protocol already answers by request id, not arrival order — so
-	// clients that need ordering await each result. The observable
+	// and COMMIT slots execute as one engine batch at any Workers (one
+	// flat pass per table, one journal commit), each commit one atomic
+	// group of the run; write runs and DDL are barriers, executing in
+	// arrival order between read runs. Statements within one read run
+	// may complete in any order — the protocol already answers by
+	// request id, not arrival order — so clients that need ordering
+	// await each result. The observable
 	// stream is unchanged: exactly EpochSize slot executions per epoch,
 	// with slot events recorded before any slot runs.
 	Engine core.Config
@@ -163,9 +164,10 @@ type job struct {
 	prep *sql.Prepared
 	args []table.Value
 	// commit marks a transaction's COMMIT: txItems holds the writes the
-	// session buffered since BEGIN, applied atomically by the engine in
-	// this one slot. A commit occupies a slot exactly like any other
-	// statement — transactions add nothing to the observable stream.
+	// session buffered since BEGIN, applied atomically as one group of
+	// the epoch's write run. A commit occupies a slot exactly like any
+	// other statement — transactions add nothing to the observable
+	// stream.
 	commit  bool
 	txItems []sql.TxItem
 	// submitEpoch is the epoch count at submission; the difference to
@@ -317,9 +319,9 @@ collect:
 		}
 	}
 	// Maximal runs of consecutive read slots fan out across the worker
-	// pool; maximal runs of consecutive write slots execute as one
-	// engine batch (one flat pass per table, one journal commit); every
-	// other slot (a commit, DDL, EXPLAIN) runs alone. Runs execute in
+	// pool; maximal runs of consecutive write and commit slots execute
+	// as one engine batch (one flat pass per table, one journal commit);
+	// every other slot (DDL, EXPLAIN) runs alone. Runs execute in
 	// arrival order, so writes apply in arrival order and every read
 	// observes a quiescent engine state. Run boundaries depend on slot
 	// kinds alone, and the slot events above were already recorded, so
@@ -365,7 +367,7 @@ collect:
 
 // readSlot classifies one epoch slot: padding dummies and SELECTs are
 // reads (they take the engine's shared lock); everything else — DML,
-// DDL, commits, EXPLAIN — mutates or must serialize, and runs alone.
+// DDL, commits, EXPLAIN — mutates or must serialize.
 // The classification uses only the statement kind, which the slot's
 // execution reveals anyway (plan choice is conceded leakage, §2.3).
 func readSlot(slot int, batch []*job) bool {
@@ -376,27 +378,31 @@ func readSlot(slot int, batch []*job) bool {
 	return !j.commit && j.prep.Kind() == "select"
 }
 
-// writeSlot classifies one epoch slot as an autocommit write — INSERT,
-// UPDATE or DELETE, not a transaction's commit — which joins the
+// writeSlot classifies one epoch slot as a write — an autocommit
+// INSERT, UPDATE or DELETE, or a transaction's COMMIT — which joins the
 // epoch's write runs. Like readSlot it uses only the statement kind.
 func writeSlot(slot int, batch []*job) bool {
-	if slot >= len(batch) || batch[slot].commit {
+	if slot >= len(batch) {
 		return false
 	}
-	return sql.IsWrite(batch[slot].prep.Stmt())
+	j := batch[slot]
+	return j.commit || sql.IsWrite(j.prep.Stmt())
 }
 
-// runWriteRun executes a run of write slots as one engine batch and
-// answers each statement once the run has committed, so an
-// acknowledged write is a durable one.
+// runWriteRun executes a run of write slots as one engine batch — an
+// autocommit write is a group of its own statement, a commit a group of
+// its transaction's buffered writes — and answers each slot once the
+// run has committed, so an acknowledged write is a durable one.
 func (s *Server) runWriteRun(jobs []*job) {
-	items := make([]sql.TxItem, len(jobs))
+	groups := make([][]sql.TxItem, len(jobs))
 	for i, j := range jobs {
-		items[i] = sql.TxItem{Prep: j.prep, Args: j.args}
+		if groups[i] = j.txItems; !j.commit {
+			groups[i] = []sql.TxItem{{Prep: j.prep, Args: j.args}}
+		}
 	}
-	results, errs := s.exec.ExecBatch(items)
+	results, errs := s.exec.ExecBatch(groups)
 	for i, j := range jobs {
-		s.answer(j, j.prep.Kind(), results[i], errs[i])
+		s.answer(j, results[i], errs[i])
 	}
 }
 
@@ -435,24 +441,8 @@ func (s *Server) runReadRun(start, end int, batch []*job, workers int) {
 func (s *Server) executeSlot(slot int, batch []*job) {
 	if slot < len(batch) {
 		j := batch[slot]
-		var (
-			res  *core.Result
-			err  error
-			kind string
-		)
-		if j.commit {
-			res, err = s.exec.ExecTx(j.txItems)
-			kind = "commit"
-			if err != nil {
-				s.m.txAborted.Inc()
-			} else {
-				s.m.txCommitted.Inc()
-			}
-		} else {
-			res, err = j.prep.Exec(j.args)
-			kind = j.prep.Kind()
-		}
-		s.answer(j, kind, res, err)
+		res, err := j.prep.Exec(j.args)
+		s.answer(j, res, err)
 		return
 	}
 	if _, err := s.dummy.Exec(nil); err != nil {
@@ -461,10 +451,19 @@ func (s *Server) executeSlot(slot int, batch []*job) {
 }
 
 // answer replies to one executed statement and counts it: the
-// per-kind statement counter, its latency in whole epochs, and the
-// slow-statement log.
-func (s *Server) answer(j *job, kind string, res *core.Result, err error) {
+// per-kind statement counter, a commit's outcome, its latency in whole
+// epochs, and the slow-statement log.
+func (s *Server) answer(j *job, res *core.Result, err error) {
 	j.sess.reply(j.id, res, err)
+	kind := "commit"
+	switch {
+	case !j.commit:
+		kind = j.prep.Kind()
+	case err != nil:
+		s.m.txAborted.Inc()
+	default:
+		s.m.txCommitted.Inc()
+	}
 	s.m.statements.WithCounter(kind).Inc()
 	// Latency in whole epochs waited: epochs completed since the
 	// statement was submitted. Epoch-schedule-derived, no wall clock.
@@ -474,7 +473,7 @@ func (s *Server) answer(j *job, kind string, res *core.Result, err error) {
 		s.m.slowTotal.Inc()
 		// The shape is literal-free (sql.Shape): argument values and
 		// statement literals never reach a log line. A commit logs its
-		// keyword plus the (public) buffered-statement count.
+		// keyword.
 		shape := "COMMIT"
 		if !j.commit {
 			shape = j.prep.Shape()

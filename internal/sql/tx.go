@@ -11,9 +11,10 @@ import (
 // This file is the SQL layer's transaction support and the one statement
 // router every surface shares. Transactions are *deferred*: writes
 // issued between BEGIN and COMMIT are buffered as prepared statements
-// plus their bound arguments, and COMMIT hands the whole batch to the
-// engine's ExecutePlanTx, which applies it atomically under one hold of
-// the database mutex (and one durable journal commit). Reads inside a
+// plus their bound arguments, and COMMIT hands them to the engine as one
+// group of a write run (ExecBatch, core.DB.ExecutePlanBatch), which
+// applies the group atomically: all of it or, on any failure, none of
+// it, with the run's one durable journal commit. Reads inside a
 // transaction execute immediately against the pre-transaction snapshot —
 // they do not see the buffered writes, the same trade Obladi makes to
 // keep epoch batching intact (PAPERS.md): the server commits ride the
@@ -72,18 +73,21 @@ type TxItem struct {
 
 // Runner is what a surface supplies to Route: Run executes a statement
 // now, Commit applies a committed transaction's buffered writes. In
-// process they are Prepared.Exec and Executor.ExecTx (see Local). The
-// server instead queues either as an epoch-slot job that answers the
-// client itself, and returns a nil result.
+// process they are Prepared.Exec and a one-group Executor.ExecBatch
+// (see Local). The server instead queues either as an epoch-slot job
+// that answers the client itself, and returns a nil result.
 type Runner struct {
 	Run    func(prep *Prepared, args []table.Value) (*core.Result, error)
 	Commit func(items []TxItem) (*core.Result, error)
 }
 
 // Local is the in-process Runner: statements execute at once and a
-// committed transaction applies through x.ExecTx.
+// committed transaction applies as a write run of one group.
 func Local(x *Executor) Runner {
-	return Runner{Run: (*Prepared).Exec, Commit: x.ExecTx}
+	return Runner{Run: (*Prepared).Exec, Commit: func(items []TxItem) (*core.Result, error) {
+		res, errs := x.ExecBatch([][]TxItem{items})
+		return res[0], errs[0]
+	}}
 }
 
 // TxState is one session's transaction: whether one is open and the
@@ -202,34 +206,30 @@ func (t *TxState) Rollback() error {
 	return nil
 }
 
-// ExecBatch executes a run of autocommit writes — each item an INSERT,
-// UPDATE or DELETE with its arguments — as one engine batch
-// (core.DB.ExecutePlanBatch): one flat pass per table and one journal
-// commit for the run. It returns one result or error per item. An item
-// whose arity or compilation fails answers that error and stays out of
-// the batch; the engine answers the rest, and rejects any that is not
-// a write.
-func (x *Executor) ExecBatch(items []TxItem) ([]*core.Result, []error) {
-	results := make([]*core.Result, len(items))
-	errs := make([]error, len(items))
-	bindings := make([]core.PlanBinding, 0, len(items))
-	idx := make([]int, 0, len(items))
-	for i, it := range items {
-		if errs[i] = checkArity(it.Prep.NumParams(), len(it.Args)); errs[i] != nil {
-			continue
+// ExecBatch executes a write run — the groups of one engine batch
+// (core.DB.ExecutePlanBatch), each an autocommit write (a group of one)
+// or a committed transaction's buffered writes: one flat pass per table
+// and one journal commit for the run. It returns one result or error
+// per group; a group's result sums its statements' affected rows. A
+// group with an item whose arity or compilation fails answers that
+// error and stays out of the batch; the engine answers the rest, and
+// rejects any item that is not a write.
+func (x *Executor) ExecBatch(groups [][]TxItem) ([]*core.Result, []error) {
+	results := make([]*core.Result, len(groups))
+	errs := make([]error, len(groups))
+	bound := make([][]core.PlanBinding, 0, len(groups))
+	idx := make([]int, 0, len(groups))
+	for i, g := range groups {
+		var bindings []core.PlanBinding
+		if bindings, errs[i] = x.bindGroup(g); errs[i] == nil {
+			bound = append(bound, bindings)
+			idx = append(idx, i)
 		}
-		root, err := x.compiledPlan(it.Prep.entry)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		bindings = append(bindings, core.PlanBinding{Root: root, Binder: newBinder(it.Args)})
-		idx = append(idx, i)
 	}
-	if len(bindings) == 0 {
+	if len(bound) == 0 {
 		return results, errs
 	}
-	res, berrs := x.db.ExecutePlanBatch(bindings)
+	res, berrs := x.db.ExecutePlanBatch(bound)
 	for k, i := range idx {
 		if errs[i] = berrs[k]; errs[i] == nil {
 			results[i] = res[k]
@@ -238,16 +238,12 @@ func (x *Executor) ExecBatch(items []TxItem) ([]*core.Result, []error) {
 	return results, errs
 }
 
-// ExecTx executes a transaction's buffered writes as one atomic batch.
-// It returns the usual one-row "affected" result summing every
-// statement's count — the deferred writes each acknowledged 0 at buffer
-// time, so the total surfaces here.
-func (x *Executor) ExecTx(items []TxItem) (*core.Result, error) {
-	bindings := make([]core.PlanBinding, len(items))
-	for i, it := range items {
-		if len(it.Args) != it.Prep.NumParams() {
-			return nil, fmt.Errorf("sql: statement %d has %d parameter(s), got %d argument(s)",
-				i, it.Prep.NumParams(), len(it.Args))
+// bindGroup checks each item's arity and binds its compiled plan.
+func (x *Executor) bindGroup(g []TxItem) ([]core.PlanBinding, error) {
+	bindings := make([]core.PlanBinding, len(g))
+	for i, it := range g {
+		if err := checkArity(it.Prep.NumParams(), len(it.Args)); err != nil {
+			return nil, err
 		}
 		root, err := x.compiledPlan(it.Prep.entry)
 		if err != nil {
@@ -255,15 +251,5 @@ func (x *Executor) ExecTx(items []TxItem) (*core.Result, error) {
 		}
 		bindings[i] = core.PlanBinding{Root: root, Binder: newBinder(it.Args)}
 	}
-	results, err := x.db.ExecutePlanTx(bindings)
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, r := range results {
-		if r != nil && r.Affected && len(r.Rows) == 1 && len(r.Rows[0]) == 1 {
-			total += int(r.Rows[0][0].AsInt())
-		}
-	}
-	return core.AffectedResult(total), nil
+	return bindings, nil
 }

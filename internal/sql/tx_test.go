@@ -156,7 +156,7 @@ func TestExecTxCommitsBatchAtomically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := x.ExecTx(items)
+	res, err := Local(x).Commit(items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestExecTxFailureRollsBackWholeBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := x.ExecTx(items); err == nil {
+	if _, err := Local(x).Commit(items); err == nil {
 		t.Fatal("batch with invalid statement committed")
 	}
 	// The earlier insert must have been undone with it.
@@ -211,8 +211,67 @@ func TestExecTxArityChecked(t *testing.T) {
 	x := newExec(t)
 	seed(t, x)
 	ins := txPrep(t, x, "INSERT INTO emp VALUES (?, ?, ?, ?)")
-	if _, err := x.ExecTx([]TxItem{{Prep: ins, Args: []table.Value{table.Int(1)}}}); err == nil {
+	if _, err := Local(x).Commit([]TxItem{{Prep: ins, Args: []table.Value{table.Int(1)}}}); err == nil {
 		t.Fatal("arity mismatch accepted")
+	}
+}
+
+// TestTxAndAutocommitDeferredErrorRollback: a write whose predicate
+// fails only as it is evaluated — a division by zero on one row of
+// three — is undone on every path a write takes: a statement run
+// alone, an autocommit write in a write run, and a committed
+// transaction. Each answers the error, keeps every row and makes no
+// journal commit, on a flat-only table matched by a flat pass and on
+// an indexed one matched through its index.
+func TestTxAndAutocommitDeferredErrorRollback(t *testing.T) {
+	const del = "DELETE FROM d WHERE 1 / v = 1"
+	paths := []struct {
+		name string
+		run  func(x *Executor, prep *Prepared) (*core.Result, error)
+	}{
+		{"Execute", func(x *Executor, _ *Prepared) (*core.Result, error) { return x.Execute(del) }},
+		{"ExecBatch", func(x *Executor, prep *Prepared) (*core.Result, error) {
+			res, errs := x.ExecBatch([][]TxItem{{{Prep: prep}}})
+			return res[0], errs[0]
+		}},
+		{"Commit", func(x *Executor, prep *Prepared) (*core.Result, error) {
+			var st TxState
+			if err := st.Begin(); err != nil {
+				return nil, err
+			}
+			if err := st.Buffer(prep, nil); err != nil {
+				return nil, err
+			}
+			return st.Commit(Local(x))
+		}},
+	}
+	for _, kind := range []struct{ name, clause string }{{"flat", ""}, {"indexed", " STORAGE = BOTH INDEX ON k"}} {
+		for _, p := range paths {
+			t.Run(p.name+"/"+kind.name, func(t *testing.T) {
+				db := core.MustOpen(core.Config{})
+				l, err := wal.Open(filepath.Join(t.TempDir(), "d.wal"), crypt.NewRandomKey(), wal.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l.Close()
+				if err := db.AttachWAL(l); err != nil {
+					t.Fatal(err)
+				}
+				x := New(db)
+				mustExec(t, x, "CREATE TABLE d (k INTEGER, v INTEGER)"+kind.clause+" CAPACITY = 8")
+				mustExec(t, x, "INSERT INTO d VALUES (1, 0), (2, 1), (3, 1)")
+				commits := db.WALStats().Commits
+				if _, err := p.run(x, txPrep(t, x, del)); err == nil || !strings.Contains(err.Error(), "division by zero") {
+					t.Fatalf("answered %v, want the division by zero", err)
+				}
+				if n := countRows(t, x, "SELECT * FROM d"); n != 3 {
+					t.Fatalf("%d rows left, want all 3", n)
+				}
+				if n := db.WALStats().Commits - commits; n != 0 {
+					t.Fatalf("failed delete made %d journal commits", n)
+				}
+			})
+		}
 	}
 }
 
@@ -247,7 +306,7 @@ func TestTxDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := x.ExecTx(items); err != nil {
+	if _, err := Local(x).Commit(items); err != nil {
 		t.Fatal(err)
 	}
 
@@ -316,7 +375,7 @@ func TestTxRouteDispatch(t *testing.T) {
 		},
 		Commit: func(items []TxItem) (*core.Result, error) {
 			committed = items
-			return x.ExecTx(items)
+			return Local(x).Commit(items)
 		},
 	}
 	var st TxState

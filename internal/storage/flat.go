@@ -221,7 +221,8 @@ type Mutation struct {
 // the mutations apply in order; an insert still unplaced takes the
 // block's first free slot. The table ends exactly as applying the
 // mutations one by one would leave it, slot for slot. It returns each
-// mutation's affected row count (1 for a placed insert).
+// mutation's affected row count (1 for a placed insert). On failure the
+// counts cover only the blocks whose writes landed (nil: none did).
 //
 // Insert rows are validated before any access. A run holding an update
 // whose post-images the caller has not validated first makes a
@@ -268,12 +269,16 @@ func (f *Flat) ApplyBatch(muts []Mutation) ([]int, error) {
 	p := newBatchPass(muts)
 	for b := 0; b < f.store.Len(); b++ {
 		p.rows, p.top, p.deleted = 0, 0, false
+		clear(p.blk)
 		var err error
 		f.blk, err = f.store.RMW(b, f.blk, func(plain []byte) error {
 			return f.applyBlock(plain, b, p, false)
 		})
 		if err != nil {
-			return nil, err
+			return p.counts, err
+		}
+		for i, n := range p.blk {
+			p.counts[i] += n
 		}
 		f.rows += p.rows
 		if p.top > f.appendAt {
@@ -288,27 +293,30 @@ func (f *Flat) ApplyBatch(muts []Mutation) ([]int, error) {
 	}
 	for i, m := range muts {
 		if m.Kind == MutInsert && !p.placed[i] {
-			return nil, fmt.Errorf("storage: table %q is full (%d rows)", f.name, f.Capacity())
+			return p.counts, fmt.Errorf("storage: table %q is full (%d rows)", f.name, f.Capacity())
 		}
 	}
 	return p.counts, nil
 }
 
 // batchPass is one ApplyBatch pass's progress: which inserts have been
-// placed, the per-mutation counts, and the current block's effect on
-// the row count (rows), the append cursor (top, one past the highest
-// slot an insert took) and whether it deleted anything.
+// placed, the per-mutation counts of the blocks written so far, and the
+// current block's per-mutation counts (blk) and effect on the row count
+// (rows), the append cursor (top, one past the highest slot an insert
+// took) and whether it deleted anything.
 type batchPass struct {
 	muts    []Mutation
 	placed  []bool
 	counts  []int
+	blk     []int
 	rows    int
 	top     int
 	deleted bool
 }
 
 func newBatchPass(muts []Mutation) *batchPass {
-	return &batchPass{muts: muts, placed: make([]bool, len(muts)), counts: make([]int, len(muts))}
+	n := len(muts)
+	return &batchPass{muts: muts, placed: make([]bool, n), counts: make([]int, n), blk: make([]int, n)}
 }
 
 // applyBlock applies the batch, in order, to block b's plaintext. With
@@ -329,7 +337,7 @@ func (f *Flat) applyBlock(plain []byte, b int, p *batchPass, check bool) error {
 					return err
 				}
 				p.placed[i], decoded = true, false
-				p.counts[i]++
+				p.blk[i]++
 				p.rows++
 				p.top = max(p.top, b*f.rpb+j+1)
 				break
@@ -367,7 +375,7 @@ func (f *Flat) applyBlock(plain []byte, b int, p *batchPass, check bool) error {
 		}
 		if n > 0 {
 			decoded = false
-			p.counts[i] += n
+			p.blk[i] += n
 			if m.Kind == MutDelete {
 				p.rows -= n
 				p.deleted = true

@@ -106,7 +106,7 @@ func benchScanAt(b *testing.B, r int) {
 		b.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := f.InsertFast(workload.NewRow(int64(i))); err != nil {
+		if err := f.InsertFast(workload.NewRow(int64(i)), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

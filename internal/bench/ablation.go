@@ -177,15 +177,15 @@ func ablationInsert(o Options) error {
 		return err
 	}
 	for i := 0; i < n/2; i++ {
-		if err := fast.InsertFast(workload.NewRow(int64(i))); err != nil {
+		if err := fast.InsertFast(workload.NewRow(int64(i)), nil); err != nil {
 			return err
 		}
-		if err := obliv.InsertFast(workload.NewRow(int64(i))); err != nil {
+		if err := obliv.InsertFast(workload.NewRow(int64(i)), nil); err != nil {
 			return err
 		}
 	}
 	reps := 10
-	dFast, err := timedN(reps, func() error { return fast.InsertFast(workload.NewRow(0)) })
+	dFast, err := timedN(reps, func() error { return fast.InsertFast(workload.NewRow(0), nil) })
 	if err != nil {
 		return err
 	}

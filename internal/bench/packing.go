@@ -40,7 +40,7 @@ func packedTable(e *enclave.Enclave, name string, rows, r int) (*storage.Flat, e
 		return nil, err
 	}
 	for i := 0; i < rows; i++ {
-		if err := f.InsertFast(workload.NewRow(int64(i))); err != nil {
+		if err := f.InsertFast(workload.NewRow(int64(i)), nil); err != nil {
 			return nil, err
 		}
 	}
@@ -99,7 +99,7 @@ func measurePacking(o Options, rows, r int) ([]packingCell, error) {
 		return nil, err
 	}
 	for i := 0; i < rows/2; i++ {
-		if err := half.InsertFast(workload.NewRow(int64(i))); err != nil {
+		if err := half.InsertFast(workload.NewRow(int64(i)), nil); err != nil {
 			return nil, err
 		}
 	}

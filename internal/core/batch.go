@@ -15,10 +15,13 @@ import (
 // run of one; ExecutePlanBatch runs many.
 //
 // Whatever reads a table's flat representation inside a bracket — a
-// flat-only table's match pass, an undo's removal, a checkpoint's scan
-// — flushes that table's queue first, so it sees every earlier
-// statement. How many passes a run makes, and over which tables,
-// therefore follows from its statements' kinds, tables and plans alone.
+// flat-only table's match pass, a checkpoint's scan — flushes that
+// table's queue first, so it sees every earlier statement. How many
+// passes a run makes, and over which tables, therefore follows from its
+// statements' kinds, tables and plans alone. A tracked mutation's flush
+// gives its undo record a storage.Prior — the slots the pass changed
+// and what they held — so a rollback restores each table by slot in
+// one pass (wal.go).
 
 // flatOp is one queued flat mutation: its table, and the undo record
 // covering it (-1 when the bracket is untracked).
@@ -38,37 +41,30 @@ func (db *DB) queueFlat(t *Table, m storage.Mutation) {
 	db.pending = append(db.pending, flatOp{t: t, mut: m, undo: undo})
 }
 
-// flushFlat applies t's queued mutations in one batch. They leave the
+// flushFlat applies t's queued mutations in one batch, each tracked one
+// recording its changes in a Prior on its undo record. They leave the
 // list before the pass starts: a pass cut short by a fault has touched
-// the table, so rollback must undo them in the flat table as well. It
-// marks the undo records of the inserts that never landed unlanded, so
-// their replay's removal pass matches nothing.
+// the table, so rollback must restore it.
 func (db *DB) flushFlat(t *Table) error {
 	var muts []storage.Mutation
-	var undos []int
 	keep := db.pending[:0]
 	for _, op := range db.pending {
-		if op.t == t {
-			muts = append(muts, op.mut)
-			undos = append(undos, op.undo)
-		} else {
+		if op.t != t {
 			keep = append(keep, op)
+			continue
 		}
+		if op.undo >= 0 {
+			op.mut.Prior = new(storage.Prior)
+			db.undo[op.undo].flat = op.mut.Prior
+		}
+		muts = append(muts, op.mut)
 	}
 	clear(db.pending[len(keep):])
 	db.pending = keep
 	if len(muts) == 0 {
 		return nil
 	}
-	counts, err := db.applyFlat(t, muts)
-	if err != nil {
-		for i, m := range muts {
-			if m.Kind == storage.MutInsert && undos[i] >= 0 && (i >= len(counts) || counts[i] == 0) {
-				db.undo[undos[i]].unlanded = true
-			}
-		}
-	}
-	return err
+	return db.applyFlat(t, muts)
 }
 
 // flushAll flushes every table with queued mutations, in the order the
@@ -84,28 +80,25 @@ func (db *DB) flushAll() error {
 
 // dropPending discards the queued mutations of the statements being
 // rolled back — those whose undo record is at or past undoMark, and any
-// untracked ones — and marks their undo records, so the replay leaves
-// the flat table alone for mutations it never saw.
+// untracked ones. They never reached the table, so there is nothing of
+// theirs to restore.
 func (db *DB) dropPending(undoMark int) {
 	keep := db.pending[:0]
 	for _, op := range db.pending {
 		if op.undo >= 0 && op.undo < undoMark {
 			keep = append(keep, op)
-		} else if op.undo >= 0 {
-			db.undo[op.undo].flatDropped = true
 		}
 	}
 	clear(db.pending[len(keep):])
 	db.pending = keep
 }
 
-// applyFlat applies mutations to t's flat table now and returns their
-// counts — on failure, those of what landed (an insert counts 1 once it
-// is placed and written). It first grows the table until the inserts
-// fit. A batch of inserts only that fits behind the append cursor takes
-// the constant-time InsertFast path (unless the table asked for
-// oblivious inserts); anything else is one ApplyBatch pass.
-func (db *DB) applyFlat(t *Table, muts []storage.Mutation) ([]int, error) {
+// applyFlat applies mutations to t's flat table now. It first grows
+// the table until the inserts fit. A batch of inserts only that fits
+// behind the append cursor takes the constant-time InsertFast path
+// (unless the table asked for oblivious inserts); anything else is one
+// ApplyBatch pass.
+func (db *DB) applyFlat(t *Table, muts []storage.Mutation) error {
 	inserts := 0
 	for _, m := range muts {
 		if m.Kind == storage.MutInsert {
@@ -113,19 +106,18 @@ func (db *DB) applyFlat(t *Table, muts []storage.Mutation) ([]int, error) {
 		}
 	}
 	if err := db.growFlat(t, inserts); err != nil {
-		return nil, err
+		return err
 	}
 	if t.oblivIn || inserts < len(muts) || inserts > t.flat.AppendRoom() {
-		return t.flat.ApplyBatch(muts)
+		_, err := t.flat.ApplyBatch(muts)
+		return err
 	}
-	counts := make([]int, len(muts))
-	for i, m := range muts {
-		if err := t.flat.InsertFast(m.Row); err != nil {
-			return counts, err
+	for _, m := range muts {
+		if err := t.flat.InsertFast(m.Row, m.Prior); err != nil {
+			return err
 		}
-		counts[i] = 1
 	}
-	return counts, nil
+	return nil
 }
 
 // growFlat doubles t's flat table by copying (§3: capacity "can be

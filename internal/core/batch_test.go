@@ -117,6 +117,27 @@ func runState(t *testing.T, db *DB) []string {
 	return append(snapshotRows(t, db, "bb"), snapshotRows(t, db, "bf")...)
 }
 
+// flatSlots snapshots both tables' flat representations slot by slot:
+// each used slot with its row, then the row count. Every other slot is
+// unused, however far the table has grown.
+func flatSlots(t *testing.T, db *DB) []string {
+	t.Helper()
+	var out []string
+	for _, name := range []string{"bb", "bf"} {
+		f := mustTable(t, db, name).Flat()
+		if err := f.Scan(func(i int, r table.Row, used bool) error {
+			if used {
+				out = append(out, fmt.Sprintf("%s[%d]=%v", name, i, r))
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, fmt.Sprintf("%s rows=%d", name, f.NumRows()))
+	}
+	return out
+}
+
 // TestWriteRunMatchesOneAtATime: a run through ExecutePlanBatch answers
 // and leaves both tables exactly as its statements executed one at a
 // time, with one journal commit for the run.
@@ -159,7 +180,9 @@ func TestWriteRunMatchesOneAtATime(t *testing.T) {
 // fault-free one. A fault inside an index ORAM operation may instead
 // latch the engine (its undo cannot replay over a torn ORAM step, as
 // for a single statement); then the journal must still recover the
-// pre-run rows, and the run retried there lands.
+// pre-run rows, and the run retried there lands. A contained fault
+// restores the flat tables slot for slot: each row in the slot it held
+// before the run.
 func TestFaultInWriteRunContained(t *testing.T) {
 	for _, index := range []bool{false, true} {
 		t.Run(fmt.Sprintf("index=%v", index), func(t *testing.T) {
@@ -173,7 +196,7 @@ func TestFaultInWriteRunContained(t *testing.T) {
 			to := counter.Accesses()
 			post := runState(t, ref)
 			untouched, _ := runEngine(t, key, nil)
-			pre := runState(t, untouched)
+			pre, preSlots := runState(t, untouched), flatSlots(t, untouched)
 			// The index run's ORAM work runs to thousands of accesses:
 			// sample it, and sweep the flat-only run whole.
 			stride := uint64(1)
@@ -204,6 +227,9 @@ func TestFaultInWriteRunContained(t *testing.T) {
 				if want == oberr.CodeStoreFault {
 					if got := runState(t, db); rowsDiffer(got, pre) {
 						t.Fatalf("fault at access %d changed the tables:\n got %v\nwant %v", k, got, pre)
+					}
+					if got := flatSlots(t, db); rowsDiffer(got, preSlots) {
+						t.Fatalf("fault at access %d moved flat rows:\n got %v\nwant %v", k, got, preSlots)
 					}
 				}
 				rec := MustOpen(Config{Key: key, Seed: 7, RowsPerBlock: 4})
@@ -292,28 +318,48 @@ func TestRolledBackRunKeepsEqualRows(t *testing.T) {
 	}
 }
 
-// TestFaultedInsertRollbackKeepsEqualRow: an insert whose flat write
-// faults before it lands must not be undone in the flat table, where
-// its undo would remove an equal row the table already held. A
-// journaled flat-only table holds (1, 'x'); inserting (1, 'x') again
-// with one fault at each of its flat accesses — the constant-time
-// append's one block, and every block of an oblivious-insert pass —
-// fails retriably and leaves exactly the one row.
+// TestFaultedInsertRollbackKeepsEqualRow: a write whose flat pass
+// faults must be undone by slot, never by removing rows equal to its
+// images, which may be rows the table held before. Two statements on a
+// journaled flat-only table, each with one fault at every one of its
+// store accesses, must fail retriably and leave the table's rows as
+// they were:
+//   - inserting (1, 'x') beside an equal row, through the constant-time
+//     append's one block and through every block of an oblivious-insert
+//     pass;
+//   - an UPDATE setting (2, 'b') WHERE k = 1 beside an existing (2, 'b'),
+//     through its match pass and its read-modify-write pass.
 func TestFaultedInsertRollbackKeepsEqualRow(t *testing.T) {
 	key := crypt.NewRandomKey()
-	x := table.Row{table.Int(1), table.Str("x")}
-	for _, oblivious := range []bool{false, true} {
-		t.Run(fmt.Sprintf("oblivious=%v", oblivious), func(t *testing.T) {
+	a, b, x := table.Row{table.Int(1), table.Str("a")}, table.Row{table.Int(2), table.Str("b")}, table.Row{table.Int(1), table.Str("x")}
+	insertX := func(db *DB) error { return db.Insert("eq", x) }
+	updateToB := func(db *DB) error {
+		_, err := db.Update("eq", func(r table.Row) bool { return r[0].AsInt() == 1 },
+			func(table.Row) table.Row { return b.Clone() }, nil)
+		return err
+	}
+	for _, tc := range []struct {
+		name      string
+		oblivious bool
+		seed      []table.Row
+		stmt      func(*DB) error
+		passes    uint64 // the statement's store accesses, in blocks
+	}{
+		{"oblivious=false", false, []table.Row{x}, insertX, 0},
+		{"oblivious=true", true, []table.Row{x}, insertX, 2},
+		{"update", false, []table.Row{a, b}, updateToB, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			engine := func(inj *faultstore.Injector) *DB {
 				cfg := Config{Key: key, Seed: 7, RowsPerBlock: 4}
 				if inj != nil {
 					cfg.Fault = inj
 				}
 				db := MustOpen(cfg)
-				if _, err := db.CreateTable("eq", walTestSchema(), TableOptions{Capacity: 8, ObliviousInserts: oblivious}); err != nil {
+				if _, err := db.CreateTable("eq", walTestSchema(), TableOptions{Capacity: 8, ObliviousInserts: tc.oblivious}); err != nil {
 					t.Fatal(err)
 				}
-				if err := db.Insert("eq", x); err != nil {
+				if err := db.Insert("eq", tc.seed...); err != nil {
 					t.Fatal(err)
 				}
 				if err := db.AttachWAL(openTestLog(t, filepath.Join(t.TempDir(), "eq.wal"), key, wal.Options{})); err != nil {
@@ -324,21 +370,25 @@ func TestFaultedInsertRollbackKeepsEqualRow(t *testing.T) {
 			counter := faultstore.NewInjector(faultstore.Schedule{})
 			db := engine(counter)
 			from := counter.Accesses()
-			if err := db.Insert("eq", x); err != nil {
+			if err := tc.stmt(db); err != nil {
 				t.Fatal(err)
 			}
 			to := counter.Accesses()
-			if blocks := uint64(mustTable(t, db, "eq").Flat().NumBlocks()); !oblivious && to-from != 2 || oblivious && to-from != 2*blocks {
-				t.Fatalf("insert made %d store accesses", to-from)
+			want := tc.passes * uint64(mustTable(t, db, "eq").Flat().NumBlocks())
+			if tc.passes == 0 {
+				want = 2
 			}
-			want := snapshotRows(t, engine(nil), "eq")
+			if to-from != want {
+				t.Fatalf("statement made %d store accesses, want %d", to-from, want)
+			}
+			rows := snapshotRows(t, engine(nil), "eq")
 			for k := from; k < to; k++ {
 				db := engine(faultstore.NewInjector(faultstore.Schedule{FailAt: []uint64{k}, MaxFaults: 1}))
-				if err := db.Insert("eq", x); oberr.CodeOf(err) != oberr.CodeStoreFault {
-					t.Fatalf("fault at access %d: insert answered %v, want CodeStoreFault", k, err)
+				if err := tc.stmt(db); oberr.CodeOf(err) != oberr.CodeStoreFault {
+					t.Fatalf("fault at access %d: statement answered %v, want CodeStoreFault", k, err)
 				}
-				if got := snapshotRows(t, db, "eq"); rowsDiffer(got, want) {
-					t.Fatalf("fault at access %d left %v, want %v", k, got, want)
+				if got := snapshotRows(t, db, "eq"); rowsDiffer(got, rows) {
+					t.Fatalf("fault at access %d left %v, want %v", k, got, rows)
 				}
 			}
 		})
@@ -350,7 +400,7 @@ func TestFaultedInsertRollbackKeepsEqualRow(t *testing.T) {
 // hole in block 0 in one run and in block 3 in the other, so a fault at
 // block 2 of the INSERT's pass finds the insert landed in the first run
 // and not in the second. Both rollbacks must make the same accesses:
-// whether an insert landed may change only what its undo matches.
+// whether an insert landed may change only what the restore writes.
 func TestFaultedInsertRollbackTraceOblivious(t *testing.T) {
 	key := crypt.NewRandomKey()
 	run := func(order []int64, inj *faultstore.Injector) (*DB, *trace.Tracer, uint64, error) {
@@ -398,4 +448,81 @@ func TestFaultedInsertRollbackTraceOblivious(t *testing.T) {
 	if prints[0] != prints[1] {
 		t.Fatal("an insert's undo made different accesses depending on whether the faulted pass had placed it")
 	}
+}
+
+// TestRollbackOnePassPerTable pins the cost of a flat rollback: one
+// read and one write per block of the table, whatever the failed
+// statement touched. On a journaled flat-only table of 128 rows in 64
+// blocks, an UPDATE of k rows and a BulkLoad of 128, each faulted at
+// its last store access, must roll back in exactly 2 × NumBlocks
+// accesses.
+func TestRollbackOnePassPerTable(t *testing.T) {
+	key := crypt.NewRandomKey()
+	engine := func(inj *faultstore.Injector, load bool) *DB {
+		cfg := Config{Key: key, Seed: 7, RowsPerBlock: 4}
+		if inj != nil {
+			cfg.Fault = inj
+		}
+		db := MustOpen(cfg)
+		if _, err := db.CreateTable("p", walTestSchema(), TableOptions{Capacity: 256}); err != nil {
+			t.Fatal(err)
+		}
+		if load {
+			if err := db.BulkLoad("p", passRows(128)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.AttachWAL(openTestLog(t, filepath.Join(t.TempDir(), "p.wal"), key, wal.Options{})); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	update := func(k int64) func(*DB) error {
+		return func(db *DB) error {
+			_, err := db.Update("p", func(r table.Row) bool { return r[0].AsInt() < k },
+				func(r table.Row) table.Row { r[1] = table.Str("upd"); return r }, nil)
+			return err
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		loaded bool
+		stmt   func(*DB) error
+	}{
+		{"update/k=1", true, update(1)},
+		{"update/k=16", true, update(16)},
+		{"update/k=64", true, update(64)},
+		{"bulkload", false, func(db *DB) error { return db.BulkLoad("p", passRows(128)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			counter := faultstore.NewInjector(faultstore.Schedule{})
+			db := engine(counter, tc.loaded)
+			from := counter.Accesses()
+			if err := tc.stmt(db); err != nil {
+				t.Fatal(err)
+			}
+			own := counter.Accesses() - from
+			inj := faultstore.NewInjector(faultstore.Schedule{FailAt: []uint64{from + own - 1}, MaxFaults: 1})
+			db = engine(inj, tc.loaded)
+			if err := tc.stmt(db); oberr.CodeOf(err) != oberr.CodeStoreFault {
+				t.Fatalf("faulted statement answered %v, want CodeStoreFault", err)
+			}
+			blocks := uint64(mustTable(t, db, "p").Flat().NumBlocks())
+			if n := inj.Accesses() - from - own; n != 2*blocks {
+				t.Fatalf("rollback made %d store accesses, want %d (one pass over %d blocks)", n, 2*blocks, blocks)
+			}
+			if got, want := snapshotRows(t, db, "p"), snapshotRows(t, engine(nil, tc.loaded), "p"); rowsDiffer(got, want) {
+				t.Fatalf("rollback left %d rows, want %d", len(got), len(want))
+			}
+		})
+	}
+}
+
+// passRows makes n rows keyed 0..n-1.
+func passRows(n int) []table.Row {
+	rows := make([]table.Row, n)
+	for i := range rows {
+		rows[i] = table.Row{table.Int(int64(i)), table.Str(fmt.Sprintf("p%d", i))}
+	}
+	return rows
 }

@@ -534,7 +534,7 @@ func (db *DB) createTableBody(name string, schema *table.Schema, opts TableOptio
 	db.tables[lname] = t
 	db.publishCatalog()
 	if db.trackingMutations() {
-		db.undo = append(db.undo, undoRec{op: undoCreate, table: t.name})
+		db.undo = append(db.undo, undoRec{create: true, t: t})
 		if db.wal != nil {
 			if err := db.wal.AppendCreate(db.tableDef(t)); err != nil {
 				return nil, err
@@ -623,9 +623,10 @@ func (db *DB) dropTableBody(name string) error {
 // statement before it touches one, then inserts them: the index at
 // once, the flat table through the bracket's pending list (one pass per
 // run, see batch.go). Each row's undo record is taken before it
-// applies (removal tolerates absence), so a failed apply still unwinds
-// cleanly; its journal record is staged after, and a bracket that
-// fails rewinds the stage.
+// applies (index removal tolerates absence, and the flat side is
+// restored by slot), so a failed apply still unwinds cleanly; its
+// journal record is staged after, and a bracket that fails rewinds the
+// stage.
 func (db *DB) insertRowsBody(name string, rows []table.Row) error {
 	t, err := db.lookup(name)
 	if err != nil {
@@ -639,7 +640,7 @@ func (db *DB) insertRowsBody(name string, rows []table.Row) error {
 	track := db.trackingMutations()
 	for _, r := range rows {
 		if track {
-			db.undo = append(db.undo, undoRec{op: undoInsert, table: t.name, post: []table.Row{r.Clone()}})
+			db.undo = append(db.undo, undoRec{t: t, post: []table.Row{r.Clone()}})
 		}
 		if t.flat != nil {
 			db.queueFlat(t, storage.Mutation{Kind: storage.MutInsert, Row: r})
@@ -650,23 +651,6 @@ func (db *DB) insertRowsBody(name string, rows []table.Row) error {
 			}
 		}
 		if err := db.logMutation(wal.OpInsert, t, r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// applyInsert writes one row at once into the representations the
-// table keeps — the flat table only when flat is set. Undo replay uses
-// it; statements queue their flat inserts instead.
-func (db *DB) applyInsert(t *Table, r table.Row, flat bool) error {
-	if flat && t.flat != nil {
-		if _, err := db.applyFlat(t, []storage.Mutation{{Kind: storage.MutInsert, Row: r}}); err != nil {
-			return err
-		}
-	}
-	if t.index != nil {
-		if err := t.index.Insert(r); err != nil {
 			return err
 		}
 	}
@@ -719,21 +703,26 @@ func (db *DB) bulkLoadBody(name string, rows []table.Row) error {
 		return fmt.Errorf("core: BulkLoad requires an empty table, %q has %d rows", name, t.NumRows())
 	}
 	track := db.trackingMutations()
+	var prior *storage.Prior
 	if track {
 		pre := make([]table.Row, len(rows))
 		for i, r := range rows {
 			pre[i] = r.Clone()
 		}
+		if t.flat != nil {
+			prior = new(storage.Prior)
+		}
 		// Recorded before the load so a store fault midway through it
-		// unwinds the rows that did land (removal tolerates the rest).
-		db.undo = append(db.undo, undoRec{op: undoInsert, table: t.name, post: pre})
+		// unwinds what did land: the flat appends by slot, the index
+		// rows by removal, which tolerates the rest.
+		db.undo = append(db.undo, undoRec{t: t, post: pre, flat: prior})
 	}
 	if t.flat != nil {
 		if err := db.growFlat(t, len(rows)); err != nil {
 			return err
 		}
 		for _, r := range rows {
-			if err := t.flat.InsertFast(r); err != nil {
+			if err := t.flat.InsertFast(r, prior); err != nil {
 				return err
 			}
 		}
@@ -813,15 +802,12 @@ func (db *DB) rewriteRows(t *Table, pred table.Pred, upd table.Updater, key *Key
 		}
 	}
 	if track {
-		// The undo record must exist BEFORE the apply pass: a store fault
-		// midway through it leaves some rows rewritten, and only a
+		// The undo record must exist BEFORE the index work: a store
+		// fault midway through it leaves some rows rewritten, and only a
 		// pre-recorded undo can restore them (its replay tolerates rows
-		// the pass never reached).
-		op := undoDelete
-		if upd != nil {
-			op = undoUpdate
-		}
-		db.undo = append(db.undo, undoRec{op: op, table: t.name, pre: pre, post: post})
+		// the work never reached). The flat side is undone by slot from
+		// the Prior its flush attaches.
+		db.undo = append(db.undo, undoRec{t: t, pre: pre, post: post})
 	}
 
 	n := len(pre)
@@ -834,7 +820,7 @@ func (db *DB) rewriteRows(t *Table, pred table.Pred, upd table.Updater, key *Key
 			db.queueFlat(t, m)
 		} else {
 			// Untracked means outside any run, so nothing else is queued.
-			counts, err := db.applyFlat(t, []storage.Mutation{m})
+			counts, err := t.flat.ApplyBatch([]storage.Mutation{m})
 			if err != nil {
 				return 0, err
 			}

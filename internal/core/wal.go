@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"oblidb/internal/oberr"
+	"oblidb/internal/storage"
 	"oblidb/internal/table"
 	"oblidb/internal/wal"
 )
@@ -14,9 +15,10 @@ import (
 // Every mutating statement runs inside an implicit transaction: its
 // journal records are staged as its body runs, and endMutation flushes
 // the queued flat mutations (batch.go) and commits them — or rewinds the
-// stage and undoes the in-memory changes on failure. A write run
-// (ExecutePlanBatch) stretches the same mechanism across its groups,
-// with one flush and one commit for the run. Staged records
+// stage and undoes the in-memory changes on failure: one slot-restoring
+// pass per flat table it flushed to, then the index undo row by row. A
+// write run (ExecutePlanBatch) stretches the same mechanism across its
+// groups, with one flush and one commit for the run. Staged records
 // reach the file only through a commit that follows a successful flush,
 // so the log can never describe state that did not exist (the seed
 // logged ahead of the pass and could).
@@ -221,7 +223,8 @@ func (db *DB) commitLocked(walMark, undoMark int) error {
 }
 
 // rollbackTo drops the queued flat mutations of the statements it
-// reverses, rewinds the journal stage and replays the undo log (newest
+// reverses, rewinds the journal stage, restores each flat table those
+// statements flushed to, and replays the rest of the undo log (newest
 // first) down to the marks.
 func (db *DB) rollbackTo(walMark, undoMark int) error {
 	db.dropPending(undoMark)
@@ -230,175 +233,96 @@ func (db *DB) rollbackTo(walMark, undoMark int) error {
 	}
 	db.inUndo = true
 	defer func() { db.inUndo = false }()
-	var firstErr error
+	firstErr := db.restoreFlat(db.undo[undoMark:])
 	for i := len(db.undo) - 1; i >= undoMark; i-- {
 		if err := db.applyUndo(db.undo[i]); err != nil && firstErr == nil {
 			firstErr = err
-		}
-		if r := db.undo[i]; !r.flatDropped && (r.op == undoDelete || r.op == undoUpdate) {
-			db.relandInserts(r, undoMark, i)
 		}
 	}
 	db.undo = db.undo[:undoMark]
 	return firstErr
 }
 
-// relandInserts clears unlanded on the one-row insert records in
-// undo[from:to] whose row r's replay just restored: the flat table now
-// holds it, landed or not, so their undo's removal pass must match it.
-// Only the pass's predicate changes, never its accesses.
-func (db *DB) relandInserts(r undoRec, from, to int) {
-	for k := from; k < to; k++ {
-		u := &db.undo[k]
-		if u.op != undoInsert || !u.unlanded || u.table != r.table {
+// restoreFlat makes one storage.Flat.Restore pass over each flat table
+// that a record in recs flushed a mutation to, in the order the records
+// first reached it, handing it their Priors oldest first. A table gets
+// its pass whether or not the flush changed a slot: which tables are
+// restored follows from which mutations were flushed — the statements'
+// kinds and plans, and where a fault cut the run — never from the data.
+func (db *DB) restoreFlat(recs []undoRec) error {
+	var tables []*Table
+	priors := make(map[*Table][]*storage.Prior)
+	for _, r := range recs {
+		if r.flat == nil {
 			continue
 		}
-		for _, row := range r.pre {
-			if rowsEqual(row, u.post[0]) {
-				u.unlanded = false
-				break
-			}
+		if _, ok := priors[r.t]; !ok {
+			tables = append(tables, r.t)
 		}
+		priors[r.t] = append(priors[r.t], r.flat)
 	}
-}
-
-// undoOp tags one undo record.
-type undoOp uint8
-
-const (
-	// undoInsert removes the rows in post (recorded before the insert
-	// applied, so removal tolerates rows the failed pass never wrote).
-	undoInsert undoOp = iota
-	// undoDelete re-inserts the rows in pre.
-	undoDelete
-	// undoUpdate removes each post row and re-inserts its pre image.
-	undoUpdate
-	// undoCreate drops the named table.
-	undoCreate
-)
-
-// undoRec is one entry of the in-memory undo log, recorded by mutation
-// bodies so a failed statement (or group of a run) restores the engine
-// to the state the durable journal describes. flatDropped marks a
-// record whose flat mutation was dropped from the pending list
-// unapplied: its replay leaves the flat table alone. Which records
-// that marks follows from the statements' kinds alone. unlanded marks
-// an insert its failed flush did not place and write: its replay still
-// makes the removal pass an insert's undo always makes, but matching
-// nothing, lest it remove an equal row already there. Whether an
-// insert landed depends on where its slot lay, so it may change only
-// what the pass matches, never whether the pass runs.
-type undoRec struct {
-	op          undoOp
-	table       string
-	pre, post   []table.Row
-	flatDropped bool
-	unlanded    bool
-}
-
-// applyUndo reverses one undo record.
-func (db *DB) applyUndo(r undoRec) error {
-	switch r.op {
-	case undoCreate:
-		t, ok := db.tables[strings.ToLower(r.table)]
-		if !ok {
-			return nil
-		}
-		if t.index != nil {
-			t.index.Close()
-		}
-		delete(db.tables, strings.ToLower(r.table))
-		db.publishCatalog()
-		return nil
-	}
-	t, err := db.lookup(r.table)
-	if err != nil {
-		return err
-	}
-	flat := !r.flatDropped
-	switch r.op {
-	case undoInsert:
-		for _, row := range r.post {
-			if err := db.removeOneRow(t, row, flat, !r.unlanded); err != nil {
-				return err
-			}
-		}
-	case undoDelete:
-		// The pass may have removed any subset of pre. Remove whatever
-		// copies remain (tolerating absence), then reinsert the full
-		// pre multiset — the result is exactly pre regardless of how far
-		// the failed pass got.
-		for _, row := range r.pre {
-			if err := db.removeOneRow(t, row, flat, true); err != nil {
-				return err
-			}
-		}
-		for _, row := range r.pre {
-			if err := db.applyInsert(t, row, flat); err != nil {
-				return err
-			}
-		}
-	case undoUpdate:
-		// The pass may have rewritten any subset of pre into post. Clear
-		// both images (each row is present as exactly one of the two),
-		// then reinsert the pre multiset.
-		for i := range r.post {
-			if err := db.removeOneRow(t, r.post[i], flat, true); err != nil {
-				return err
-			}
-		}
-		for i := range r.pre {
-			if err := db.removeOneRow(t, r.pre[i], flat, true); err != nil {
-				return err
-			}
-		}
-		for i := range r.pre {
-			if err := db.applyInsert(t, r.pre[i], flat); err != nil {
-				return err
-			}
+	for _, t := range tables {
+		if err := t.flat.Restore(priors[t]); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// removeOneRow deletes at most one row equal to row from each
-// representation — from the flat table only when flat is set, and
-// there only when match is set: otherwise the flat pass runs with a
-// predicate that matches nothing. Absence
-// is not an error: undoDelete and undoUpdate records are written before
-// their pass, which may not have reached the row. The index finds the
-// equal row among those sharing its key with a [k, k] range lookup and
-// removes that exact entry; the lookup concedes the key's duplicate
-// count, like any §4.1 index range.
-func (db *DB) removeOneRow(t *Table, row table.Row, flat, match bool) error {
-	if flat && t.flat != nil {
-		if err := db.flushFlat(t); err != nil {
-			return err
+// undoRec is one entry of the in-memory undo log, recorded by mutation
+// bodies so a failed statement (or group of a run) restores the engine
+// to the state the durable journal describes. A row mutation keeps the
+// rows it removed or rewrote (pre) and those it added (post), which
+// undo the index, and — once its flat mutation is flushed — the Prior
+// that undoes the flat table; a CREATE keeps only the table to drop.
+type undoRec struct {
+	create    bool
+	t         *Table
+	pre, post []table.Row
+	flat      *storage.Prior
+}
+
+// applyUndo reverses one undo record's DDL and index work; its flat
+// side was restored by slot already (restoreFlat).
+func (db *DB) applyUndo(r undoRec) error {
+	t := r.t
+	if r.create {
+		if t.index != nil {
+			t.index.Close()
 		}
-		done := false
-		if _, err := t.flat.Delete(func(r table.Row) bool {
-			if !match || done || !rowsEqual(r, row) {
-				return false
+		delete(db.tables, strings.ToLower(t.name))
+		db.publishCatalog()
+		return nil
+	}
+	if t.index == nil {
+		return nil
+	}
+	// The index work may have got through any prefix of the rows, and
+	// each row is present as at most one of its images: removing one
+	// entry equal to each image, then reinserting pre, leaves exactly
+	// pre. Absence is not an error; no entry has id ^0, so an absent
+	// row still pays one padded delete. The [k, k] lookup that finds the
+	// equal entry concedes the key's duplicate count, like any §4.1
+	// index range.
+	for _, rows := range [][]table.Row{r.post, r.pre} {
+		for _, row := range rows {
+			k, none := row[t.keyCol].AsInt(), ^uint32(0)
+			id := none
+			if _, err := t.index.RangeScan(k, k, func(i uint32, got table.Row) error {
+				if id == none && rowsEqual(got, row) {
+					id = i
+				}
+				return nil
+			}); err != nil {
+				return err
 			}
-			done = true
-			return true
-		}); err != nil {
-			return err
+			if _, err := t.index.DeleteEntry(k, id); err != nil {
+				return err
+			}
 		}
 	}
-	if t.index != nil {
-		// No entry has id ^0, so an absent row still pays one padded delete.
-		k, none := row[t.keyCol].AsInt(), ^uint32(0)
-		id := none
-		if _, err := t.index.RangeScan(k, k, func(i uint32, r table.Row) error {
-			if id == none && rowsEqual(r, row) {
-				id = i
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		if _, err := t.index.DeleteEntry(k, id); err != nil {
+	for _, row := range r.pre {
+		if err := t.index.Insert(row); err != nil {
 			return err
 		}
 	}

@@ -35,7 +35,7 @@ func buildJoinTables(t *testing.T, e *enclave.Enclave, nPrimary int, fks []int64
 		t.Fatal(err)
 	}
 	for i := 0; i < nPrimary; i++ {
-		if err := p.InsertFast(table.Row{table.Int(int64(i)), table.Str(fmt.Sprintf("n%d", i))}); err != nil {
+		if err := p.InsertFast(table.Row{table.Int(int64(i)), table.Str(fmt.Sprintf("n%d", i))}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -44,7 +44,7 @@ func buildJoinTables(t *testing.T, e *enclave.Enclave, nPrimary int, fks []int64
 		t.Fatal(err)
 	}
 	for j, fk := range fks {
-		if err := f.InsertFast(table.Row{table.Int(fk), table.Int(int64(100 + j))}); err != nil {
+		if err := f.InsertFast(table.Row{table.Int(fk), table.Int(int64(100 + j))}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,11 +136,11 @@ func TestJoinStringKeys(t *testing.T) {
 		e := enclave.MustNew(enclave.Config{})
 		p, _ := storage.NewFlat(e, "p", s1, 4)
 		for i := 0; i < 4; i++ {
-			_ = p.InsertFast(table.Row{table.Str(fmt.Sprintf("url%d", i)), table.Int(int64(i * 10))})
+			_ = p.InsertFast(table.Row{table.Str(fmt.Sprintf("url%d", i)), table.Int(int64(i * 10))}, nil)
 		}
 		f, _ := storage.NewFlat(e, "f", s2, 6)
 		for _, d := range []string{"url1", "url3", "url1", "urlX", "url0", "url3"} {
-			_ = f.InsertFast(table.Row{table.Str(d), table.Int(7)})
+			_ = f.InsertFast(table.Row{table.Str(d), table.Int(7)}, nil)
 		}
 		out, err := Join(e, FromFlat(p), FromFlat(f), 0, 0, alg, JoinOptions{}, "out")
 		if err != nil {

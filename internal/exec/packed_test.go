@@ -25,7 +25,7 @@ func packedInput(t *testing.T, e *enclave.Enclave, name string, vals []int64, r 
 		t.Fatal(err)
 	}
 	for i, v := range vals {
-		if err := f.InsertFast(table.Row{table.Int(int64(i)), table.Int(v)}); err != nil {
+		if err := f.InsertFast(table.Row{table.Int(int64(i)), table.Int(v)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -181,7 +181,7 @@ func TestPackedSelfJoinChunked(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := int64(0); i < 100; i++ {
-			if err := f.InsertFast(table.Row{table.Int(i), table.Str(fmt.Sprintf("name-%02d", i))}); err != nil {
+			if err := f.InsertFast(table.Row{table.Int(i), table.Str(fmt.Sprintf("name-%02d", i))}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -406,7 +406,7 @@ func newFilled(t *testing.T, e *enclave.Enclave, name string, s *table.Schema, n
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := f.InsertFast(gen(i)); err != nil {
+		if err := f.InsertFast(gen(i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -29,7 +29,7 @@ func buildFlat(t *testing.T, e *enclave.Enclave, name string, vals []int64) *sto
 	}
 	for i, v := range vals {
 		r := table.Row{table.Int(int64(i)), table.Int(v), table.Str(fmt.Sprintf("t%d", v))}
-		if err := f.InsertFast(r); err != nil {
+		if err := f.InsertFast(r, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

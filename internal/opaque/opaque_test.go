@@ -27,7 +27,7 @@ func fill(t *testing.T, e *enclave.Enclave, rows [][3]int64) *storage.Flat {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if err := f.InsertFast(table.Row{table.Int(r[0]), table.Int(r[1]), table.Int(r[2])}); err != nil {
+		if err := f.InsertFast(table.Row{table.Int(r[0]), table.Int(r[1]), table.Int(r[2])}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,7 +136,7 @@ func TestGroupAggregateStringKeys(t *testing.T) {
 	)
 	f, _ := storage.NewFlat(e, "in", s, 12)
 	for i := 0; i < 12; i++ {
-		_ = f.InsertFast(table.Row{table.Str(fmt.Sprintf("t%d", i%4)), table.Int(int64(i))})
+		_ = f.InsertFast(table.Row{table.Str(fmt.Sprintf("t%d", i%4)), table.Int(int64(i))}, nil)
 	}
 	out, err := GroupAggregate(e, exec.FromFlat(f), table.All,
 		func(r table.Row) table.Value { return r[0] },

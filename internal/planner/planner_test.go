@@ -19,7 +19,7 @@ func statsTable(t *testing.T, e *enclave.Enclave, vals []int64) *storage.Flat {
 		t.Fatal(err)
 	}
 	for _, v := range vals {
-		if err := f.InsertFast(table.Row{table.Int(v)}); err != nil {
+		if err := f.InsertFast(table.Row{table.Int(v)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

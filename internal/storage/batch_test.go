@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"testing"
 
+	"oblidb/internal/enclave"
 	"oblidb/internal/table"
 	"oblidb/internal/trace"
 )
@@ -72,10 +74,10 @@ func TestApplyBatchMatchesOneByOne(t *testing.T) {
 			single := newPacked(t, capacity, r, nil)
 			for i := 0; i < capacity/2; i++ {
 				rw := row(rng.Int64N(int64(keys)), "seed")
-				if err := batched.InsertFast(rw); err != nil {
+				if err := batched.InsertFast(rw, nil); err != nil {
 					t.Fatal(err)
 				}
-				if err := single.InsertFast(rw); err != nil {
+				if err := single.InsertFast(rw, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -146,7 +148,7 @@ func batchTrace(t *testing.T, r int, base int64, validated bool) *trace.Tracer {
 	tr := trace.New()
 	f := newPacked(t, 32, r, tr)
 	for i := int64(0); i < 20; i++ {
-		if err := f.InsertFast(row(base+i, "x")); err != nil {
+		if err := f.InsertFast(row(base+i, "x"), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,5 +197,126 @@ func TestApplyBatchTracePinned(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// cutAt is a store fault injector that fails the one access numbered
+// at, counting every access; at < 0 fails nothing.
+type cutAt struct{ n, at int }
+
+func (c *cutAt) Access(bool) error {
+	c.n++
+	if c.n-1 == c.at {
+		return errors.New("cut")
+	}
+	return nil
+}
+
+// TestApplyBatchRestoreUndoesCutPass: a batch whose pass a store fault
+// cuts short at any access is undone by Restore from its mutations'
+// Priors — every slot, the row count and the append room back to their
+// values before the batch — in one read and one write per block, with
+// a trace that is byte-identical for a same-shape batch over different
+// data.
+func TestApplyBatchRestoreUndoesCutPass(t *testing.T) {
+	for _, r := range []int{1, 3, 95} {
+		t.Run(fmt.Sprintf("R=%d", r), func(t *testing.T) {
+			capacity := max(3*r, 24)
+			keys := capacity / 2
+			load := func(seed uint64, holes bool) (*Flat, *cutAt, *trace.Tracer) {
+				cut, tr := &cutAt{at: -1}, trace.New()
+				e := enclave.MustNew(enclave.Config{Tracer: tr, Key: make([]byte, 32), Fault: cut})
+				f, err := NewFlatGeom(e, "t", kvSchema(t), capacity, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewPCG(seed, 3))
+				for i := 0; i < capacity/2; i++ {
+					if err := f.InsertFast(row(rng.Int64N(int64(keys)), "seed"), nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if holes {
+					// A delete leaves holes and sends the append cursor
+					// to the capacity, so inserts fill holes below it.
+					if _, err := f.Delete(func(rw table.Row) bool { return rw[0].AsInt()%5 == 0 }); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return f, cut, tr
+			}
+			a, cutA, trA := load(1, true)
+			b, cutB, trB := load(2, false)
+			rng := rand.New(rand.NewPCG(uint64(r), 11))
+			for round := 0; round < 8; round++ {
+				muts := randomBatch(rng, 1+rng.IntN(8), keys, a.Capacity()-max(a.NumRows(), b.NumRows()))
+				check := false
+				for _, m := range muts {
+					check = check || m.Kind == MutUpdate && !m.Validated
+				}
+				accesses := 2 * a.NumBlocks()
+				if check {
+					accesses += a.NumBlocks()
+				}
+				for k := 0; k < accesses; k++ {
+					var prints [2][32]byte
+					for i, tc := range []struct {
+						f   *Flat
+						cut *cutAt
+						tr  *trace.Tracer
+					}{{a, cutA, trA}, {b, cutB, trB}} {
+						f := tc.f
+						want, rows, room := slotDump(t, f), f.NumRows(), f.AppendRoom()
+						priors := make([]*Prior, len(muts))
+						batch := make([]Mutation, len(muts))
+						for j, m := range muts {
+							priors[j] = new(Prior)
+							m.Prior = priors[j]
+							batch[j] = m
+						}
+						tc.tr.Reset()
+						tc.cut.n, tc.cut.at = 0, k
+						if _, err := f.ApplyBatch(batch); err == nil {
+							t.Fatalf("round %d: fault at access %d of %d never fired", round, k, accesses)
+						}
+						tc.cut.at = -1
+						restore := len(tc.tr.Events())
+						if err := f.Restore(priors); err != nil {
+							t.Fatal(err)
+						}
+						events := tc.tr.Events()[restore:]
+						prints[i] = tc.tr.Fingerprint()
+						got := slotDump(t, f)
+						for s := range want {
+							if got[s] != want[s] {
+								t.Fatalf("round %d, fault at access %d: slot %d restored to %s, was %s", round, k, s, got[s], want[s])
+							}
+						}
+						if f.NumRows() != rows || f.AppendRoom() != room {
+							t.Fatalf("round %d, fault at access %d: rows %d, append room %d; were %d, %d",
+								round, k, f.NumRows(), f.AppendRoom(), rows, room)
+						}
+						if len(events) != 2*f.NumBlocks() {
+							t.Fatalf("round %d, fault at access %d: Restore made %d accesses over %d blocks", round, k, len(events), f.NumBlocks())
+						}
+						for j, ev := range events {
+							if op := []trace.Op{trace.Read, trace.Write}[j%2]; ev.Op != op || int(ev.Index) != j/2 {
+								t.Fatalf("round %d, fault at access %d: Restore event %d is %v", round, k, j, ev)
+							}
+						}
+					}
+					if prints[0] != prints[1] {
+						t.Fatalf("round %d, fault at access %d: cut pass and Restore trace depends on the data", round, k)
+					}
+				}
+				// Land the batch on both tables, so later rounds start
+				// from states it shaped.
+				for _, f := range []*Flat{a, b} {
+					if _, err := f.ApplyBatch(muts); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -213,6 +213,20 @@ type Mutation struct {
 	// already checked against the schema; it needs no read-only
 	// pre-pass.
 	Validated bool
+	// Prior, when set, receives what the mutation changes, so Restore
+	// can undo it; it serves this mutation alone. A mutation without
+	// one records nothing.
+	Prior *Prior
+}
+
+// Prior is what one mutation (or one run of InsertFast calls) changed
+// in a flat table: every slot it rewrote with the record the slot held
+// just before — an unused slot's record is a dummy — and, once it has
+// a slot, the append cursor before it. Restore writes them back.
+type Prior struct {
+	appendAt int
+	slots    []int
+	recs     []byte // the slots' earlier records, RecordSize bytes each
 }
 
 // ApplyBatch obliviously applies a run of mutations in one pass over
@@ -221,8 +235,11 @@ type Mutation struct {
 // the mutations apply in order; an insert still unplaced takes the
 // block's first free slot. The table ends exactly as applying the
 // mutations one by one would leave it, slot for slot. It returns each
-// mutation's affected row count (1 for a placed insert). On failure the
-// counts cover only the blocks whose writes landed (nil: none did).
+// mutation's affected row count (1 for a placed insert), or an error
+// and no counts. A mutation with a Prior records each slot it changes,
+// with the slot's contents just before, and the append cursor as the
+// mutations one by one would leave it before this one, so Restore can
+// undo a suffix of the batch however far a failed pass got.
 //
 // Insert rows are validated before any access. A run holding an update
 // whose post-images the caller has not validated first makes a
@@ -234,9 +251,9 @@ type Mutation struct {
 // per block exactly when an unvalidated update is present — a function
 // of the mutation kinds and the block count only. The row count and the
 // append cursor follow each block as its write lands, so a pass cut
-// short by a store fault leaves them matching the blocks it rewrote. An
-// insert left unplaced because the table is full fails the batch after
-// the pass.
+// short by a store fault leaves them matching the blocks it rewrote.
+// An insert left unplaced because the table is full fails the batch
+// after the pass.
 func (f *Flat) ApplyBatch(muts []Mutation) ([]int, error) {
 	if len(muts) == 0 {
 		return nil, nil
@@ -267,79 +284,96 @@ func (f *Flat) ApplyBatch(muts []Mutation) ([]int, error) {
 		}
 	}
 	p := newBatchPass(muts)
+	rows, at, capacity := f.rows, f.appendAt, f.Capacity()
+	// The last tally, over every block the pass reached, leaves the
+	// Priors' cursors.
+	defer p.tally(rows, at, capacity)
 	for b := 0; b < f.store.Len(); b++ {
-		p.rows, p.top, p.deleted = 0, 0, false
-		clear(p.blk)
 		var err error
 		f.blk, err = f.store.RMW(b, f.blk, func(plain []byte) error {
 			return f.applyBlock(plain, b, p, false)
 		})
 		if err != nil {
-			return p.counts, err
+			return nil, err
 		}
-		for i, n := range p.blk {
-			p.counts[i] += n
-		}
-		f.rows += p.rows
-		if p.top > f.appendAt {
-			f.appendAt = p.top
-		}
-		if p.deleted {
-			// Deletions may open holes before appendAt; fall back to
-			// scanning inserts for correctness (the paper offers
-			// InsertFast for tables "with few deletions").
-			f.appendAt = f.Capacity()
-		}
+		f.rows, f.appendAt = p.tally(rows, at, capacity)
 	}
 	for i, m := range muts {
-		if m.Kind == MutInsert && !p.placed[i] {
-			return p.counts, fmt.Errorf("storage: table %q is full (%d rows)", f.name, f.Capacity())
+		if m.Kind == MutInsert && p.end[i] == 0 {
+			return nil, fmt.Errorf("storage: table %q is full (%d rows)", f.name, f.Capacity())
 		}
 	}
 	return p.counts, nil
 }
 
-// batchPass is one ApplyBatch pass's progress: which inserts have been
-// placed, the per-mutation counts of the blocks written so far, and the
-// current block's per-mutation counts (blk) and effect on the row count
-// (rows), the append cursor (top, one past the highest slot an insert
-// took) and whether it deleted anything.
+// batchPass is one ApplyBatch pass's progress: one past the slot each
+// insert took (end, 0 while unplaced) and the per-mutation counts.
 type batchPass struct {
-	muts    []Mutation
-	placed  []bool
-	counts  []int
-	blk     []int
-	rows    int
-	top     int
-	deleted bool
+	muts   []Mutation
+	end    []int
+	counts []int
 }
 
 func newBatchPass(muts []Mutation) *batchPass {
 	n := len(muts)
-	return &batchPass{muts: muts, placed: make([]bool, n), counts: make([]int, n), blk: make([]int, n)}
+	return &batchPass{muts: muts, end: make([]int, n), counts: make([]int, n)}
+}
+
+// tally folds the pass's effects so far over a starting row count and
+// append cursor, as applying the mutations one by one would: an insert
+// moves the cursor past its slot, and a delete that removed anything
+// moves it to the capacity — deletions may open holes before it, so
+// inserts fall back to the scanning pass (the paper offers InsertFast
+// for tables "with few deletions"). Each Prior gets the cursor before
+// its mutation.
+func (p *batchPass) tally(rows, at, capacity int) (int, int) {
+	for i, m := range p.muts {
+		if m.Prior != nil {
+			m.Prior.appendAt = at
+		}
+		at = max(at, p.end[i])
+		switch m.Kind {
+		case MutInsert:
+			rows += p.counts[i]
+		case MutDelete:
+			rows -= p.counts[i]
+			if p.counts[i] > 0 {
+				at = capacity
+			}
+		}
+	}
+	return rows, at
 }
 
 // applyBlock applies the batch, in order, to block b's plaintext. With
 // check set (the read-only pre-pass) it validates the post-image of
-// every unvalidated update.
+// every unvalidated update; otherwise it records each change in its
+// mutation's Prior.
 func (f *Flat) applyBlock(plain []byte, b int, p *batchPass, check bool) error {
+	rs := f.schema.RecordSize()
+	keep := func(m Mutation, j int) {
+		if m.Prior != nil && !check {
+			m.Prior.slots = append(m.Prior.slots, b*f.rpb+j)
+			m.Prior.recs = append(m.Prior.recs, plain[j*rs:(j+1)*rs]...)
+		}
+	}
 	decoded := false // f.dec holds plain's current records
 	for i, m := range p.muts {
 		if m.Kind == MutInsert {
-			if p.placed[i] {
+			if p.end[i] != 0 {
 				continue
 			}
 			for j := 0; j < f.rpb; j++ {
 				if f.schema.UsedAt(plain, j) {
 					continue
 				}
+				keep(m, j)
 				if err := f.schema.EncodeRecordAt(plain, j, m.Row); err != nil {
 					return err
 				}
-				p.placed[i], decoded = true, false
-				p.blk[i]++
-				p.rows++
-				p.top = max(p.top, b*f.rpb+j+1)
+				decoded = false
+				p.end[i] = b*f.rpb + j + 1
+				p.counts[i]++
 				break
 			}
 			continue
@@ -356,6 +390,7 @@ func (f *Flat) applyBlock(plain []byte, b int, p *batchPass, check bool) error {
 			if !used || !m.Pred(row) {
 				continue
 			}
+			keep(m, j)
 			var err error
 			if m.Kind == MutDelete {
 				err = f.schema.EncodeDummyAt(plain, j)
@@ -375,11 +410,7 @@ func (f *Flat) applyBlock(plain []byte, b int, p *batchPass, check bool) error {
 		}
 		if n > 0 {
 			decoded = false
-			p.blk[i] += n
-			if m.Kind == MutDelete {
-				p.rows -= n
-				p.deleted = true
-			}
+			p.counts[i] += n
 		}
 	}
 	return nil
@@ -399,19 +430,69 @@ func (f *Flat) Insert(r table.Row) error {
 // deletions (§3.1): it touches only the block holding the next slot,
 // skipping the scan. The slot sequence depends only on the number of
 // prior insertions, which the adversary already learns from table sizes
-// over time.
-func (f *Flat) InsertFast(r table.Row) error {
+// over time. When prior is set it records the slot, which held a dummy.
+func (f *Flat) InsertFast(r table.Row, prior *Prior) error {
 	if err := f.schema.ValidateRow(r); err != nil {
 		return err
 	}
 	if f.appendAt >= f.Capacity() {
 		return fmt.Errorf("storage: table %q is full (%d rows)", f.name, f.Capacity())
 	}
+	if prior != nil {
+		if len(prior.slots) == 0 {
+			prior.appendAt = f.appendAt
+		}
+		prior.slots = append(prior.slots, f.appendAt)
+		prior.recs = append(prior.recs, make([]byte, f.schema.RecordSize())...) // a zero record is a dummy
+	}
 	if err := f.SetRow(f.appendAt, r, true); err != nil {
 		return err
 	}
 	f.appendAt++
 	f.rows++
+	return nil
+}
+
+// Restore undoes the changes recorded in priors, given oldest first, in
+// one read-modify-write pass over every block: each slot they cover gets
+// back the record it held before the earliest of them changed it, the
+// append cursor goes back to where it stood before the earliest change,
+// and the row count is recounted from the restored blocks. A slot whose
+// change never landed — its pass was cut short — already holds that
+// record, so restoring it again changes nothing: Restore needs no
+// knowledge of how far a failed pass got. The trace is one read and one
+// write per block, whatever the priors hold.
+func (f *Flat) Restore(priors []*Prior) error {
+	rs := f.schema.RecordSize()
+	earliest := make(map[int][]byte)
+	rows, appendAt := 0, f.appendAt
+	for i := len(priors) - 1; i >= 0; i-- {
+		p := priors[i]
+		for k, s := range p.slots {
+			earliest[s] = p.recs[k*rs : (k+1)*rs]
+		}
+		if len(p.slots) > 0 {
+			appendAt = p.appendAt
+		}
+	}
+	for b := 0; b < f.store.Len(); b++ {
+		var err error
+		f.blk, err = f.store.RMW(b, f.blk, func(plain []byte) error {
+			for j := 0; j < f.rpb; j++ {
+				if rec, ok := earliest[b*f.rpb+j]; ok {
+					copy(plain[j*rs:], rec)
+				}
+				if f.schema.UsedAt(plain, j) {
+					rows++
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	f.rows, f.appendAt = rows, appendAt
 	return nil
 }
 

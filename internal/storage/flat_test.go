@@ -60,7 +60,7 @@ func TestInsertFull(t *testing.T) {
 	if err := f.Insert(row(3, "c")); err == nil {
 		t.Fatal("insert into full table succeeded")
 	}
-	if err := f.InsertFast(row(3, "c")); err == nil {
+	if err := f.InsertFast(row(3, "c"), nil); err == nil {
 		t.Fatal("fast insert into full table succeeded")
 	}
 }
@@ -85,7 +85,7 @@ func TestInsertFillsHoles(t *testing.T) {
 func TestInsertFastSequential(t *testing.T) {
 	f := newFlat(t, 4, nil)
 	for i := int64(0); i < 3; i++ {
-		if err := f.InsertFast(row(i, "x")); err != nil {
+		if err := f.InsertFast(row(i, "x"), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,7 +99,7 @@ func TestInsertFastIsConstantTime(t *testing.T) {
 	tr := trace.New()
 	f := newFlat(t, 16, tr)
 	tr.Reset()
-	if err := f.InsertFast(row(1, "a")); err != nil {
+	if err := f.InsertFast(row(1, "a"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Len() != 1 {

@@ -18,7 +18,7 @@ func attackTable(t *testing.T) *Flat {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 6; i++ {
-		if err := f.InsertFast(row(i, "secret")); err != nil {
+		if err := f.InsertFast(row(i, "secret"), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,8 +87,8 @@ func TestAttackBlockFromOtherTable(t *testing.T) {
 	e := enclave.MustNew(enclave.Config{})
 	a, _ := NewFlat(e, "a", kvSchema(t), 4)
 	b, _ := NewFlat(e, "b", kvSchema(t), 4)
-	_ = a.InsertFast(row(1, "from-a"))
-	_ = b.InsertFast(row(2, "from-b"))
+	_ = a.InsertFast(row(1, "from-a"), nil)
+	_ = b.InsertFast(row(2, "from-b"), nil)
 	b.Store().AdversarySetRawBlock(0, a.Store().AdversaryRawBlock(0))
 	if _, _, err := b.ReadRow(0); err == nil {
 		t.Fatal("cross-table block transplant undetected")

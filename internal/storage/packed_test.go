@@ -49,7 +49,7 @@ func TestPackedRoundTripAllGeometries(t *testing.T) {
 		t.Run(fmt.Sprintf("R=%d", r), func(t *testing.T) {
 			f := newPacked(t, 10, r, nil)
 			for i := int64(0); i < 10; i++ {
-				if err := f.InsertFast(row(i, fmt.Sprintf("v%d", i))); err != nil {
+				if err := f.InsertFast(row(i, fmt.Sprintf("v%d", i)), nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -103,7 +103,7 @@ func TestPackedUpdateValidatesBeforeWriting(t *testing.T) {
 		t.Run(fmt.Sprintf("R=%d", r), func(t *testing.T) {
 			f := newPacked(t, 8, r, nil)
 			for i := int64(0); i < 8; i++ {
-				if err := f.InsertFast(row(i, "orig")); err != nil {
+				if err := f.InsertFast(row(i, "orig"), nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -143,7 +143,7 @@ func packedAttackTable(t *testing.T, r int) *Flat {
 	t.Helper()
 	f := newPacked(t, 12, r, nil)
 	for i := int64(0); i < 12; i++ {
-		if err := f.InsertFast(row(i, "secret")); err != nil {
+		if err := f.InsertFast(row(i, "secret"), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,7 +202,7 @@ func packedTrace(t *testing.T, r int, seed int64) *trace.Tracer {
 	tr := trace.New()
 	f := newPacked(t, 16, r, tr)
 	for i := int64(0); i < 12; i++ {
-		if err := f.InsertFast(row(i*seed%17, "v")); err != nil {
+		if err := f.InsertFast(row(i*seed%17, "v"), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,7 +284,7 @@ func TestScanReadPathZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 256; i++ {
-		if err := f.InsertFast(table.Row{table.Int(i), table.Str("payload")}); err != nil {
+		if err := f.InsertFast(table.Row{table.Int(i), table.Str("payload")}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

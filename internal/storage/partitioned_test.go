@@ -30,7 +30,7 @@ func TestPartitionedCoversAllBlocksOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := f.InsertFast(table.Row{table.Int(int64(i))}); err != nil {
+		if err := f.InsertFast(table.Row{table.Int(int64(i))}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

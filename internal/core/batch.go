@@ -23,20 +23,21 @@ import (
 // and what they held — so a rollback restores each table by slot in
 // one pass (wal.go).
 
-// flatOp is one queued flat mutation: its table, and the undo record
-// covering it (-1 when the bracket is untracked).
+// flatOp is one queued flat mutation: its table, and its undo record
+// (-1 when the bracket is untracked).
 type flatOp struct {
 	t    *Table
 	mut  storage.Mutation
 	undo int
 }
 
-// queueFlat queues one flat mutation on the bracket's pending list. A
-// tracked body calls it after appending the mutation's undo record.
+// queueFlat queues one flat mutation on the bracket's pending list,
+// with an undo record for its Prior when the bracket is tracked.
 func (db *DB) queueFlat(t *Table, m storage.Mutation) {
 	undo := -1
 	if db.trackingMutations() {
-		undo = len(db.undo) - 1
+		undo = len(db.undo)
+		db.undo = append(db.undo, undoRec{t: t})
 	}
 	db.pending = append(db.pending, flatOp{t: t, mut: m, undo: undo})
 }

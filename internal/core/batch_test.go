@@ -173,16 +173,13 @@ func TestWriteRunMatchesOneAtATime(t *testing.T) {
 
 // TestFaultInWriteRunContained sweeps one store fault over every access
 // of a write run — its index work, its flat-only match passes, the
-// growth copy and the batched flat passes. A fault in the flat tables
-// is always contained: the whole run answers CodeStoreFault and is a
-// no-op, both tables and the journal keep their pre-run rows, the
-// engine is not latched, and the retried run lands exactly as the
-// fault-free one. A fault inside an index ORAM operation may instead
-// latch the engine (its undo cannot replay over a torn ORAM step, as
-// for a single statement); then the journal must still recover the
-// pre-run rows, and the run retried there lands. A contained fault
-// restores the flat tables slot for slot: each row in the slot it held
-// before the run.
+// growth copy and the batched flat passes. Every fault, in the flat
+// tables or inside an index ORAM operation, is contained: the whole run
+// answers CodeStoreFault and is a no-op, both tables and the journal
+// keep their pre-run rows, the engine is not latched, and the retried
+// run lands exactly as the fault-free one. A contained fault restores
+// the flat tables slot for slot: each row in the slot it held before
+// the run.
 func TestFaultInWriteRunContained(t *testing.T) {
 	for _, index := range []bool{false, true} {
 		t.Run(fmt.Sprintf("index=%v", index), func(t *testing.T) {
@@ -206,31 +203,23 @@ func TestFaultInWriteRunContained(t *testing.T) {
 			if testing.Short() {
 				stride = (to-from)/40 + 1
 			}
-			latched := 0
 			for k := from; k < to; k += stride {
 				inj := faultstore.NewInjector(faultstore.Schedule{FailAt: []uint64{k}, MaxFaults: 1})
 				db, path := runEngine(t, key, inj)
 				_, errs := db.ExecutePlanBatch(autocommit(writeRun(index)))
-				want := oberr.CodeStoreFault
 				if db.Broken() != nil {
-					if !index {
-						t.Fatalf("fault at access %d latched a flat-only engine: %v", k, db.Broken())
-					}
-					want = oberr.CodeEngineFailed
-					latched++
+					t.Fatalf("fault at access %d latched the engine: %v", k, db.Broken())
 				}
 				for i, err := range errs {
-					if oberr.CodeOf(err) != want {
-						t.Fatalf("fault at access %d: statement %d answered %v, want %s", k, i, err, want)
+					if oberr.CodeOf(err) != oberr.CodeStoreFault {
+						t.Fatalf("fault at access %d: statement %d answered %v, want CodeStoreFault", k, i, err)
 					}
 				}
-				if want == oberr.CodeStoreFault {
-					if got := runState(t, db); rowsDiffer(got, pre) {
-						t.Fatalf("fault at access %d changed the tables:\n got %v\nwant %v", k, got, pre)
-					}
-					if got := flatSlots(t, db); rowsDiffer(got, preSlots) {
-						t.Fatalf("fault at access %d moved flat rows:\n got %v\nwant %v", k, got, preSlots)
-					}
+				if got := runState(t, db); rowsDiffer(got, pre) {
+					t.Fatalf("fault at access %d changed the tables:\n got %v\nwant %v", k, got, pre)
+				}
+				if got := flatSlots(t, db); rowsDiffer(got, preSlots) {
+					t.Fatalf("fault at access %d moved flat rows:\n got %v\nwant %v", k, got, preSlots)
 				}
 				rec := MustOpen(Config{Key: key, Seed: 7, RowsPerBlock: 4})
 				if err := rec.Recover(openTestLog(t, path, key, wal.Options{})); err != nil {
@@ -239,9 +228,6 @@ func TestFaultInWriteRunContained(t *testing.T) {
 				if got := runState(t, rec); rowsDiffer(got, pre) {
 					t.Fatalf("fault at access %d: journal recovers\n %v\nwant %v", k, got, pre)
 				}
-				if want == oberr.CodeEngineFailed {
-					db = rec
-				}
 				if _, errs := db.ExecutePlanBatch(autocommit(writeRun(index))); errs[0] != nil {
 					t.Fatalf("retry after fault at access %d: %v", k, errs[0])
 				}
@@ -249,7 +235,7 @@ func TestFaultInWriteRunContained(t *testing.T) {
 					t.Fatalf("retry after fault at access %d left\n %v\nwant %v", k, got, post)
 				}
 			}
-			t.Logf("%d fault points, %d latched the engine", (to-from+stride-1)/stride, latched)
+			t.Logf("%d fault points", (to-from+stride-1)/stride)
 		})
 	}
 }
@@ -450,21 +436,26 @@ func TestFaultedInsertRollbackTraceOblivious(t *testing.T) {
 	}
 }
 
-// TestRollbackOnePassPerTable pins the cost of a flat rollback: one
-// read and one write per block of the table, whatever the failed
-// statement touched. On a journaled flat-only table of 128 rows in 64
-// blocks, an UPDATE of k rows and a BulkLoad of 128, each faulted at
-// its last store access, must roll back in exactly 2 × NumBlocks
-// accesses.
+// TestRollbackOnePassPerTable pins the cost of a rollback. On a
+// journaled table of 128 rows at R = 4 — flat, indexed, or both, keyed
+// on id — an UPDATE of k rows and a BulkLoad of 128, each faulted at
+// its last store access, roll back in 2 × NumBlocks accesses for the
+// flat table, one Restore pass, plus the index's Restore: Σ targets
+// ORAM accesses, the padded targets of the index operations the
+// statement began (AccessesPerOp each, amortized), and the rest of a
+// path read the fault cut short. The pin is exact in path reads: every
+// ORAM access reads one slot on each of the u uncached levels of its
+// path, and evictions and reshuffles write every slot they read, so a
+// rollback's reads minus its writes are u × Σ targets plus the resumed
+// reads, at most u, and none when the fault hit the flat pass. A
+// BulkLoad found the table empty, so its index rollback makes no access.
 func TestRollbackOnePassPerTable(t *testing.T) {
 	key := crypt.NewRandomKey()
-	engine := func(inj *faultstore.Injector, load bool) *DB {
-		cfg := Config{Key: key, Seed: 7, RowsPerBlock: 4}
-		if inj != nil {
-			cfg.Fault = inj
-		}
-		db := MustOpen(cfg)
-		if _, err := db.CreateTable("p", walTestSchema(), TableOptions{Capacity: 256}); err != nil {
+	engine := func(inj *armedFault, kind StorageKind, load bool) (*DB, *Table) {
+		inj.arm(-1)
+		db := MustOpen(Config{Key: key, Seed: 7, RowsPerBlock: 4, Fault: inj})
+		tab, err := db.CreateTable("p", walTestSchema(), TableOptions{Kind: kind, KeyColumn: "id", Capacity: 256})
+		if err != nil {
 			t.Fatal(err)
 		}
 		if load {
@@ -475,7 +466,7 @@ func TestRollbackOnePassPerTable(t *testing.T) {
 		if err := db.AttachWAL(openTestLog(t, filepath.Join(t.TempDir(), "p.wal"), key, wal.Options{})); err != nil {
 			t.Fatal(err)
 		}
-		return db
+		return db, tab
 	}
 	update := func(k int64) func(*DB) error {
 		return func(db *DB) error {
@@ -485,33 +476,71 @@ func TestRollbackOnePassPerTable(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		name   string
-		loaded bool
-		stmt   func(*DB) error
+		name string
+		kind StorageKind
+		k    int64 // rows updated; 0 for the BulkLoad
 	}{
-		{"update/k=1", true, update(1)},
-		{"update/k=16", true, update(16)},
-		{"update/k=64", true, update(64)},
-		{"bulkload", false, func(db *DB) error { return db.BulkLoad("p", passRows(128)) }},
+		{"update/k=1", KindFlat, 1},
+		{"update/k=16", KindFlat, 16},
+		{"update/k=64", KindFlat, 64},
+		{"bulkload", KindFlat, 0},
+		{"both/update/k=1", KindBoth, 1},
+		{"both/update/k=16", KindBoth, 16},
+		{"both/update/k=64", KindBoth, 64},
+		{"both/bulkload", KindBoth, 0},
+		{"indexed/update/k=1", KindIndexed, 1},
+		{"indexed/update/k=16", KindIndexed, 16},
+		{"indexed/bulkload", KindIndexed, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			counter := faultstore.NewInjector(faultstore.Schedule{})
-			db := engine(counter, tc.loaded)
-			from := counter.Accesses()
-			if err := tc.stmt(db); err != nil {
+			stmt := update(tc.k)
+			if tc.k == 0 {
+				stmt = func(db *DB) error { return db.BulkLoad("p", passRows(128)) }
+			}
+			inj := new(armedFault)
+			db, _ := engine(inj, tc.kind, tc.k > 0)
+			inj.arm(-1)
+			if err := stmt(db); err != nil {
 				t.Fatal(err)
 			}
-			own := counter.Accesses() - from
-			inj := faultstore.NewInjector(faultstore.Schedule{FailAt: []uint64{from + own - 1}, MaxFaults: 1})
-			db = engine(inj, tc.loaded)
-			if err := tc.stmt(db); oberr.CodeOf(err) != oberr.CodeStoreFault {
+			own := inj.n.Load()
+			var blocks, u, sum, perOp int64
+			if tab := mustTable(t, db, "p"); tab.Flat() != nil {
+				blocks = int64(tab.Flat().NumBlocks())
+			}
+			if _, tab := engine(inj, tc.kind, tc.k > 0); tab.Index() != nil && tc.k > 0 {
+				idx := tab.Index()
+				// A point lookup at height h makes h+2 ORAM accesses.
+				h := int64(idx.Height())
+				perOp = int64(idx.AccessesPerOp())
+				inj.arm(-1)
+				if _, _, err := idx.Lookup(0); err != nil {
+					t.Fatal(err)
+				}
+				u = (inj.n.Load() - 2*inj.writes.Load()) / (h + 2)
+				// Each row is one DeleteEntry, padded to 5h+4, and one
+				// Insert, padded to 3(h+1)+3: indexed's targets.
+				sum = tc.k * (5*h + 4 + 3*(h+1) + 3)
+			}
+			db, _ = engine(inj, tc.kind, tc.k > 0)
+			inj.arm(own - 1)
+			if err := stmt(db); oberr.CodeOf(err) != oberr.CodeStoreFault {
 				t.Fatalf("faulted statement answered %v, want CodeStoreFault", err)
 			}
-			blocks := uint64(mustTable(t, db, "p").Flat().NumBlocks())
-			if n := inj.Accesses() - from - own; n != 2*blocks {
+			n, paths := inj.n.Load(), inj.n.Load()-2*inj.writes.Load()
+			t.Logf("rollback: %d accesses (2 × %d blocks + %d ORAM accesses × %d per op), %d path reads over %d levels",
+				n, blocks, sum, perOp, paths, u)
+			if resumed := paths - u*sum; resumed < 0 || resumed > u || (tc.kind == KindBoth && resumed != 0) {
+				t.Fatalf("rollback made %d path reads, want %d × %d targets plus at most %d resumed", paths, u, sum, u)
+			}
+			if tc.k == 0 && n != 2*blocks {
+				t.Fatalf("BulkLoad rollback made %d store accesses, want %d (one flat pass, no index access)", n, 2*blocks)
+			}
+			if tc.kind == KindFlat && n != 2*blocks {
 				t.Fatalf("rollback made %d store accesses, want %d (one pass over %d blocks)", n, 2*blocks, blocks)
 			}
-			if got, want := snapshotRows(t, db, "p"), snapshotRows(t, engine(nil, tc.loaded), "p"); rowsDiffer(got, want) {
+			ref, _ := engine(new(armedFault), tc.kind, tc.k > 0)
+			if got, want := snapshotRows(t, db, "p"), snapshotRows(t, ref, "p"); rowsDiffer(got, want) {
 				t.Fatalf("rollback left %d rows, want %d", len(got), len(want))
 			}
 		})

@@ -175,12 +175,10 @@ type DB struct {
 	recovering bool
 	// inRun defers the flat flush and the journal commit across the
 	// groups of a write run (ExecutePlanBatch); undo records how to
-	// reverse applied-but-uncommitted changes, and inUndo
-	// suppresses tracking while it replays (see wal.go). pending holds
-	// the flat mutations the bracket has queued but not yet applied
-	// (see batch.go).
+	// reverse applied-but-uncommitted changes (see wal.go). pending
+	// holds the flat mutations the bracket has queued but not yet
+	// applied (see batch.go).
 	inRun   bool
-	inUndo  bool
 	undo    []undoRec
 	pending []flatOp
 	// broken latches when fault containment itself fails — a rollback
@@ -622,11 +620,8 @@ func (db *DB) dropTableBody(name string) error {
 // insertRowsBody validates every row first, so a bad row fails the
 // statement before it touches one, then inserts them: the index at
 // once, the flat table through the bracket's pending list (one pass per
-// run, see batch.go). Each row's undo record is taken before it
-// applies (index removal tolerates absence, and the flat side is
-// restored by slot), so a failed apply still unwinds cleanly; its
-// journal record is staged after, and a bracket that fails rewinds the
-// stage.
+// run, see batch.go). Each journal record is staged after its row
+// applies, and a bracket that fails rewinds the stage.
 func (db *DB) insertRowsBody(name string, rows []table.Row) error {
 	t, err := db.lookup(name)
 	if err != nil {
@@ -637,11 +632,8 @@ func (db *DB) insertRowsBody(name string, rows []table.Row) error {
 			return err
 		}
 	}
-	track := db.trackingMutations()
+	defer db.trackIndex(t)()
 	for _, r := range rows {
-		if track {
-			db.undo = append(db.undo, undoRec{t: t, post: []table.Row{r.Clone()}})
-		}
 		if t.flat != nil {
 			db.queueFlat(t, storage.Mutation{Kind: storage.MutInsert, Row: r})
 		}
@@ -702,22 +694,12 @@ func (db *DB) bulkLoadBody(name string, rows []table.Row) error {
 	if t.NumRows() != 0 {
 		return fmt.Errorf("core: BulkLoad requires an empty table, %q has %d rows", name, t.NumRows())
 	}
-	track := db.trackingMutations()
-	var prior *storage.Prior
-	if track {
-		pre := make([]table.Row, len(rows))
-		for i, r := range rows {
-			pre[i] = r.Clone()
-		}
-		if t.flat != nil {
-			prior = new(storage.Prior)
-		}
-		// Recorded before the load so a store fault midway through it
-		// unwinds what did land: the flat appends by slot, the index
-		// rows by removal, which tolerates the rest.
-		db.undo = append(db.undo, undoRec{t: t, post: pre, flat: prior})
-	}
 	if t.flat != nil {
+		var prior *storage.Prior
+		if db.trackingMutations() {
+			prior = new(storage.Prior)
+			db.undo = append(db.undo, undoRec{t: t, flat: prior})
+		}
 		if err := db.growFlat(t, len(rows)); err != nil {
 			return err
 		}
@@ -728,15 +710,14 @@ func (db *DB) bulkLoadBody(name string, rows []table.Row) error {
 		}
 	}
 	if t.index != nil {
+		defer db.trackIndex(t)()
 		if err := t.index.BulkLoad(rows); err != nil {
 			return err
 		}
 	}
-	if track {
-		for _, r := range rows {
-			if err := db.logMutation(wal.OpInsert, t, r); err != nil {
-				return err
-			}
+	for _, r := range rows {
+		if err := db.logMutation(wal.OpInsert, t, r); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -748,15 +729,14 @@ func (db *DB) bulkLoadBody(name string, rows []table.Row) error {
 // the index when the table has one (its range when key narrows it, its
 // raw bucket scan otherwise), over the flat table only for a flat-only
 // table whose statement is tracked; an untracked flat-only statement
-// needs no matches and skips the pass. That one set is the undo
-// pre-images, recorded before anything applies; the index victims,
-// removed by their exact entry so a repeated key loses the right row;
-// the affected count; and the journal records. Post-images are computed
-// and validated up front, so an updater that breaks a row fails the
-// statement before it touches one — and the flat update, queued on the
-// bracket's pending list, needs no validation pass of its own. Only an
-// untracked flat-only statement, which has no match set to count or
-// validate, applies its flat pass at once and counts from it.
+// needs no matches and skips the pass. That one set is the index
+// victims, removed by their exact entry so a repeated key loses the
+// right row; the affected count; and the journal records. Post-images
+// are computed and validated up front, so an updater that breaks a row
+// fails the statement before it touches one — and the flat update,
+// queued on the bracket's pending list, needs no validation pass of its
+// own. Only an untracked flat-only statement, which has no match set to
+// count or validate, applies its flat pass at once and counts from it.
 func (db *DB) rewriteRows(t *Table, pred table.Pred, upd table.Updater, key *KeyRange) (int, error) {
 	full := combinePred(t, pred, key)
 	track := db.trackingMutations()
@@ -801,15 +781,8 @@ func (db *DB) rewriteRows(t *Table, pred table.Pred, upd table.Updater, key *Key
 			}
 		}
 	}
-	if track {
-		// The undo record must exist BEFORE the index work: a store
-		// fault midway through it leaves some rows rewritten, and only a
-		// pre-recorded undo can restore them (its replay tolerates rows
-		// the work never reached). The flat side is undone by slot from
-		// the Prior its flush attaches.
-		db.undo = append(db.undo, undoRec{t: t, pre: pre, post: post})
-	}
-
+	// The index records its changes from here, before its work starts.
+	defer db.trackIndex(t)()
 	n := len(pre)
 	if t.flat != nil {
 		m := storage.Mutation{Kind: storage.MutDelete, Pred: full}

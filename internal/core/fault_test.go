@@ -179,6 +179,56 @@ func TestFaultTraceIdentity(t *testing.T) {
 	}
 }
 
+// TestFaultTraceIdentityBoth is TestFaultTraceIdentity on a table
+// stored both ways and keyed on id: every rollback restores the index
+// by block as well as the flat table by slot, and the traces must still
+// be identical whatever the data.
+func TestFaultTraceIdentityBoth(t *testing.T) {
+	key := crypt.NewRandomKey()
+	fingerprint := func(base int64) [32]byte {
+		tr := trace.New()
+		// Faults 2 500 accesses apart, farther than any rollback here
+		// runs, so that none lands in a rollback: a second fault there
+		// would latch the engine.
+		var at []uint64
+		for i := uint64(700); i < 20000; i += 2500 {
+			at = append(at, i)
+		}
+		inj := faultstore.NewInjector(faultstore.Schedule{FailAt: at})
+		db := MustOpen(Config{Key: key, Seed: 7, RowsPerBlock: 4, Tracer: tr, Fault: inj})
+		if err := db.AttachWAL(openTestLog(t, filepath.Join(t.TempDir(), "tb.wal"), key, wal.Options{})); err != nil {
+			t.Fatal(err)
+		}
+		stmts := faultStatements(base)
+		stmts[0] = func(db *DB) error {
+			_, err := db.CreateTable("ft", walTestSchema(), TableOptions{Kind: KindBoth, KeyColumn: "id", Capacity: 32})
+			return err
+		}
+		for si, stmt := range stmts {
+			for attempt := 0; ; attempt++ {
+				err := stmt(db)
+				if err == nil {
+					break
+				}
+				if !oberr.Retriable(err) {
+					t.Fatalf("statement %d: non-retriable %v", si, err)
+				}
+				if attempt > 50 {
+					t.Fatalf("statement %d: no progress after %d attempts", si, attempt)
+				}
+			}
+		}
+		if n := inj.Injected(); n < 4 {
+			t.Fatalf("only %d faults injected in %d accesses", n, inj.Accesses())
+		}
+		t.Logf("%d faults in %d accesses", inj.Injected(), inj.Accesses())
+		return tr.Fingerprint()
+	}
+	if fingerprint(100) != fingerprint(7700) {
+		t.Fatal("same-shape/different-data workloads on a flat-and-index table diverged their traces under one fault schedule")
+	}
+}
+
 // TestLatchedEngineRefusesEveryEntryPoint pins the containment latch at
 // every engine entry point: once a failed rollback has latched the
 // engine, each statement — read, write, DDL, transaction, journal

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"oblidb/internal/indexed"
 	"oblidb/internal/oberr"
 	"oblidb/internal/storage"
 	"oblidb/internal/table"
@@ -16,7 +17,7 @@ import (
 // journal records are staged as its body runs, and endMutation flushes
 // the queued flat mutations (batch.go) and commits them — or rewinds the
 // stage and undoes the in-memory changes on failure: one slot-restoring
-// pass per flat table it flushed to, then the index undo row by row. A
+// pass per flat table it flushed to, one block-restoring pass per index. A
 // write run (ExecutePlanBatch) stretches the same mechanism across its
 // groups, with one flush and one commit for the run. Staged records
 // reach the file only through a commit that follows a successful flush,
@@ -130,7 +131,7 @@ func (db *DB) maybeCheckpointLocked() {
 
 // logMutation stages one journal record for an applied row mutation.
 func (db *DB) logMutation(op wal.Op, t *Table, row table.Row) error {
-	if db.wal == nil || db.recovering || db.inUndo {
+	if db.wal == nil || db.recovering {
 		return nil
 	}
 	return db.wal.Append(op, t.name, t.schema, row)
@@ -139,9 +140,19 @@ func (db *DB) logMutation(op wal.Op, t *Table, row table.Row) error {
 // trackingMutations reports whether mutation bodies must record undo
 // entries and journal records: yes under a journal or inside a run,
 // which may have to roll back statements that succeeded, never while
-// replaying or unwinding.
+// replaying.
 func (db *DB) trackingMutations() bool {
-	return (db.wal != nil || db.inRun) && !db.recovering && !db.inUndo
+	return (db.wal != nil || db.inRun) && !db.recovering
+}
+
+// trackIndex records a tracked statement's changes to t's index in one
+// indexed.Prior on its own undo record, until the returned func runs.
+func (db *DB) trackIndex(t *Table) func() {
+	if t.index == nil || !db.trackingMutations() {
+		return func() {}
+	}
+	db.undo = append(db.undo, undoRec{t: t, index: t.index.Track()})
+	return t.index.Untrack
 }
 
 // mutationMarks snapshots the journal stage and undo log at statement
@@ -158,9 +169,9 @@ func (db *DB) mutationMarks() (walMark, undoMark int) {
 // its in-memory changes undone; on success, the queued flat mutations
 // flush and the staged batch commits durably. A write run calls it only
 // to undo a failed group, and flushes and commits once at its end.
-// During recovery or unwinding it is a passthrough.
+// During recovery it is a passthrough.
 func (db *DB) endMutation(err error, walMark, undoMark int) error {
-	if db.recovering || db.inUndo {
+	if db.recovering {
 		return err
 	}
 	if err == nil {
@@ -223,47 +234,51 @@ func (db *DB) commitLocked(walMark, undoMark int) error {
 }
 
 // rollbackTo drops the queued flat mutations of the statements it
-// reverses, rewinds the journal stage, restores each flat table those
-// statements flushed to, and replays the rest of the undo log (newest
-// first) down to the marks.
+// reverses, rewinds the journal stage, drops the tables they created and
+// restores each other table they changed: its flat table, if flushed to,
+// then its index, each in one Restore over their Priors, oldest first.
+// Which tables follows from the statements' kinds and plans and where a
+// fault cut the run, never from the data.
 func (db *DB) rollbackTo(walMark, undoMark int) error {
 	db.dropPending(undoMark)
 	if db.wal != nil {
 		db.wal.Rewind(walMark)
 	}
-	db.inUndo = true
-	defer func() { db.inUndo = false }()
-	firstErr := db.restoreFlat(db.undo[undoMark:])
-	for i := len(db.undo) - 1; i >= undoMark; i-- {
-		if err := db.applyUndo(db.undo[i]); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
+	recs := db.undo[undoMark:]
 	db.undo = db.undo[:undoMark]
-	return firstErr
-}
-
-// restoreFlat makes one storage.Flat.Restore pass over each flat table
-// that a record in recs flushed a mutation to, in the order the records
-// first reached it, handing it their Priors oldest first. A table gets
-// its pass whether or not the flush changed a slot: which tables are
-// restored follows from which mutations were flushed — the statements'
-// kinds and plans, and where a fault cut the run — never from the data.
-func (db *DB) restoreFlat(recs []undoRec) error {
-	var tables []*Table
-	priors := make(map[*Table][]*storage.Prior)
-	for _, r := range recs {
-		if r.flat == nil {
+	done := make(map[*Table]bool)
+	for i, r := range recs {
+		if done[r.t] {
 			continue
 		}
-		if _, ok := priors[r.t]; !ok {
-			tables = append(tables, r.t)
+		done[r.t] = true
+		if r.create {
+			if r.t.index != nil {
+				r.t.index.Close()
+			}
+			delete(db.tables, strings.ToLower(r.t.name))
+			db.publishCatalog()
+			continue
 		}
-		priors[r.t] = append(priors[r.t], r.flat)
-	}
-	for _, t := range tables {
-		if err := t.flat.Restore(priors[t]); err != nil {
-			return err
+		var flat []*storage.Prior
+		var index []*indexed.Prior
+		for _, q := range recs[i:] {
+			if q.t == r.t && q.flat != nil {
+				flat = append(flat, q.flat)
+			}
+			if q.t == r.t && q.index != nil {
+				index = append(index, q.index)
+			}
+		}
+		if len(flat) > 0 {
+			if err := r.t.flat.Restore(flat); err != nil {
+				return err
+			}
+		}
+		if len(index) > 0 {
+			if err := r.t.index.Restore(index); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -271,62 +286,14 @@ func (db *DB) restoreFlat(recs []undoRec) error {
 
 // undoRec is one entry of the in-memory undo log, recorded by mutation
 // bodies so a failed statement (or group of a run) restores the engine
-// to the state the durable journal describes. A row mutation keeps the
-// rows it removed or rewrote (pre) and those it added (post), which
-// undo the index, and — once its flat mutation is flushed — the Prior
-// that undoes the flat table; a CREATE keeps only the table to drop.
+// to the state the durable journal describes: the Prior of one flat
+// mutation, once it is flushed, or of one statement's index work, or,
+// for a CREATE, the table to drop.
 type undoRec struct {
-	create    bool
-	t         *Table
-	pre, post []table.Row
-	flat      *storage.Prior
-}
-
-// applyUndo reverses one undo record's DDL and index work; its flat
-// side was restored by slot already (restoreFlat).
-func (db *DB) applyUndo(r undoRec) error {
-	t := r.t
-	if r.create {
-		if t.index != nil {
-			t.index.Close()
-		}
-		delete(db.tables, strings.ToLower(t.name))
-		db.publishCatalog()
-		return nil
-	}
-	if t.index == nil {
-		return nil
-	}
-	// The index work may have got through any prefix of the rows, and
-	// each row is present as at most one of its images: removing one
-	// entry equal to each image, then reinserting pre, leaves exactly
-	// pre. Absence is not an error; no entry has id ^0, so an absent
-	// row still pays one padded delete. The [k, k] lookup that finds the
-	// equal entry concedes the key's duplicate count, like any §4.1
-	// index range.
-	for _, rows := range [][]table.Row{r.post, r.pre} {
-		for _, row := range rows {
-			k, none := row[t.keyCol].AsInt(), ^uint32(0)
-			id := none
-			if _, err := t.index.RangeScan(k, k, func(i uint32, got table.Row) error {
-				if id == none && rowsEqual(got, row) {
-					id = i
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
-			if _, err := t.index.DeleteEntry(k, id); err != nil {
-				return err
-			}
-		}
-	}
-	for _, row := range r.pre {
-		if err := t.index.Insert(row); err != nil {
-			return err
-		}
-	}
-	return nil
+	create bool
+	t      *Table
+	flat   *storage.Prior
+	index  *indexed.Prior
 }
 
 // Recover rebuilds this database from a journal, standard redo-recovery

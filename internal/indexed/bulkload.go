@@ -13,11 +13,15 @@ import (
 // count — every block of a freshly built tree is written exactly once in a
 // deterministic order — so it leaks only the table size, like everything
 // else. It avoids the per-insert worst-case padding that makes incremental
-// loads O(N log² N).
+// loads O(N log² N). The table is empty, so the ORAM and the allocation
+// state start afresh: staging beside earlier blocks would leave stale
+// copies.
 func (t *Table) BulkLoad(rows []table.Row) error {
 	if t.height != 0 || t.rows != 0 {
 		return fmt.Errorf("indexed: BulkLoad requires an empty table")
 	}
+	t.o.Reset()
+	t.treeState = treeState{nextNode: uint32(t.dataBlocks)}
 	if len(rows) == 0 {
 		return nil
 	}

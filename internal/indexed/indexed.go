@@ -22,6 +22,7 @@ package indexed
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"oblidb/internal/enclave"
 	"oblidb/internal/oram"
@@ -113,17 +114,11 @@ type Table struct {
 	dataBlocks int // record blocks; node ids start here
 	maxSlots   int // dataBlocks * rpb
 
-	root   uint32
-	height int // node levels on the root-leaf path; 0 = empty tree
-	rows   int
-
-	freeRows  []uint32 // recycled rowIDs
-	nextRow   uint32
-	freeNodes []uint32 // recycled node block ids
-	nextNode  uint32
+	treeState
 
 	maxRows int
-	ops     int // ORAM accesses in the current operation, for padding
+	ops     int    // ORAM accesses in the current operation, for padding
+	prior   *Prior // records changes while tracked (see Track)
 
 	// Reusable scratch: the point-lookup hot path (LookupInto) allocates
 	// nothing in steady state, pinned by an AllocsPerRun test.
@@ -135,6 +130,18 @@ type Table struct {
 	arenaN  int
 	path    []pathEntry
 	dirty   dirtySet
+}
+
+// treeState is the tree's trusted state, kept in the enclave.
+type treeState struct {
+	root   uint32
+	height int // node levels on the root-leaf path; 0 = empty tree
+	rows   int
+
+	freeRows  []uint32 // recycled rowIDs
+	nextRow   uint32
+	freeNodes []uint32 // recycled node block ids
+	nextNode  uint32
 }
 
 // Options tunes indexed-table construction.
@@ -196,7 +203,7 @@ func New(e *enclave.Enclave, name string, schema *table.Schema, keyCol, maxRows 
 		rpb:        rpb,
 		dataBlocks: dataBlocks,
 		maxSlots:   dataBlocks * rpb,
-		nextNode:   uint32(dataBlocks),
+		treeState:  treeState{nextNode: uint32(dataBlocks)},
 		maxRows:    maxRows,
 		buf:        make([]byte, blockSize),
 	}, nil
@@ -240,6 +247,58 @@ func (t *Table) Store() *enclave.Store { return t.o.Store() }
 // PosMapStore exposes the untrusted store behind a recursive position map
 // (nil for the in-enclave map).
 func (t *Table) PosMapStore() *enclave.Store { return t.o.PosMapStore() }
+
+// Prior is what a tracked table's operations changed: the blocks they
+// rewrote and their earlier contents, the state before, their targets.
+type Prior struct {
+	state  treeState
+	ids    []int
+	pre    []byte // the ids' earlier contents, one block each
+	target int
+}
+
+// Track starts recording the table's changes in a new Prior.
+func (t *Table) Track() *Prior {
+	p := &Prior{state: t.treeState}
+	p.state.freeRows, p.state.freeNodes = slices.Clone(t.freeRows), slices.Clone(t.freeNodes)
+	t.prior = p
+	t.o.Track(func(id int, data []byte) {
+		p.ids = append(p.ids, id)
+		p.pre = append(p.pre, data...)
+	})
+	return p
+}
+
+// Untrack stops recording.
+func (t *Table) Untrack() {
+	t.prior = nil
+	t.o.Track(nil)
+}
+
+// Restore undoes priors, oldest first, on an untracked table: the first
+// one's state comes back, and the recorded contents are written back
+// newest first, padded to the summed targets. A table that was empty,
+// as a BulkLoad's is, resets its ORAM instead, with no access.
+func (t *Table) Restore(priors []*Prior) error {
+	t.treeState = priors[0].state
+	if t.rows == 0 {
+		t.o.Reset()
+		return nil
+	}
+	t.beginOp(0)
+	target, bs := 0, t.o.BlockSize()
+	for i := len(priors) - 1; i >= 0; i-- {
+		p := priors[i]
+		target += p.target
+		for j := len(p.ids) - 1; j >= 0; j-- {
+			t.ops++
+			if _, err := t.o.Access(oram.OpWrite, p.ids[j], p.pre[j*bs:(j+1)*bs]); err != nil {
+				return err
+			}
+		}
+	}
+	return t.padTo(target)
+}
 
 // --- rowIDs and node ids ---------------------------------------------------
 
@@ -292,10 +351,14 @@ func (t *Table) newNode() *node {
 	return nd
 }
 
-// beginOp resets the access counter and recycles the node arena.
-func (t *Table) beginOp() {
+// beginOp resets the access counter and the node arena, and adds target
+// to a tracked table's Prior.
+func (t *Table) beginOp(target int) {
 	t.ops = 0
 	t.arenaN = 0
+	if t.prior != nil {
+		t.prior.target += target
+	}
 }
 
 // --- ORAM I/O with access counting ----------------------------------------

@@ -137,7 +137,7 @@ func (t *Table) lookupEntry(key int64) (uint32, bool, error) {
 // memory. Every lookup at the same tree height performs exactly the same
 // number of ORAM accesses.
 func (t *Table) Lookup(key int64) (table.Row, bool, error) {
-	t.beginOp()
+	t.beginOp(0)
 	var row table.Row
 	rowID, ok, err := t.lookupEntry(key)
 	if err != nil {
@@ -161,7 +161,7 @@ func (t *Table) LookupInto(key int64, dst table.Row) (bool, error) {
 	if len(dst) != t.schema.NumColumns() {
 		return false, fmt.Errorf("indexed: LookupInto row has %d columns, schema has %d", len(dst), t.schema.NumColumns())
 	}
-	t.beginOp()
+	t.beginOp(0)
 	rowID, ok, err := t.lookupEntry(key)
 	if err != nil {
 		return false, err
@@ -197,8 +197,8 @@ func (t *Table) Insert(r table.Row) error {
 	if t.rows >= t.maxRows {
 		return fmt.Errorf("indexed: table %q is full (%d rows)", t.name, t.maxRows)
 	}
-	t.beginOp()
 	hPre := t.height
+	t.beginOp(insertTarget(hPre, hPre+1))
 	if err := t.insertInner(r); err != nil {
 		return err
 	}
@@ -368,8 +368,8 @@ func (t *Table) DeleteEntry(key int64, id uint32) (bool, error) {
 // delete removes the entry (key, seq), or the first entry with key when
 // seq is -1, padded to deleteTarget of the height before the deletion.
 func (t *Table) delete(key, seq int64) (bool, error) {
-	t.beginOp()
 	hPre := t.height
+	t.beginOp(deleteTarget(hPre))
 	ok, err := t.deleteInner(key, seq)
 	if err != nil {
 		return false, err
@@ -607,7 +607,7 @@ func updateTarget(h int) int { return lookupTarget(h) + 1 }
 // must not change the key column (use Delete+Insert for key changes). The
 // access count is fixed for the tree's height.
 func (t *Table) UpdateByKey(key int64, upd table.Updater) (bool, error) {
-	t.beginOp()
+	t.beginOp(updateTarget(t.height))
 	ok, err := t.updateInner(key, upd)
 	if err != nil {
 		return false, err
@@ -642,7 +642,7 @@ func (t *Table) RangeScan(lo, hi int64, fn func(id uint32, r table.Row) error) (
 	if t.height == 0 || lo > hi {
 		return 0, nil
 	}
-	t.beginOp()
+	t.beginOp(0)
 	path, err := t.descend(lo, -1)
 	if err != nil {
 		return 0, err

@@ -63,6 +63,16 @@ type Ring struct {
 	slotAtBuf [RingSlots]uint32
 	dummyBuf  []byte   // DummyAccess result sink
 	free      [][]byte // recycled stash block buffers
+
+	before func(id int, data []byte) // see Track
+	pend   pendingRead               // see finishRead
+}
+
+// pendingRead is a path read cut short by a store fault (see finishRead).
+type pendingRead struct {
+	on               bool
+	id, leaf, toLeaf uint32 // the block, the path read, the block's new leaf
+	level, slot      int    // the next level; a slot whose read faulted, or -1
 }
 
 // Ring ORAM parameters: Z real slots and S dummy slots per bucket, with a
@@ -235,10 +245,23 @@ func (r *Ring) newBlockBuf() []byte {
 	return make([]byte, r.blockSize)
 }
 
+// Track hands fn each block's contents just before an access changes it.
+func (r *Ring) Track(fn func(id int, data []byte)) { r.before = fn }
+
+// Reset empties the ORAM without touching untrusted memory. Slots keep
+// stale contents as dummies, and their read marks.
+func (r *Ring) Reset() {
+	for i := range r.meta {
+		r.meta[i].ids = [RingSlots]uint32{}
+	}
+	clear(r.stash)
+	r.pend.on = false
+}
+
 // BulkStage registers a block for a bulk build without touching the
 // untrusted store: the block draws its random leaf and waits in the
-// stash until BulkCommit places it. Only valid on a fresh ORAM (no
-// accesses yet) — staging over live buckets would leave stale copies.
+// stash until BulkCommit places it. Only valid on a fresh or Reset ORAM
+// — staging over live buckets would leave stale copies.
 func (r *Ring) BulkStage(id int, data []byte) error {
 	if id < 0 || id >= r.capacity {
 		return fmt.Errorf("oram: ring block id %d out of range [0,%d)", id, r.capacity)
@@ -379,18 +402,17 @@ func (r *Ring) access(op Op, id int, data []byte, fn func([]byte) []byte, dst []
 	if op == OpWrite && len(data) != r.blockSize {
 		return nil, fmt.Errorf("oram: ring write of %d bytes, block size %d", len(data), r.blockSize)
 	}
+	if err := r.finishRead(); err != nil {
+		return nil, err
+	}
 	newLeaf := uint32(r.rng.IntN(r.leaves))
 	oldLeaf, err := r.pos.getSet(id, newLeaf)
 	if err != nil {
 		return nil, err
 	}
-
-	// Read exactly one slot in every bucket on the path.
-	path := r.pathBuckets(int(oldLeaf))
-	for _, b := range path {
-		if err := r.readOneSlot(b, uint32(id)); err != nil {
-			return nil, err
-		}
+	r.pend = pendingRead{on: true, id: uint32(id), leaf: oldLeaf, toLeaf: newLeaf, slot: -1}
+	if err := r.finishRead(); err != nil {
+		return nil, err
 	}
 
 	entry, ok := r.stash[uint32(id)]
@@ -398,6 +420,9 @@ func (r *Ring) access(op Op, id int, data []byte, fn func([]byte) []byte, dst []
 		entry = stashEntry{data: r.newBlockBuf()}
 	}
 	entry.leaf = newLeaf
+	if r.before != nil && (fn != nil || op == OpWrite) {
+		r.before(id, entry.data)
+	}
 	switch {
 	case fn != nil:
 		entry.data = fn(entry.data)
@@ -423,17 +448,37 @@ func (r *Ring) access(op Op, id int, data []byte, fn func([]byte) []byte, dst []
 	return result, nil
 }
 
+// finishRead completes the pending path read, from the slot whose read
+// faulted on; then the block takes the leaf its access drew.
+func (r *Ring) finishRead() error {
+	p := &r.pend
+	if !p.on {
+		return nil
+	}
+	for path := r.pathBuckets(int(p.leaf)); p.level < len(path); p.level++ {
+		if err := r.readOneSlot(path[p.level], p.id, &p.slot); err != nil {
+			return err
+		}
+	}
+	if e, ok := r.stash[p.id]; ok {
+		e.leaf = p.toLeaf
+		r.stash[p.id] = e
+	}
+	p.on = false
+	return nil
+}
+
 // readOneSlot reads exactly one slot of the bucket: the slot holding
 // block id if present, otherwise a uniformly random unused slot,
 // reshuffling the bucket first if every slot is consumed. Any real block
 // the read exposes is invalidated into the stash, so no slot is ever read
 // twice between rewrites; combined with random slot placement at rewrite
 // time, the read position is uniform whatever the data — Ring ORAM's
-// one-block-per-bucket guarantee.
-func (r *Ring) readOneSlot(bucket int, id uint32) error {
+// one-block-per-bucket guarantee. A faulted read of *slot is retried.
+func (r *Ring) readOneSlot(bucket int, id uint32, slot *int) error {
 	m := &r.meta[bucket]
-	target := -1
-	for s := 0; s < RingSlots; s++ {
+	target := *slot
+	for s := 0; target < 0 && s < RingSlots; s++ {
 		if m.ids[s] == id+1 {
 			target = s // invariant: real-block slots are never 'used'
 			break
@@ -459,10 +504,12 @@ func (r *Ring) readOneSlot(bucket int, id uint32) error {
 		}
 		target = r.rng.IntN(RingSlots)
 	}
+	*slot = target
 	data, err := r.readSlot(bucket*RingSlots+target, r.readBuf)
 	if err != nil {
 		return err
 	}
+	*slot = -1
 	r.readBuf = data
 	if m.ids[target] != 0 {
 		bid := m.ids[target] - 1
@@ -509,25 +556,21 @@ func (r *Ring) writeBucket(bucket int, chosen []uint32) error {
 	for i, id := range chosen {
 		slotAt[perm[i]] = id + 1
 	}
-	for s := 0; s < RingSlots; s++ {
-		m.ids[s] = 0
-		m.used[s] = false
+	// A block leaves the stash only once its slot's write has landed.
+	for s, idPlus := range slotAt {
 		payload := r.zeroBuf
-		var recycle []byte
-		if idPlus := slotAt[s]; idPlus != 0 {
-			id := idPlus - 1
-			entry := r.stash[id]
-			m.ids[s] = idPlus
-			m.leaf[s] = entry.leaf
+		var entry stashEntry
+		if idPlus != 0 {
+			entry = r.stash[idPlus-1]
 			payload = entry.data
-			recycle = entry.data
-			delete(r.stash, id)
 		}
 		if err := r.writeSlot(bucket*RingSlots+s, payload); err != nil {
 			return err
 		}
-		if recycle != nil {
-			r.free = append(r.free, recycle)
+		m.ids[s], m.leaf[s], m.used[s] = idPlus, entry.leaf, false
+		if idPlus != 0 {
+			delete(r.stash, idPlus-1)
+			r.free = append(r.free, entry.data)
 		}
 	}
 	return nil

@@ -431,17 +431,21 @@ func (f *Flat) Insert(r table.Row) error {
 // skipping the scan. The slot sequence depends only on the number of
 // prior insertions, which the adversary already learns from table sizes
 // over time. When prior is set it records the slot, which held a dummy.
+// A table holding no row appends from its first slot again.
 func (f *Flat) InsertFast(r table.Row, prior *Prior) error {
 	if err := f.schema.ValidateRow(r); err != nil {
 		return err
+	}
+	if prior != nil && len(prior.slots) == 0 {
+		prior.appendAt = f.appendAt
+	}
+	if f.rows == 0 {
+		f.appendAt = 0
 	}
 	if f.appendAt >= f.Capacity() {
 		return fmt.Errorf("storage: table %q is full (%d rows)", f.name, f.Capacity())
 	}
 	if prior != nil {
-		if len(prior.slots) == 0 {
-			prior.appendAt = f.appendAt
-		}
 		prior.slots = append(prior.slots, f.appendAt)
 		prior.recs = append(prior.recs, make([]byte, f.schema.RecordSize())...) // a zero record is a dummy
 	}

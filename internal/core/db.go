@@ -403,7 +403,6 @@ type Table struct {
 	index    *indexed.Table
 	keyCol   int  // indexed column; -1 if none
 	oblivIn  bool // inserts scan obliviously rather than appending
-	recORAM  bool // index uses the recursive position map
 	capacity int  // creation capacity (flat growth is read live)
 	// idxMu serializes index access from concurrent read slots: Ring
 	// ORAM mutates its stash and position map even on reads, so index
@@ -454,9 +453,6 @@ type TableOptions struct {
 	// ObliviousInserts makes flat inserts scan the whole table instead of
 	// using the constant-time append variant (§3.1).
 	ObliviousInserts bool
-	// RecursiveORAM uses the recursive position map for the index
-	// (Appendix B), shrinking oblivious memory use ~2× slower.
-	RecursiveORAM bool
 }
 
 // CreateTable creates a table. With a journal attached the definition is
@@ -489,7 +485,7 @@ func (db *DB) createTableBody(name string, schema *table.Schema, opts TableOptio
 	}
 	t := &Table{
 		name: name, schema: schema, kind: opts.Kind, keyCol: -1,
-		oblivIn: opts.ObliviousInserts, recORAM: opts.RecursiveORAM, capacity: capacity,
+		oblivIn: opts.ObliviousInserts, capacity: capacity,
 	}
 	if opts.Kind == KindFlat || opts.Kind == KindBoth {
 		f, err := storage.NewFlatGeom(db.enc, name+".flat", schema, capacity, db.rowsPerBlockFor(schema))
@@ -519,10 +515,8 @@ func (db *DB) createTableBody(name string, schema *table.Schema, opts TableOptio
 		// (0, or a negative R as for flat tables) leaves them to
 		// indexed.New, which sizes them near a tree node rather than at
 		// the flat table's ~4 KiB.
-		idx, err := indexed.New(ienc, name+".index", schema, col, capacity, indexed.Options{
-			RecursiveORAM: opts.RecursiveORAM,
-			RowsPerBlock:  max(db.cfg.RowsPerBlock, 0),
-		})
+		idx, err := indexed.New(ienc, name+".index", schema, col, capacity,
+			indexed.Options{RowsPerBlock: max(db.cfg.RowsPerBlock, 0)})
 		if err != nil {
 			return nil, err
 		}

@@ -358,3 +358,68 @@ func TestLatchedEngineRefusesEveryEntryPoint(t *testing.T) {
 		})
 	}
 }
+
+// TestFaultNaiveSelectContained pins the one Path ORAM a statement can
+// reach, the per-statement temporary of a naive selection, whose access
+// is not fault-atomic: a SELECT forced to Naive runs with one store
+// fault at its first access, then its second, and so on until it runs
+// through, on one engine. Every faulted run must answer CodeStoreFault
+// without latching the engine and return the oblivious memory in use to
+// its value before the statement, and the next fault-free SELECT must
+// answer exactly as on an engine that never saw a fault.
+func TestFaultNaiveSelectContained(t *testing.T) {
+	inj := new(armedFault)
+	inj.arm(-1)
+	db := MustOpen(Config{Key: crypt.NewRandomKey(), Seed: 3, RowsPerBlock: 2, Fault: inj})
+	if _, err := db.CreateTable("d", dupSchema(), TableOptions{Capacity: 32}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.BulkLoad("d", sweepRows()); err != nil {
+		t.Fatal(err)
+	}
+	alg := exec.SelectNaive
+	sel := func() ([]table.Row, error) {
+		res, err := db.Select("d", func(r table.Row) bool { return r[0].AsInt()%3 == 1 }, SelectOptions{Force: &alg})
+		if err != nil {
+			return nil, err
+		}
+		if db.LastPlan.SelectAlg != exec.SelectNaive {
+			t.Fatalf("forced Naive, planner reports %s", db.LastPlan.SelectAlg)
+		}
+		return res.Rows, nil
+	}
+	want, err := sel()
+	if err != nil || len(want) == 0 {
+		t.Fatalf("fault-free select: %d rows, %v", len(want), err)
+	}
+	used := db.enc.Used()
+	for at := int64(0); ; at++ {
+		inj.arm(at)
+		_, err := sel()
+		fired := inj.fired.Load()
+		inj.arm(-1)
+		if !fired {
+			if err != nil || at < 50 {
+				t.Fatalf("unfaulted run after %d faulted ones: %v", at, err)
+			}
+			t.Logf("%d faulted runs", at)
+			break
+		}
+		if oberr.CodeOf(err) != oberr.CodeStoreFault {
+			t.Fatalf("fault at access %d: select answered %v, want CodeStoreFault", at, err)
+		}
+		if err := db.Broken(); err != nil {
+			t.Fatalf("fault at access %d latched the engine: %v", at, err)
+		}
+		if got := db.enc.Used(); got != used {
+			t.Fatalf("fault at access %d left %d B of oblivious memory in use, want %d", at, got, used)
+		}
+		got, err := sel()
+		if err != nil {
+			t.Fatalf("select after the fault at access %d: %v", at, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("select after the fault at access %d answered %v, want %v", at, got, want)
+		}
+	}
+}

@@ -108,7 +108,6 @@ func (db *DB) tableDef(t *Table) wal.TableDef {
 		Kind:             uint8(t.kind),
 		Capacity:         t.capacity,
 		ObliviousInserts: t.oblivIn,
-		RecursiveORAM:    t.recORAM,
 	}
 	if t.flat != nil {
 		def.Capacity = t.flat.Capacity()
@@ -321,7 +320,6 @@ func (db *DB) Recover(l *wal.Log) error {
 				KeyColumn:        d.KeyColumn,
 				Capacity:         d.Capacity,
 				ObliviousInserts: d.ObliviousInserts,
-				RecursiveORAM:    d.RecursiveORAM,
 			}
 			if _, err := db.createTableBody(d.Name, d.Schema, opts); err != nil {
 				return err

@@ -11,8 +11,7 @@ import (
 
 // Integrity tests at the indexed layer, mirroring the packed-flat
 // adversary suite: every §2.3 attack class against the ORAM bucket store
-// or the recursive position map must surface as crypt.ErrAuth on a
-// subsequent table operation.
+// must surface as crypt.ErrAuth on a subsequent table operation.
 
 func attackTable(t *testing.T, opts Options) *Table {
 	t.Helper()
@@ -103,27 +102,6 @@ func TestAttackRollbackAfterDelete(t *testing.T) {
 	}
 	if err := scanAll(tbl); !errors.Is(err, crypt.ErrAuth) {
 		t.Fatalf("post-delete rollback: err=%v, want ErrAuth", err)
-	}
-}
-
-func TestAttackPosMapTamper(t *testing.T) {
-	// With a recursive position map the map itself lives in untrusted
-	// memory; corrupting all of it must fail the very next lookup.
-	tbl := attackTable(t, Options{RowsPerBlock: 4, RecursiveORAM: true})
-	pm := tbl.PosMapStore()
-	if pm == nil {
-		t.Fatal("recursive table has no untrusted position-map store")
-	}
-	for i := 0; i < pm.Len(); i++ {
-		raw := pm.AdversaryRawBlock(i)
-		if len(raw) == 0 {
-			continue
-		}
-		raw[0] ^= 0xff
-		pm.AdversarySetRawBlock(i, raw)
-	}
-	if _, _, err := tbl.Lookup(3); !errors.Is(err, crypt.ErrAuth) {
-		t.Fatalf("tampered position map: err=%v, want ErrAuth", err)
 	}
 }
 

@@ -146,8 +146,6 @@ type treeState struct {
 
 // Options tunes indexed-table construction.
 type Options struct {
-	// RecursiveORAM selects the recursive position map (Appendix B).
-	RecursiveORAM bool
 	// RowsPerBlock is R, the packing factor of record blocks. Zero means
 	// DefaultRowsPerBlock, lowered for wide schemas so a record block
 	// holds at most ~4 KiB of plaintext (and at least one row).
@@ -187,10 +185,7 @@ func New(e *enclave.Enclave, name string, schema *table.Schema, keyCol, maxRows 
 	// shallow trees and transient splits.
 	nodeCap := maxRows/3 + 64
 	capacity := dataBlocks + nodeCap
-	o, err := oram.NewRing(e, name, capacity, blockSize, oram.Options{
-		Recursive: opts.RecursiveORAM,
-		Seed:      opts.Seed,
-	})
+	o, err := oram.NewRing(e, name, capacity, blockSize, oram.Options{Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -243,10 +238,6 @@ func (t *Table) AccessesPerOp() int { return t.o.AccessesPerOp() }
 // Store exposes the untrusted bucket store; adversary tests tamper with
 // it.
 func (t *Table) Store() *enclave.Store { return t.o.Store() }
-
-// PosMapStore exposes the untrusted store behind a recursive position map
-// (nil for the in-enclave map).
-func (t *Table) PosMapStore() *enclave.Store { return t.o.PosMapStore() }
 
 // Prior is what a tracked table's operations changed: the blocks they
 // rewrote and their earlier contents, the state before, their targets.

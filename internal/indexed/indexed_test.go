@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"oblidb/internal/enclave"
+	"oblidb/internal/oram"
 	"oblidb/internal/table"
 	"oblidb/internal/trace"
 )
@@ -524,25 +525,34 @@ func TestLookupIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestRecursiveORAMTable(t *testing.T) {
+// TestIndexObliviousMemoryCharge pins what an index reserves of the
+// enclave's oblivious memory: its ring's slot metadata at 9 B per slot,
+// the tree-top cache's plaintext slots, and the in-enclave position map
+// at PosBytesPerBlock per ORAM block — nothing else, and Close returns
+// all of it.
+func TestIndexObliviousMemoryCharge(t *testing.T) {
 	e := enclave.MustNew(enclave.Config{})
-	tbl, err := New(e, "t", tblSchema(), 0, 120, Options{RowsPerBlock: 4, RecursiveORAM: true})
+	before := e.Used()
+	tbl, err := New(e, "t", tblSchema(), 0, 2000, Options{RowsPerBlock: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tbl.Close()
-	if tbl.PosMapStore() == nil {
-		t.Fatal("recursive table has no untrusted position-map store")
+	o := tbl.ORAM()
+	levels := o.(*oram.Ring).Levels()
+	if levels != 11 {
+		t.Fatalf("ring has %d levels, want 11", levels)
 	}
-	for i := int64(0); i < 80; i++ {
-		if err := tbl.Insert(trow(i)); err != nil {
-			t.Fatal(err)
-		}
+	// Under the default budget the cache holds levels/2 = 5 bucket levels.
+	slots := ((1 << levels) - 1) * oram.RingSlots
+	cache := ((1 << 5) - 1) * oram.RingSlots * o.BlockSize()
+	want := 9*slots + cache + oram.PosBytesPerBlock*o.Capacity()
+	if got := e.Used() - before; got != want {
+		t.Fatalf("index reserves %d B, want %d: %d B metadata + %d B cache + %d B position map",
+			got, want, 9*slots, cache, oram.PosBytesPerBlock*o.Capacity())
 	}
-	for i := int64(0); i < 80; i++ {
-		if _, ok, err := tbl.Lookup(i); err != nil || !ok {
-			t.Fatalf("lookup %d: ok=%v err=%v", i, ok, err)
-		}
+	tbl.Close()
+	if got := e.Used(); got != before {
+		t.Fatalf("Close left %d B reserved, want %d", got, before)
 	}
 }
 

@@ -292,25 +292,6 @@ func TestScanRawMatchesRangeScan(t *testing.T) {
 	}
 }
 
-func TestRecursiveORAMTree(t *testing.T) {
-	e := enclave.MustNew(enclave.Config{})
-	tree, err := indexed.New(e, "idx", treeSchema(), 0, 64, indexed.Options{RecursiveORAM: true, RowsPerBlock: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tree.Close()
-	for i := int64(0); i < 30; i++ {
-		if err := tree.Insert(trow(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := int64(0); i < 30; i++ {
-		if _, ok, err := tree.Lookup(i); !ok || err != nil {
-			t.Fatalf("lookup %d: ok=%v err=%v", i, ok, err)
-		}
-	}
-}
-
 func TestHeightGrowsPolylog(t *testing.T) {
 	tree := newTree(t, 1100, nil)
 	for i := int64(0); i < 1000; i++ {

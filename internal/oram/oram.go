@@ -1,22 +1,28 @@
 // Package oram implements Path ORAM (Stefanov et al., CCS'13), the
-// oblivious RAM scheme ObliDB instantiates (§3.2, Appendix B). An ORAM
-// stores fixed-size logical blocks in untrusted memory such that any two
-// access sequences of equal length are indistinguishable: every access
+// oblivious RAM scheme ObliDB instantiates (§3.2, Appendix B), and Ring
+// ORAM (Ring), the scheme the engine's indexes use. An ORAM stores
+// fixed-size logical blocks in untrusted memory such that any two access
+// sequences of equal length are indistinguishable: every Path ORAM access
 // reads and rewrites one full root-to-leaf path of a bucket tree, and the
 // accessed block is remapped to a fresh random leaf.
 //
 // The client state — position map and stash — lives inside the enclave.
-// The nonrecursive position map charges the enclave's oblivious-memory
-// budget at the paper's rate of 8 bytes per block (§3.3); the recursive
-// variant (Appendix B) stores the map in a second ORAM, trading ~2×
-// performance for a constant-size in-enclave map.
+// The in-enclave position map charges the enclave's oblivious-memory
+// budget PosBytesPerBlock (4 B) per block, the paper's 8 B per indexed
+// row (§3.3); Path ORAM's recursive variant (Appendix B) stores the map
+// in a second Path ORAM, trading speed for a small in-enclave map.
+//
+// Path ORAM's access is not fault-atomic: it assigns the block's new leaf
+// before it reads the old path, so a store fault mid-access can strand
+// the block. It therefore serves only state that dies with a failed
+// statement — the per-statement temporary of a naive selection — and the
+// baselines (package hirb, the recursion ablation). Every ORAM that holds
+// stored data is a Ring, whose accesses a fault cannot lose.
 package oram
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
-	"math/rand/v2"
 
 	"oblidb/internal/enclave"
 )
@@ -32,56 +38,21 @@ const Z = 4
 // indexed table" (§3.3).
 const PosBytesPerBlock = 4
 
-// stashEntry is an in-enclave copy of a block together with its currently
-// assigned leaf. Keeping the leaf here lets eviction proceed without
-// consulting the position map, which matters for the recursive variant
-// (one child-ORAM access per parent access, not one per stash block).
-type stashEntry struct {
-	leaf uint32
-	data []byte
-}
-
 // ORAM is a Path ORAM over an enclave-managed untrusted store.
 type ORAM struct {
-	enc       *enclave.Enclave
-	store     *enclave.Store
-	capacity  int // number of logical blocks
-	blockSize int // logical block payload bytes
-	levels    int // tree levels (path length)
-	leaves    int // number of leaf buckets, a power of two
-	pos       posMap
-	stash     map[uint32]stashEntry
-	slotSize  int
-	plainBuf  []byte     // reusable bucket buffer for eviction
-	readBuf   []byte     // reusable bucket buffer for path reads
-	pathBuf   []int      // reusable root-to-leaf bucket index buffer
-	dummyBuf  []byte     // DummyAccess result sink
-	free      [][]byte   // recycled stash block buffers
-	rng       *rand.Rand // dedicated leaf-assignment stream (see Options.Seed)
-}
-
-// newBlockBuf returns a zeroed block-sized buffer, recycling buffers of
-// evicted stash entries so the steady-state stash churns no allocations.
-func (o *ORAM) newBlockBuf() []byte {
-	if n := len(o.free); n > 0 {
-		buf := o.free[n-1]
-		o.free = o.free[:n-1]
-		for i := range buf {
-			buf[i] = 0
-		}
-		return buf
-	}
-	return make([]byte, o.blockSize)
+	tree
+	pos      posMap
+	slotSize int
+	plainBuf []byte // reusable bucket buffer for eviction
 }
 
 // Options configures ORAM construction.
 type Options struct {
-	// Recursive stores the position map in a second ORAM (Appendix B)
-	// instead of charging 8 B/block of oblivious memory.
+	// Recursive stores a Path ORAM's position map in a second Path ORAM
+	// of 256 B blocks (Appendix B) instead of charging PosBytesPerBlock
+	// of oblivious memory per block. NewRing rejects it: a ring's map is
+	// always in the enclave.
 	Recursive bool
-	// MapBlockSize is the block size of the recursive position-map ORAM.
-	// Zero means 256 bytes (64 entries per map block).
-	MapBlockSize int
 	// Seed seeds this ORAM's private leaf-assignment PRNG. Zero derives a
 	// stable seed from the enclave seed and the store name, so leaf
 	// assignment is reproducible per (engine seed, table) regardless of
@@ -89,48 +60,21 @@ type Options struct {
 	Seed uint64
 }
 
-// newRng builds the ORAM's dedicated PRNG from Options.Seed (or the
-// enclave-derived default).
-func newRng(e *enclave.Enclave, name string, opts Options) *rand.Rand {
-	seed := opts.Seed
-	if seed == 0 {
-		seed = e.SeedFor(name)
-	}
-	return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
-}
-
 // New creates an ORAM holding capacity logical blocks of blockSize bytes.
-// All blocks initially read as zeroes.
+// All blocks initially read as zeroes. Leaves ≈ capacity/2 give the ~4×
+// slot overhead the paper reports for its oblivious indexes (§3.3) while
+// Z=4 keeps the stash bounded in practice.
 func New(e *enclave.Enclave, name string, capacity, blockSize int, opts Options) (*ORAM, error) {
-	if capacity <= 0 || blockSize <= 0 {
-		return nil, fmt.Errorf("oram: invalid capacity=%d blockSize=%d", capacity, blockSize)
-	}
-	// Sizing: leaves ≈ capacity/2 gives the ~4× slot overhead the paper
-	// reports for its oblivious indexes (§3.3) while Z=4 keeps the stash
-	// bounded in practice.
-	leaves, levels := treeGeometry(capacity)
-	numBuckets := 2*leaves - 1
 	slotSize := 8 + blockSize
-	store, err := e.NewStore(name, numBuckets, Z*slotSize)
+	t, err := newTree(e, name, capacity, blockSize, 1, Z*slotSize, opts)
 	if err != nil {
 		return nil, err
 	}
-	o := &ORAM{
-		enc:       e,
-		store:     store,
-		capacity:  capacity,
-		blockSize: blockSize,
-		levels:    levels,
-		leaves:    leaves,
-		stash:     make(map[uint32]stashEntry),
-		slotSize:  slotSize,
-		plainBuf:  make([]byte, Z*slotSize),
-		rng:       newRng(e, name, opts),
-	}
+	o := &ORAM{tree: t, slotSize: slotSize, plainBuf: make([]byte, Z*slotSize)}
 	if opts.Recursive {
-		o.pos, err = newRecursiveMap(e, name+".posmap", capacity, leaves, opts.MapBlockSize, o.rng)
+		o.pos, err = newRecursiveMap(e, name+".posmap", capacity, o.leaves, o.rng)
 	} else {
-		o.pos, err = newPlainMap(e, capacity, leaves, o.rng)
+		o.pos, err = newPlainMap(e, capacity, o.leaves, o.rng)
 	}
 	if err != nil {
 		return nil, err
@@ -138,37 +82,9 @@ func New(e *enclave.Enclave, name string, capacity, blockSize int, opts Options)
 	return o, nil
 }
 
-// Close releases the ORAM's oblivious-memory reservations.
-func (o *ORAM) Close() {
-	if o.pos != nil {
-		o.pos.release()
-		o.pos = nil
-	}
-}
-
-// Capacity returns the number of logical blocks.
-func (o *ORAM) Capacity() int { return o.capacity }
-
-// BlockSize returns the logical block payload size.
-func (o *ORAM) BlockSize() int { return o.blockSize }
-
-// Levels returns the path length of one access.
-func (o *ORAM) Levels() int { return o.levels }
-
-// StashSize returns the current number of blocks in the stash. Path ORAM
-// guarantees this stays small with overwhelming probability; tests verify.
-func (o *ORAM) StashSize() int { return len(o.stash) }
-
-// UntrustedBytes returns the untrusted memory the ORAM occupies, the ~4×
-// overhead of Figure 2's "Index" column.
-func (o *ORAM) UntrustedBytes() int { return o.store.SizeBytes() }
-
-// Store exposes the untrusted bucket store for adversary tests.
-func (o *ORAM) Store() *enclave.Store { return o.store }
-
-// PosMapStore exposes the recursive position map's untrusted store (nil
-// when the map is held in enclave memory), for adversary tests.
-func (o *ORAM) PosMapStore() *enclave.Store { return o.pos.untrustedStore() }
+// Close releases the ORAM's oblivious-memory reservations. Closing twice
+// is harmless: a map's release is idempotent.
+func (o *ORAM) Close() { o.pos.release() }
 
 // AccessesPerOp returns the number of untrusted block accesses one ORAM
 // operation performs (path reads plus path writes), the O(log N) factor of
@@ -219,17 +135,6 @@ func (o *ORAM) DummyAccess() error {
 	return err
 }
 
-// resultInto copies one block's contents into dst's capacity (allocating
-// only when dst is too small), the shared tail of every access.
-func resultInto(dst, data []byte, blockSize int) []byte {
-	if cap(dst) < blockSize {
-		dst = make([]byte, blockSize)
-	}
-	dst = dst[:blockSize]
-	copy(dst, data)
-	return dst
-}
-
 func (o *ORAM) access(op Op, id int, data []byte, fn func([]byte) []byte, dst []byte) ([]byte, error) {
 	if id < 0 || id >= o.capacity {
 		return nil, fmt.Errorf("oram: block id %d out of range [0,%d)", id, o.capacity)
@@ -254,10 +159,7 @@ func (o *ORAM) access(op Op, id int, data []byte, fn func([]byte) []byte, dst []
 	// Serve the request from the stash under the block's new leaf. A block
 	// never written reads as zeroes and is materialized so it can be
 	// evicted to its new path.
-	entry, ok := o.stash[uint32(id)]
-	if !ok {
-		entry = stashEntry{data: o.newBlockBuf()}
-	}
+	entry := o.stashed(uint32(id))
 	entry.leaf = newLeaf
 	switch {
 	case fn != nil:
@@ -279,32 +181,6 @@ func (o *ORAM) access(op Op, id int, data []byte, fn func([]byte) []byte, dst []
 	return result, nil
 }
 
-// pathBuckets returns bucket indices from root to the given leaf. Buckets
-// are heap-ordered: root 0, children of i at 2i+1 and 2i+2. The returned
-// slice is the ORAM's scratch, valid until the next call.
-func (o *ORAM) pathBuckets(leaf int) []int {
-	if cap(o.pathBuf) < o.levels {
-		o.pathBuf = make([]int, o.levels)
-	}
-	path := o.pathBuf[:o.levels]
-	idx := o.leaves - 1 + leaf
-	for l := o.levels - 1; l >= 0; l-- {
-		path[l] = idx
-		idx = (idx - 1) / 2
-	}
-	return path
-}
-
-// bucketAtLevel returns the bucket index at the given level on the path to
-// leaf (level 0 = root).
-func (o *ORAM) bucketAtLevel(leaf, level int) int {
-	idx := o.leaves - 1 + leaf
-	for l := o.levels - 1; l > level; l-- {
-		idx = (idx - 1) / 2
-	}
-	return idx
-}
-
 // readBucketIntoStash decrypts one bucket and moves its real blocks into
 // the stash. Slot ids are stored +1 so the all-zero fresh bucket decodes
 // as empty. Each slot carries the block's assigned leaf so eviction never
@@ -321,15 +197,7 @@ func (o *ORAM) readBucketIntoStash(bucket int) error {
 		if idPlus == 0 {
 			continue
 		}
-		id := idPlus - 1
-		if _, dup := o.stash[id]; dup {
-			// The stash copy is authoritative; the bucket copy is stale.
-			continue
-		}
-		leaf := binary.LittleEndian.Uint32(plain[off+4 : off+8])
-		blk := o.newBlockBuf()
-		copy(blk, plain[off+8:off+8+o.blockSize])
-		o.stash[id] = stashEntry{leaf: leaf, data: blk}
+		o.stashBlock(idPlus-1, binary.LittleEndian.Uint32(plain[off+4:off+8]), plain[off+8:off+8+o.blockSize])
 	}
 	return nil
 }
@@ -375,7 +243,8 @@ func (o *ORAM) evictPath(path []int) error {
 // including any blocks currently in the stash. This implements the paper's
 // observation that "the indexed storage data structure can also be scanned
 // linearly as a table" with tree nodes and ORAM slack treated as dummy
-// blocks (§3.2), at less than the cost of the full ORAM protocol.
+// blocks (§3.2), at less than the cost of the full ORAM protocol. A block
+// read from a bucket is valid only until fn returns.
 func (o *ORAM) RawScan(fn func(id int, data []byte) error) error {
 	seen := make(map[uint32]bool, len(o.stash))
 	for id, entry := range o.stash {
@@ -385,10 +254,11 @@ func (o *ORAM) RawScan(fn func(id int, data []byte) error) error {
 		}
 	}
 	for b := 0; b < o.store.Len(); b++ {
-		plain, err := o.store.Read(b)
+		plain, err := o.store.ReadInto(b, o.readBuf)
 		if err != nil {
 			return err
 		}
+		o.readBuf = plain
 		for s := 0; s < Z; s++ {
 			off := s * o.slotSize
 			idPlus := binary.LittleEndian.Uint32(plain[off : off+4])
@@ -402,18 +272,4 @@ func (o *ORAM) RawScan(fn func(id int, data []byte) error) error {
 		}
 	}
 	return nil
-}
-
-// treeGeometry returns the leaf count and depth of a bucket tree for
-// capacity blocks: leaves ≈ capacity/2, rounded up to a power of two.
-func treeGeometry(capacity int) (leaves, levels int) {
-	leaves = nextPow2((capacity + 1) / 2)
-	return leaves, bits.TrailingZeros(uint(leaves)) + 1
-}
-
-func nextPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(n-1))
 }

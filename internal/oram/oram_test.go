@@ -115,8 +115,9 @@ func TestModelNonRecursive(t *testing.T) {
 }
 
 func TestModelRecursive(t *testing.T) {
-	_, o := newTestORAM(t, 64, 24, Options{Recursive: true, MapBlockSize: 16})
-	modelCheck(t, o, 64, 24, 2000, 2)
+	// 1 024 blocks at 64 entries per map block: the map spans 16 blocks.
+	_, o := newTestORAM(t, 1024, 24, Options{Recursive: true})
+	modelCheck(t, o, 1024, 24, 2000, 2)
 }
 
 func TestModelCapacityOne(t *testing.T) {
@@ -213,7 +214,8 @@ func TestRecursiveCostsOneChildAccess(t *testing.T) {
 	tr := trace.New()
 	tr.EnableCounts()
 	e := enclave.MustNew(enclave.Config{Tracer: tr})
-	o, err := New(e, "t", 64, 16, Options{Recursive: true, MapBlockSize: 32})
+	// 512 blocks at 64 entries per map block: an 8-block child ORAM.
+	o, err := New(e, "t", 512, 16, Options{Recursive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,9 +283,6 @@ func TestInvalidConfigs(t *testing.T) {
 	}
 	if _, err := New(e, "t", 8, 0, Options{}); err == nil {
 		t.Fatal("zero block size accepted")
-	}
-	if _, err := New(e, "t", 8, 8, Options{Recursive: true, MapBlockSize: 6}); err == nil {
-		t.Fatal("unaligned map block size accepted")
 	}
 }
 

@@ -15,13 +15,14 @@ import (
 type posMap interface {
 	getSet(id int, newLeaf uint32) (uint32, error)
 	release()
-	// untrustedStore is the untrusted store backing the map (nil when the
-	// map lives wholly in enclave memory); adversary tests tamper with it.
-	untrustedStore() *enclave.Store
 }
 
-// plainMap keeps the whole map in enclave oblivious memory, charging the
-// paper's 8 B/block rate against the budget.
+// mapBlockSize is the block size of the recursive map's child ORAM: 64
+// entries per block.
+const mapBlockSize = 256
+
+// plainMap keeps the whole map in enclave oblivious memory, charging
+// PosBytesPerBlock per block against the budget.
 type plainMap struct {
 	enc      *enclave.Enclave
 	leaves   []uint32
@@ -53,8 +54,6 @@ func (m *plainMap) release() {
 	}
 }
 
-func (m *plainMap) untrustedStore() *enclave.Store { return nil }
-
 // recursiveMap stores position-map entries packed into the blocks of a
 // child ORAM (Appendix B). One layer of recursion suffices in practice:
 // "a 10MB position map ... can support 1.1 million records"; the child's
@@ -65,13 +64,7 @@ type recursiveMap struct {
 	scratch []byte
 }
 
-func newRecursiveMap(e *enclave.Enclave, name string, capacity, numLeaves, mapBlockSize int, rng *rand.Rand) (*recursiveMap, error) {
-	if mapBlockSize == 0 {
-		mapBlockSize = 256
-	}
-	if mapBlockSize%4 != 0 || mapBlockSize < 4 {
-		return nil, fmt.Errorf("oram: map block size %d must be a positive multiple of 4", mapBlockSize)
-	}
+func newRecursiveMap(e *enclave.Enclave, name string, capacity, numLeaves int, rng *rand.Rand) (*recursiveMap, error) {
 	perBlk := mapBlockSize / 4
 	numBlocks := (capacity + perBlk - 1) / perBlk
 	// The child ORAM draws its leaf assignments from its own stream,
@@ -122,5 +115,3 @@ func (m *recursiveMap) getSet(id int, newLeaf uint32) (uint32, error) {
 func (m *recursiveMap) release() {
 	m.child.Close()
 }
-
-func (m *recursiveMap) untrustedStore() *enclave.Store { return m.child.store }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math/bits"
-	"math/rand/v2"
 	"slices"
 
 	"oblidb/internal/enclave"
@@ -24,10 +23,10 @@ import (
 // is modeled by giving every slot its own untrusted block, so the
 // adversary's view has the scheme's true granularity.
 //
-// Client metadata (slot assignments, dummy counters) lives in the
-// enclave, charged to the oblivious-memory budget; the original scheme
-// keeps it in encrypted bucket headers instead, which changes constants
-// but not access patterns.
+// Client metadata (slot assignments, dummy counters) and the position
+// map live in the enclave, charged to the oblivious-memory budget; the
+// original scheme keeps the metadata in encrypted bucket headers
+// instead, which changes constants but not access patterns.
 //
 // The top levels of the tree are on every path, so they sit in enclave
 // memory too: a tree-top cache of plaintext slots, also charged to the
@@ -35,34 +34,23 @@ import (
 // same as without it; the host's trace is the uncached trace with the
 // cached slots' events removed.
 type Ring struct {
-	enc       *enclave.Enclave
-	store     *enclave.Store
-	capacity  int
-	blockSize int
-	levels    int
-	leaves    int
-	pos       posMap
-	stash     map[uint32]stashEntry
+	tree
+	pos       *plainMap
 	meta      []bucketMeta
 	reserved  int
-	accesses  int        // since the last scheduled eviction
-	evictG    int        // reverse-lexicographic eviction counter
-	rng       *rand.Rand // dedicated leaf-assignment stream (see Options.Seed)
-	topLevels int        // bucket levels held in the tree-top cache
-	cached    int        // slot indices below this live in cache, not store
-	cache     []byte     // plaintext tree-top slots, blockSize bytes each
+	accesses  int    // since the last scheduled eviction
+	evictG    int    // reverse-lexicographic eviction counter
+	topLevels int    // bucket levels held in the tree-top cache
+	cached    int    // slot indices below this live in cache, not store
+	cache     []byte // plaintext tree-top slots, blockSize bytes each
 
 	// Reusable scratch: the access hot path allocates nothing in steady
 	// state (pinned by the indexed point-lookup AllocsPerRun test).
-	readBuf   []byte         // slot read buffer
 	zeroBuf   []byte         // dummy-slot payload
-	pathBuf   []int          // root-to-leaf bucket indices
 	candBuf   []evictCand    // stash blocks by deepest eviction level
 	chosenBuf []uint32       // unplaced eviction candidates
 	permBuf   [RingSlots]int // in-place slot permutation
 	slotAtBuf [RingSlots]uint32
-	dummyBuf  []byte   // DummyAccess result sink
-	free      [][]byte // recycled stash block buffers
 
 	before func(id int, data []byte) // see Track
 	pend   pendingRead               // see finishRead
@@ -118,32 +106,24 @@ func NewRing(e *enclave.Enclave, name string, capacity, blockSize int, opts Opti
 // newRing is NewRing with the tree-top cache depth given: k = 0 is the
 // uncached scheme.
 func newRing(e *enclave.Enclave, name string, capacity, blockSize int, opts Options, k int) (*Ring, error) {
-	if capacity <= 0 || blockSize <= 0 {
-		return nil, fmt.Errorf("oram: invalid capacity=%d blockSize=%d", capacity, blockSize)
+	if opts.Recursive {
+		return nil, fmt.Errorf("oram: ring %q keeps its position map in the enclave", name)
 	}
-	leaves, levels := treeGeometry(capacity)
-	if k < 0 || k > levels {
+	if _, levels := treeGeometry(capacity); k < 0 || k > levels {
 		return nil, fmt.Errorf("oram: tree-top cache of %d levels in a %d-level ring", k, levels)
 	}
-	numBuckets := 2*leaves - 1
 	// The store keeps every slot, cached ones included (sealed once here
 	// and never touched again), so slot indices mean the same with and
 	// without the cache.
-	store, err := e.NewStore(name, numBuckets*RingSlots, blockSize)
+	t, err := newTree(e, name, capacity, blockSize, RingSlots, blockSize, opts)
 	if err != nil {
 		return nil, err
 	}
+	numBuckets := 2*t.leaves - 1
 	cached := ((1 << k) - 1) * RingSlots
 	r := &Ring{
-		enc:       e,
-		store:     store,
-		capacity:  capacity,
-		blockSize: blockSize,
-		levels:    levels,
-		leaves:    leaves,
-		stash:     make(map[uint32]stashEntry),
+		tree:      t,
 		meta:      make([]bucketMeta, numBuckets),
-		rng:       newRng(e, name, opts),
 		topLevels: k,
 		cached:    cached,
 		cache:     make([]byte, cached*blockSize),
@@ -155,12 +135,7 @@ func newRing(e *enclave.Enclave, name string, capacity, blockSize int, opts Opti
 	if err := e.Reserve(r.reserved); err != nil {
 		return nil, err
 	}
-	if opts.Recursive {
-		r.pos, err = newRecursiveMap(e, name+".posmap", capacity, leaves, opts.MapBlockSize, r.rng)
-	} else {
-		r.pos, err = newPlainMap(e, capacity, leaves, r.rng)
-	}
-	if err != nil {
+	if r.pos, err = newPlainMap(e, capacity, t.leaves, t.rng); err != nil {
 		e.Release(r.reserved)
 		return nil, err
 	}
@@ -170,37 +145,12 @@ func newRing(e *enclave.Enclave, name string, capacity, blockSize int, opts Opti
 // Close releases oblivious-memory reservations, the tree-top cache's
 // included.
 func (r *Ring) Close() {
-	if r.pos != nil {
-		r.pos.release()
-		r.pos = nil
-	}
+	r.pos.release()
 	if r.reserved > 0 {
 		r.enc.Release(r.reserved)
 		r.reserved = 0
 	}
 }
-
-// Capacity returns the number of logical blocks.
-func (r *Ring) Capacity() int { return r.capacity }
-
-// BlockSize returns the logical block payload size.
-func (r *Ring) BlockSize() int { return r.blockSize }
-
-// Levels returns the tree depth.
-func (r *Ring) Levels() int { return r.levels }
-
-// StashSize returns the current stash occupancy.
-func (r *Ring) StashSize() int { return len(r.stash) }
-
-// UntrustedBytes returns the untrusted footprint.
-func (r *Ring) UntrustedBytes() int { return r.store.SizeBytes() }
-
-// Store exposes the untrusted slot store for adversary tests.
-func (r *Ring) Store() *enclave.Store { return r.store }
-
-// PosMapStore exposes the recursive position map's untrusted store (nil
-// when the map is held in enclave memory), for adversary tests.
-func (r *Ring) PosMapStore() *enclave.Store { return r.pos.untrustedStore() }
 
 // AccessesPerOp returns the amortized untrusted block accesses per
 // logical operation: one slot read per uncached path bucket, plus the
@@ -231,20 +181,6 @@ func (r *Ring) writeSlot(i int, p []byte) error {
 	return nil
 }
 
-// newBlockBuf returns a zeroed block-sized buffer, recycling buffers of
-// evicted stash entries so the steady-state stash churns no allocations.
-func (r *Ring) newBlockBuf() []byte {
-	if n := len(r.free); n > 0 {
-		buf := r.free[n-1]
-		r.free = r.free[:n-1]
-		for i := range buf {
-			buf[i] = 0
-		}
-		return buf
-	}
-	return make([]byte, r.blockSize)
-}
-
 // Track hands fn each block's contents just before an access changes it.
 func (r *Ring) Track(fn func(id int, data []byte)) { r.before = fn }
 
@@ -270,13 +206,8 @@ func (r *Ring) BulkStage(id int, data []byte) error {
 		return fmt.Errorf("oram: ring bulk write of %d bytes, block size %d", len(data), r.blockSize)
 	}
 	leaf := uint32(r.rng.IntN(r.leaves))
-	if _, err := r.pos.getSet(id, leaf); err != nil {
-		return err
-	}
-	entry, ok := r.stash[uint32(id)]
-	if !ok {
-		entry = stashEntry{data: r.newBlockBuf()}
-	}
+	r.pos.leaves[id] = leaf
+	entry := r.stashed(uint32(id))
 	entry.leaf = leaf
 	copy(entry.data, data)
 	r.stash[uint32(id)] = entry
@@ -406,19 +337,14 @@ func (r *Ring) access(op Op, id int, data []byte, fn func([]byte) []byte, dst []
 		return nil, err
 	}
 	newLeaf := uint32(r.rng.IntN(r.leaves))
-	oldLeaf, err := r.pos.getSet(id, newLeaf)
-	if err != nil {
-		return nil, err
-	}
+	oldLeaf := r.pos.leaves[id]
+	r.pos.leaves[id] = newLeaf
 	r.pend = pendingRead{on: true, id: uint32(id), leaf: oldLeaf, toLeaf: newLeaf, slot: -1}
 	if err := r.finishRead(); err != nil {
 		return nil, err
 	}
 
-	entry, ok := r.stash[uint32(id)]
-	if !ok {
-		entry = stashEntry{data: r.newBlockBuf()}
-	}
+	entry := r.stashed(uint32(id))
 	entry.leaf = newLeaf
 	if r.before != nil && (fn != nil || op == OpWrite) {
 		r.before(id, entry.data)
@@ -512,12 +438,7 @@ func (r *Ring) readOneSlot(bucket int, id uint32, slot *int) error {
 	*slot = -1
 	r.readBuf = data
 	if m.ids[target] != 0 {
-		bid := m.ids[target] - 1
-		if _, dup := r.stash[bid]; !dup {
-			blk := r.newBlockBuf()
-			copy(blk, data)
-			r.stash[bid] = stashEntry{leaf: m.leaf[target], data: blk}
-		}
+		r.stashBlock(m.ids[target]-1, m.leaf[target], data)
 		m.ids[target] = 0
 	}
 	m.used[target] = true
@@ -641,22 +562,18 @@ func (r *Ring) pullBucketIntoStash(bucket int) error {
 		if m.ids[s] == 0 {
 			continue
 		}
-		id := m.ids[s] - 1
-		if _, dup := r.stash[id]; !dup {
-			blk := r.newBlockBuf()
-			copy(blk, data)
-			r.stash[id] = stashEntry{leaf: m.leaf[s], data: blk}
-		}
+		r.stashBlock(m.ids[s]-1, m.leaf[s], data)
 		m.ids[s] = 0
 	}
 	return nil
 }
 
-// RawScan streams all live blocks: stash first, then every slot linearly.
+// RawScan streams all live blocks: stash first, then every slot
+// linearly. A block lives either in the stash or in exactly one slot's
+// metadata, so each is yielded once. A block read from a slot is valid
+// only until fn returns.
 func (r *Ring) RawScan(fn func(id int, data []byte) error) error {
-	seen := make(map[uint32]bool, len(r.stash))
 	for id, entry := range r.stash {
-		seen[id] = true
 		if err := fn(int(id), entry.data); err != nil {
 			return err
 		}
@@ -664,39 +581,18 @@ func (r *Ring) RawScan(fn func(id int, data []byte) error) error {
 	for b := range r.meta {
 		m := &r.meta[b]
 		for s := 0; s < RingSlots; s++ {
-			data, err := r.readSlot(b*RingSlots+s, nil)
+			data, err := r.readSlot(b*RingSlots+s, r.readBuf)
 			if err != nil {
 				return err
 			}
-			if m.ids[s] == 0 || seen[m.ids[s]-1] {
+			r.readBuf = data
+			if m.ids[s] == 0 {
 				continue
 			}
-			seen[m.ids[s]-1] = true
 			if err := fn(int(m.ids[s]-1), data); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-func (r *Ring) pathBuckets(leaf int) []int {
-	if cap(r.pathBuf) < r.levels {
-		r.pathBuf = make([]int, r.levels)
-	}
-	path := r.pathBuf[:r.levels]
-	idx := r.leaves - 1 + leaf
-	for l := r.levels - 1; l >= 0; l-- {
-		path[l] = idx
-		idx = (idx - 1) / 2
-	}
-	return path
-}
-
-func (r *Ring) bucketAtLevel(leaf, level int) int {
-	idx := r.leaves - 1 + leaf
-	for l := r.levels - 1; l > level; l-- {
-		idx = (idx - 1) / 2
-	}
-	return idx
 }

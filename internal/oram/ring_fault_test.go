@@ -24,7 +24,9 @@ type ringFaultOp struct {
 // faulted call left its block holding either its earlier value or the
 // value the call wrote, that every later read and the final read of
 // every block match, and that the stash stays bounded. It returns the
-// trace fingerprint and the workload's store access count.
+// trace fingerprint and the workload's store access count. After the
+// faulted call it checks that a raw scan yields every block an
+// operation has touched exactly once, with its value.
 func runRingFaults(t *testing.T, ops []ringFaultOp, base byte, failAt int) ([32]byte, uint64) {
 	t.Helper()
 	const capacity, blockSize = 24, 8
@@ -53,7 +55,11 @@ func runRingFaults(t *testing.T, ops []ringFaultOp, base byte, failAt int) ([32]
 		model[i] = make([]byte, blockSize)
 	}
 	faulted := false
+	touched := make(map[int]bool)
 	for i, op := range ops {
+		if op.kind != 3 {
+			touched[op.id] = true
+		}
 		want := bytes.Repeat([]byte{base + op.val}, blockSize)
 		before := model[op.id]
 		var got []byte
@@ -89,6 +95,8 @@ func runRingFaults(t *testing.T, ops []ringFaultOp, base byte, failAt int) ([32]
 				t.Fatalf("fault at access %d, op %d: block %d holds %v, want %v or %v", failAt, i, op.id, got, before, want)
 			}
 			want = got
+			model[op.id] = bytes.Clone(want)
+			checkRawScanOnce(t, r, model, touched, failAt)
 		} else if !bytes.Equal(got, want) {
 			t.Fatalf("fault at access %d, op %d: block %d reads %v, want %v", failAt, i, op.id, got, want)
 		}
@@ -135,6 +143,31 @@ func TestRingFaultAtEveryAccess(t *testing.T) {
 			if other, _ := runRingFaults(t, ops, 100, at); other != fp {
 				t.Fatalf("fault at access %d: traces differ with the values", at)
 			}
+		}
+	}
+}
+
+// checkRawScanOnce requires a raw scan to yield no block twice, each
+// with its model value, and every touched block: a block lives in the
+// stash or in exactly one slot's metadata, never in both.
+func checkRawScanOnce(t *testing.T, r *Ring, model [][]byte, touched map[int]bool, failAt int) {
+	t.Helper()
+	seen := make(map[int]bool)
+	if err := r.RawScan(func(id int, data []byte) error {
+		if seen[id] {
+			t.Fatalf("fault at access %d: raw scan yields block %d twice", failAt, id)
+		}
+		seen[id] = true
+		if !bytes.Equal(data, model[id]) {
+			t.Fatalf("fault at access %d: raw scan reads block %d as %v, want %v", failAt, id, data, model[id])
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("fault at access %d: raw scan: %v", failAt, err)
+	}
+	for id := range touched {
+		if !seen[id] {
+			t.Fatalf("fault at access %d: raw scan misses block %d", failAt, id)
 		}
 	}
 }

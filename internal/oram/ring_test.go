@@ -144,6 +144,29 @@ func TestRingRawScan(t *testing.T) {
 	}
 }
 
+// TestRingRawScanAllocsFlat pins that a raw scan reads every slot into
+// the ring's own scratch: with a no-op callback it allocates the same at
+// two capacities, whatever the number of slots it reads.
+func TestRingRawScanAllocsFlat(t *testing.T) {
+	allocs := func(capacity int) float64 {
+		_, r := newTestRing(t, capacity, 32)
+		data := make([]byte, 32)
+		for id := 0; id < capacity; id += 3 {
+			if _, err := r.Access(OpWrite, id, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(10, func() {
+			if err := r.RawScan(func(int, []byte) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(64), allocs(1024); small != large {
+		t.Fatalf("raw scan allocates %v times at capacity 64, %v at 1024", small, large)
+	}
+}
+
 // TestRingCheaperThanPathORAM is the paper's §8 claim: Ring ORAM moves
 // roughly 1.5× less data than Path ORAM per access. We compare untrusted
 // block accesses per operation (equal block sizes, equal op streams).
@@ -405,15 +428,12 @@ func TestRingAccessesPerOpMatchesTrace(t *testing.T) {
 func TestRingTopCacheFiltersTrace(t *testing.T) {
 	const capacity, blockSize, ops = 300, 24, 2500
 	_, levels := treeGeometry(capacity)
-	for _, c := range []struct {
-		k         int
-		recursive bool
-	}{{1, false}, {levels / 2, false}, {levels / 2, true}} {
-		t.Run(fmt.Sprintf("k=%d/recursive=%v", c.k, c.recursive), func(t *testing.T) {
+	for _, k := range []int{1, levels / 2} {
+		t.Run(fmt.Sprintf("k=%d/recursive=false", k), func(t *testing.T) {
 			mk := func(k int) (*trace.Tracer, *Ring) {
 				tr := trace.New()
 				e := enclave.MustNew(enclave.Config{Tracer: tr})
-				r, err := newRing(e, "ring", capacity, blockSize, Options{Seed: 9, Recursive: c.recursive}, k)
+				r, err := newRing(e, "ring", capacity, blockSize, Options{Seed: 9}, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -421,8 +441,8 @@ func TestRingTopCacheFiltersTrace(t *testing.T) {
 				return tr, r
 			}
 			trBase, base := mk(0)
-			trTop, top := mk(c.k)
-			rng := rand.New(rand.NewPCG(uint64(c.k), 17))
+			trTop, top := mk(k)
+			rng := rand.New(rand.NewPCG(uint64(k), 17))
 			data := make([]byte, blockSize)
 			fill := func(tag int) {
 				for j := range data {

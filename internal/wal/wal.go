@@ -91,7 +91,6 @@ type TableDef struct {
 	KeyColumn        string
 	Capacity         int
 	ObliviousInserts bool
-	RecursiveORAM    bool
 }
 
 // Entry is one replayed record.
@@ -414,9 +413,6 @@ func (l *Log) AppendCreate(def TableDef) error {
 	if def.ObliviousInserts {
 		flags |= 1
 	}
-	if def.RecursiveORAM {
-		flags |= 2
-	}
 	buf := make([]byte, 0, 64+8*len(cols))
 	buf = append(buf, recEntry, byte(OpCreateTable), byte(len(def.Name)))
 	buf = append(buf, def.Name...)
@@ -634,7 +630,7 @@ func decodeDef(name string, b []byte) (*TableDef, error) {
 	if len(b) < 2 {
 		return nil, bad
 	}
-	def := &TableDef{Name: name, Kind: b[0], ObliviousInserts: b[1]&1 != 0, RecursiveORAM: b[1]&2 != 0}
+	def := &TableDef{Name: name, Kind: b[0], ObliviousInserts: b[1]&1 != 0}
 	b = b[2:]
 	capacity, k := binary.Uvarint(b)
 	if k <= 0 {

@@ -19,7 +19,7 @@ func walSchema() *table.Schema {
 
 func walDef() TableDef {
 	return TableDef{Name: "t", Schema: walSchema(), Kind: 2, KeyColumn: "k",
-		Capacity: 64, ObliviousInserts: true, RecursiveORAM: false}
+		Capacity: 64, ObliviousInserts: true}
 }
 
 func openLog(t *testing.T, path string, key []byte, opts Options) *Log {
@@ -87,7 +87,7 @@ func TestAppendCommitReplayRoundTrip(t *testing.T) {
 	want := walDef()
 	if def.Def.Name != want.Name || def.Def.Kind != want.Kind ||
 		def.Def.KeyColumn != want.KeyColumn || def.Def.Capacity != want.Capacity ||
-		!def.Def.ObliviousInserts || def.Def.RecursiveORAM {
+		!def.Def.ObliviousInserts {
 		t.Fatalf("journaled definition = %+v, want %+v", def.Def, want)
 	}
 	if len(def.Def.Schema.Columns()) != 2 {

@@ -12,19 +12,22 @@ import (
 // order, and queues its flat mutation; the bracket's end flushes the
 // queue with one storage.Flat.ApplyBatch per table — one read and one
 // write per block for the whole run. A single ExecutePlan write is a
-// run of one; ExecutePlanBatch runs many.
+// run of one; ExecutePlanBatch runs many. Every bracket — a write run,
+// DDL, a BulkLoad, a Recover — keeps the same undo records, journal or
+// not, so any of them rolls back by them. Recover refuses an engine
+// with a journal attached, and a failed recovery leaves an empty
+// engine: its undo records drop every table it created.
 //
 // Whatever reads a table's flat representation inside a bracket — a
 // flat-only table's match pass, a checkpoint's scan — flushes that
 // table's queue first, so it sees every earlier statement. How many
 // passes a run makes, and over which tables, therefore follows from its
-// statements' kinds, tables and plans alone. A tracked mutation's flush
-// gives its undo record a storage.Prior — the slots the pass changed
-// and what they held — so a rollback restores each table by slot in
-// one pass (wal.go).
+// statements' kinds, tables and plans alone. A mutation's flush gives
+// its undo record a storage.Prior — the slots the pass changed and what
+// they held — so a rollback restores each table by slot in one pass
+// (wal.go).
 
-// flatOp is one queued flat mutation: its table, and its undo record
-// (-1 when the bracket is untracked).
+// flatOp is one queued flat mutation: its table, and its undo record.
 type flatOp struct {
 	t    *Table
 	mut  storage.Mutation
@@ -32,18 +35,14 @@ type flatOp struct {
 }
 
 // queueFlat queues one flat mutation on the bracket's pending list,
-// with an undo record for its Prior when the bracket is tracked.
+// with an undo record for its Prior.
 func (db *DB) queueFlat(t *Table, m storage.Mutation) {
-	undo := -1
-	if db.trackingMutations() {
-		undo = len(db.undo)
-		db.undo = append(db.undo, undoRec{t: t})
-	}
-	db.pending = append(db.pending, flatOp{t: t, mut: m, undo: undo})
+	db.pending = append(db.pending, flatOp{t: t, mut: m, undo: len(db.undo)})
+	db.undo = append(db.undo, undoRec{t: t})
 }
 
-// flushFlat applies t's queued mutations in one batch, each tracked one
-// recording its changes in a Prior on its undo record. They leave the
+// flushFlat applies t's queued mutations in one batch, each recording
+// its changes in a Prior on its undo record. They leave the
 // list before the pass starts: a pass cut short by a fault has touched
 // the table, so rollback must restore it.
 func (db *DB) flushFlat(t *Table) error {
@@ -54,10 +53,8 @@ func (db *DB) flushFlat(t *Table) error {
 			keep = append(keep, op)
 			continue
 		}
-		if op.undo >= 0 {
-			op.mut.Prior = new(storage.Prior)
-			db.undo[op.undo].flat = op.mut.Prior
-		}
+		op.mut.Prior = new(storage.Prior)
+		db.undo[op.undo].flat = op.mut.Prior
 		muts = append(muts, op.mut)
 	}
 	clear(db.pending[len(keep):])
@@ -80,13 +77,12 @@ func (db *DB) flushAll() error {
 }
 
 // dropPending discards the queued mutations of the statements being
-// rolled back — those whose undo record is at or past undoMark, and any
-// untracked ones. They never reached the table, so there is nothing of
-// theirs to restore.
+// rolled back — those whose undo record is at or past undoMark. They
+// never reached the table, so there is nothing of theirs to restore.
 func (db *DB) dropPending(undoMark int) {
 	keep := db.pending[:0]
 	for _, op := range db.pending {
-		if op.undo >= 0 && op.undo < undoMark {
+		if op.undo < undoMark {
 			keep = append(keep, op)
 		}
 	}

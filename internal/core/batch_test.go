@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"oblidb/internal/crypt"
@@ -306,15 +307,16 @@ func TestRolledBackRunKeepsEqualRows(t *testing.T) {
 
 // TestFaultedInsertRollbackKeepsEqualRow: a write whose flat pass
 // faults must be undone by slot, never by removing rows equal to its
-// images, which may be rows the table held before. Two statements on a
-// journaled flat-only table, each with one fault at every one of its
-// store accesses, must fail retriably and leave the table's rows as
-// they were:
+// images, which may be rows the table held before. Three statements on
+// a flat-only table, with a journal attached and without one, each with
+// one fault at every one of its store accesses, must fail retriably and
+// leave the table's rows as they were:
 //   - inserting (1, 'x') beside an equal row, through the constant-time
 //     append's one block and through every block of an oblivious-insert
 //     pass;
 //   - an UPDATE setting (2, 'b') WHERE k = 1 beside an existing (2, 'b'),
-//     through its match pass and its read-modify-write pass.
+//     and a DELETE WHERE k = 1, each through its match pass and its
+//     read-modify-write pass: 3 × NumBlocks accesses, journal or not.
 func TestFaultedInsertRollbackKeepsEqualRow(t *testing.T) {
 	key := crypt.NewRandomKey()
 	a, b, x := table.Row{table.Int(1), table.Str("a")}, table.Row{table.Int(2), table.Str("b")}, table.Row{table.Int(1), table.Str("x")}
@@ -322,6 +324,10 @@ func TestFaultedInsertRollbackKeepsEqualRow(t *testing.T) {
 	updateToB := func(db *DB) error {
 		_, err := db.Update("eq", func(r table.Row) bool { return r[0].AsInt() == 1 },
 			func(table.Row) table.Row { return b.Clone() }, nil)
+		return err
+	}
+	deleteA := func(db *DB) error {
+		_, err := db.Delete("eq", func(r table.Row) bool { return r[0].AsInt() == 1 }, nil)
 		return err
 	}
 	for _, tc := range []struct {
@@ -334,7 +340,13 @@ func TestFaultedInsertRollbackKeepsEqualRow(t *testing.T) {
 		{"oblivious=false", false, []table.Row{x}, insertX, 0},
 		{"oblivious=true", true, []table.Row{x}, insertX, 2},
 		{"update", false, []table.Row{a, b}, updateToB, 3},
+		{"delete", false, []table.Row{a, b}, deleteA, 3},
+		{"no journal/oblivious=false", false, []table.Row{x}, insertX, 0},
+		{"no journal/oblivious=true", true, []table.Row{x}, insertX, 2},
+		{"no journal/update", false, []table.Row{a, b}, updateToB, 3},
+		{"no journal/delete", false, []table.Row{a, b}, deleteA, 3},
 	} {
+		journal := !strings.HasPrefix(tc.name, "no journal/")
 		t.Run(tc.name, func(t *testing.T) {
 			engine := func(inj *faultstore.Injector) *DB {
 				cfg := Config{Key: key, Seed: 7, RowsPerBlock: 4}
@@ -348,8 +360,10 @@ func TestFaultedInsertRollbackKeepsEqualRow(t *testing.T) {
 				if err := db.Insert("eq", tc.seed...); err != nil {
 					t.Fatal(err)
 				}
-				if err := db.AttachWAL(openTestLog(t, filepath.Join(t.TempDir(), "eq.wal"), key, wal.Options{})); err != nil {
-					t.Fatal(err)
+				if journal {
+					if err := db.AttachWAL(openTestLog(t, filepath.Join(t.TempDir(), "eq.wal"), key, wal.Options{})); err != nil {
+						t.Fatal(err)
+					}
 				}
 				return db
 			}

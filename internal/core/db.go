@@ -170,15 +170,11 @@ type DB struct {
 	tmpSeq atomic.Int64
 	// wal, when attached, journals every applied mutation; the staged
 	// batch commits durably when the statement (or explicit transaction)
-	// does. recovering suppresses re-logging during replay.
-	wal        *wal.Log
-	recovering bool
-	// inRun defers the flat flush and the journal commit across the
-	// groups of a write run (ExecutePlanBatch); undo records how to
-	// reverse applied-but-uncommitted changes (see wal.go). pending
-	// holds the flat mutations the bracket has queued but not yet
-	// applied (see batch.go).
-	inRun   bool
+	// does.
+	wal *wal.Log
+	// undo records how to reverse the open bracket's applied but
+	// uncommitted changes (see wal.go); pending holds the flat mutations
+	// it has queued but not yet applied (see batch.go).
 	undo    []undoRec
 	pending []flatOp
 	// broken latches when fault containment itself fails — a rollback
@@ -525,12 +521,10 @@ func (db *DB) createTableBody(name string, schema *table.Schema, opts TableOptio
 	}
 	db.tables[lname] = t
 	db.publishCatalog()
-	if db.trackingMutations() {
-		db.undo = append(db.undo, undoRec{create: true, t: t})
-		if db.wal != nil {
-			if err := db.wal.AppendCreate(db.tableDef(t)); err != nil {
-				return nil, err
-			}
+	db.undo = append(db.undo, undoRec{create: true, t: t})
+	if db.wal != nil {
+		if err := db.wal.AppendCreate(db.tableDef(t)); err != nil {
+			return nil, err
 		}
 	}
 	return t, nil
@@ -580,7 +574,7 @@ func (db *DB) DropTable(name string) error {
 	if !ok {
 		return fmt.Errorf("core: no table %q", name)
 	}
-	if db.wal != nil && !db.recovering {
+	if db.wal != nil {
 		mark := db.wal.Staged()
 		if err := db.wal.AppendDrop(t.name); err != nil {
 			db.wal.Rewind(mark)
@@ -689,11 +683,8 @@ func (db *DB) bulkLoadBody(name string, rows []table.Row) error {
 		return fmt.Errorf("core: BulkLoad requires an empty table, %q has %d rows", name, t.NumRows())
 	}
 	if t.flat != nil {
-		var prior *storage.Prior
-		if db.trackingMutations() {
-			prior = new(storage.Prior)
-			db.undo = append(db.undo, undoRec{t: t, flat: prior})
-		}
+		prior := new(storage.Prior)
+		db.undo = append(db.undo, undoRec{t: t, flat: prior})
 		if err := db.growFlat(t, len(rows)); err != nil {
 			return err
 		}
@@ -721,21 +712,15 @@ func (db *DB) bulkLoadBody(name string, rows []table.Row) error {
 // removes or rewrites the rows of t matching pred, narrowed by key on
 // the indexed column. One match pass finds the matching rows — through
 // the index when the table has one (its range when key narrows it, its
-// raw bucket scan otherwise), over the flat table only for a flat-only
-// table whose statement is tracked; an untracked flat-only statement
-// needs no matches and skips the pass. That one set is the index
-// victims, removed by their exact entry so a repeated key loses the
-// right row; the affected count; and the journal records. Post-images
-// are computed and validated up front, so an updater that breaks a row
-// fails the statement before it touches one — and the flat update,
-// queued on the bracket's pending list, needs no validation pass of its
-// own. Only an untracked flat-only statement, which has no match set to
-// count or validate, applies its flat pass at once and counts from it.
+// raw bucket scan otherwise), over the flat table otherwise. That one
+// set is the index victims, removed by their exact entry so a repeated
+// key loses the right row; the affected count; and the journal records.
+// Post-images are computed and validated up front, so an updater that
+// breaks a row fails the statement before it touches one — and the flat
+// update, queued on the bracket's pending list, needs no validation
+// pass of its own.
 func (db *DB) rewriteRows(t *Table, pred table.Pred, upd table.Updater, key *KeyRange) (int, error) {
 	full := combinePred(t, pred, key)
-	track := db.trackingMutations()
-	matched := t.index != nil || track
-
 	var pre []table.Row
 	var ids []uint32
 	match := func(id uint32, r table.Row) error {
@@ -751,7 +736,7 @@ func (db *DB) rewriteRows(t *Table, pred table.Pred, upd table.Updater, key *Key
 		_, err = t.index.RangeScan(key.Lo, key.Hi, match)
 	case t.index != nil:
 		err = t.index.ScanRaw(match)
-	case track:
+	default:
 		if err = db.flushFlat(t); err != nil {
 			return 0, err
 		}
@@ -777,48 +762,36 @@ func (db *DB) rewriteRows(t *Table, pred table.Pred, upd table.Updater, key *Key
 	}
 	// The index records its changes from here, before its work starts.
 	defer db.trackIndex(t)()
-	n := len(pre)
 	if t.flat != nil {
 		m := storage.Mutation{Kind: storage.MutDelete, Pred: full}
 		if upd != nil {
-			m = storage.Mutation{Kind: storage.MutUpdate, Pred: full, Upd: upd, Validated: matched}
+			m = storage.Mutation{Kind: storage.MutUpdate, Pred: full, Upd: upd, Validated: true}
 		}
-		if matched {
-			db.queueFlat(t, m)
-		} else {
-			// Untracked means outside any run, so nothing else is queued.
-			counts, err := t.flat.ApplyBatch([]storage.Mutation{m})
-			if err != nil {
-				return 0, err
-			}
-			n = counts[0]
-		}
+		db.queueFlat(t, m)
 	}
 	if t.index != nil {
 		for i, id := range ids {
 			if _, err := t.index.DeleteEntry(pre[i][t.keyCol].AsInt(), id); err != nil {
-				return n, err
-			}
-			if upd != nil {
-				if err := t.index.Insert(post[i]); err != nil {
-					return n, err
-				}
-			}
-		}
-	}
-	if track {
-		for i := range pre {
-			if err := db.logMutation(wal.OpDelete, t, pre[i]); err != nil {
 				return 0, err
 			}
 			if upd != nil {
-				if err := db.logMutation(wal.OpUpdate, t, post[i]); err != nil {
+				if err := t.index.Insert(post[i]); err != nil {
 					return 0, err
 				}
 			}
 		}
 	}
-	return n, nil
+	for i := range pre {
+		if err := db.logMutation(wal.OpDelete, t, pre[i]); err != nil {
+			return 0, err
+		}
+		if upd != nil {
+			if err := db.logMutation(wal.OpUpdate, t, post[i]); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return len(pre), nil
 }
 
 // KeyRange is an inclusive range on a table's indexed column.

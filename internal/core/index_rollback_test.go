@@ -81,9 +81,9 @@ func (a *armedFault) Access(write bool) error {
 	return nil
 }
 
-// sweepEngine opens a journaled engine holding sweepRows in a table of
-// the given kind keyed on k.
-func sweepEngine(t *testing.T, kind StorageKind, key []byte, inj *armedFault) (*DB, *Table) {
+// sweepEngine opens an engine holding sweepRows in a table of the given
+// kind keyed on k, with a journal attached when journal is set.
+func sweepEngine(t *testing.T, kind StorageKind, journal bool, key []byte, inj *armedFault) (*DB, *Table) {
 	t.Helper()
 	inj.arm(-1)
 	db := MustOpen(Config{Key: key, Seed: 3, RowsPerBlock: 2, Fault: inj})
@@ -94,8 +94,10 @@ func sweepEngine(t *testing.T, kind StorageKind, key []byte, inj *armedFault) (*
 	if err := db.BulkLoad("d", sweepRows()); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.AttachWAL(openTestLog(t, filepath.Join(t.TempDir(), "d.wal"), key, wal.Options{})); err != nil {
-		t.Fatal(err)
+	if journal {
+		if err := db.AttachWAL(openTestLog(t, filepath.Join(t.TempDir(), "d.wal"), key, wal.Options{})); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return db, tab
 }
@@ -129,21 +131,33 @@ func exactState(t *testing.T, tab *Table) string {
 }
 
 // TestFaultedIndexWriteRollbackExact is the index containment sweep:
-// each sweepWrites statement, on a journaled KindBoth and KindIndexed
-// table, runs with one store fault at its first access, then its
-// second, and so on until it runs through, each time on the engine the
-// last rollback left. Every faulted run must answer CodeStoreFault
-// without latching the engine, and leave the flat (slot, row) pairs,
-// the index (rowID, row) pairs and both row counts exactly as they were
-// before the first; the run that goes through must leave them exactly
-// as on an engine that never saw a fault.
+// each sweepWrites statement, on a KindBoth and a KindIndexed table,
+// with a journal attached and without one, runs with one store fault at
+// its first access, then its second, and so on until it runs through,
+// each time on the engine the last rollback left. Every faulted run
+// must answer CodeStoreFault without latching the engine, and leave the
+// flat (slot, row) pairs, the index (rowID, row) pairs and both row
+// counts exactly as they were before the first; the run that goes
+// through must leave them exactly as on an engine that never saw a
+// fault. Every write is a tracked write run, so the journal changes no
+// store access: a statement has as many fault points without one.
 func TestFaultedIndexWriteRollbackExact(t *testing.T) {
 	key := crypt.NewRandomKey()
-	for _, kind := range []StorageKind{KindBoth, KindIndexed} {
+	points := make(map[string]int64) // each journaled statement's fault points
+	for _, c := range []struct {
+		kind    StorageKind
+		journal bool
+	}{{KindBoth, true}, {KindIndexed, true}, {KindBoth, false}, {KindIndexed, false}} {
+		kind := c.kind
 		for _, w := range sweepWrites {
-			t.Run(kind.String()+"/"+w.name, func(t *testing.T) {
+			id := kind.String() + "/" + w.name
+			name := id
+			if !c.journal {
+				name = kind.String() + "/no journal/" + w.name
+			}
+			t.Run(name, func(t *testing.T) {
 				inj := new(armedFault)
-				db, tab := sweepEngine(t, kind, key, inj)
+				db, tab := sweepEngine(t, kind, c.journal, key, inj)
 				want := exactState(t, tab)
 				for at := int64(0); ; at++ {
 					inj.arm(at)
@@ -154,12 +168,17 @@ func TestFaultedIndexWriteRollbackExact(t *testing.T) {
 						if err != nil || at < 100 {
 							t.Fatalf("unfaulted run after %d faulted ones: %v", at, err)
 						}
-						ref, refTab := sweepEngine(t, kind, key, new(armedFault))
+						ref, refTab := sweepEngine(t, kind, c.journal, key, new(armedFault))
 						if err := w.run(ref); err != nil {
 							t.Fatal(err)
 						}
 						if got, want := exactState(t, tab), exactState(t, refTab); got != want {
 							t.Fatalf("run after %d faulted ones left\n%s\nwant\n%s", at, got, want)
+						}
+						if c.journal {
+							points[id] = at
+						} else if n, ok := points[id]; ok && at != n {
+							t.Fatalf("%d fault points without a journal, %d with one", at, n)
 						}
 						break
 					}

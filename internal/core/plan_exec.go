@@ -104,11 +104,20 @@ func (db *DB) ExplainPlan(root plan.Node) []string {
 // the operators complete — they must run their full padded access
 // sequences regardless.
 //
-// Read-only plans (plan.ReadOnly) that do not partition run under the
-// shared side of the database lock on a pooled read-slot context, so the
-// server's epoch workers execute them concurrently; everything else —
-// partitioned reads, DML, DDL — takes the exclusive side.
+// A write is a write run of one group (ExecutePlanBatch). Read-only
+// plans (plan.ReadOnly) that do not partition run under the shared side
+// of the database lock on a pooled read-slot context, so the server's
+// epoch workers execute them concurrently; everything else takes the
+// exclusive side.
 func (db *DB) ExecutePlan(root plan.Node, b plan.Binder) (*Result, error) {
+	switch root.(type) {
+	case *plan.Insert, *plan.Update, *plan.Delete:
+		res, errs := db.ExecutePlanBatch([][]PlanBinding{{{Root: root, Binder: b}}})
+		if errs[0] != nil {
+			return nil, errs[0]
+		}
+		return res[0], nil
+	}
 	ec, release := db.begin(root)
 	defer release()
 	if err := db.refuseBroken(); err != nil {
@@ -139,21 +148,6 @@ func (db *DB) runPlan(ec *execCtx, n plan.Node, b plan.Binder) (*Result, error) 
 			return nil, err
 		}
 		return db.aggregateTable(ec, t, pred, x.Specs, names, key)
-	case *plan.Insert, *plan.Update, *plan.Delete:
-		// The bracket of a single write: a failed body is undone and its
-		// staged journal records discarded; a successful one flushes its
-		// flat mutations and commits. Where undo records are kept, a
-		// deferred evaluation error fails the body inside the bracket,
-		// so it is undone too; untracked, it surfaces after the flush.
-		wm, um := db.mutationMarks()
-		count, err := db.runWrite(n, b)
-		if err == nil && db.trackingMutations() {
-			err = b.Err()
-		}
-		if err = db.endMutation(err, wm, um); err != nil {
-			return nil, err
-		}
-		return AffectedResult(count), nil
 	case *plan.Tx:
 		// BEGIN/COMMIT/ROLLBACK compile to a plan node so EXPLAIN and the
 		// plan cache treat them uniformly, but they carry session state the
@@ -215,7 +209,8 @@ type PlanBinding struct {
 
 // ExecutePlanBatch executes a run of write groups — the server's
 // consecutive write slots of one epoch, each an autocommit write (a
-// group of one) or a transaction's COMMIT (its buffered writes) — under
+// group of one) or a transaction's COMMIT (its buffered writes), or
+// ExecutePlan's one write — under
 // one hold of the database mutex, with one flat pass per table the run
 // touches and one journal commit for the run. Each statement's index
 // work, validation, undo and journal records still happen in order, so
@@ -246,7 +241,6 @@ func (db *DB) ExecutePlanBatch(groups [][]PlanBinding) ([]*Result, []error) {
 	}
 	walMark, undoMark := db.mutationMarks()
 	counts := make([]int, len(groups))
-	db.inRun = true
 	var runErr error
 	for i, g := range groups {
 		wm, um := db.mutationMarks()
@@ -266,7 +260,6 @@ func (db *DB) ExecutePlanBatch(groups [][]PlanBinding) ([]*Result, []error) {
 		}
 		errs[i] = err
 	}
-	db.inRun = false
 	if runErr == nil {
 		runErr = db.flushAll()
 	}

@@ -130,24 +130,16 @@ func (db *DB) maybeCheckpointLocked() {
 
 // logMutation stages one journal record for an applied row mutation.
 func (db *DB) logMutation(op wal.Op, t *Table, row table.Row) error {
-	if db.wal == nil || db.recovering {
+	if db.wal == nil {
 		return nil
 	}
 	return db.wal.Append(op, t.name, t.schema, row)
 }
 
-// trackingMutations reports whether mutation bodies must record undo
-// entries and journal records: yes under a journal or inside a run,
-// which may have to roll back statements that succeeded, never while
-// replaying.
-func (db *DB) trackingMutations() bool {
-	return (db.wal != nil || db.inRun) && !db.recovering
-}
-
-// trackIndex records a tracked statement's changes to t's index in one
+// trackIndex records a statement's changes to t's index in one
 // indexed.Prior on its own undo record, until the returned func runs.
 func (db *DB) trackIndex(t *Table) func() {
-	if t.index == nil || !db.trackingMutations() {
+	if t.index == nil {
 		return func() {}
 	}
 	db.undo = append(db.undo, undoRec{t: t, index: t.index.Track()})
@@ -168,11 +160,7 @@ func (db *DB) mutationMarks() (walMark, undoMark int) {
 // its in-memory changes undone; on success, the queued flat mutations
 // flush and the staged batch commits durably. A write run calls it only
 // to undo a failed group, and flushes and commits once at its end.
-// During recovery it is a passthrough.
 func (db *DB) endMutation(err error, walMark, undoMark int) error {
-	if db.recovering {
-		return err
-	}
 	if err == nil {
 		err = db.flushAll()
 	}
@@ -228,6 +216,7 @@ func (db *DB) commitLocked(walMark, undoMark int) error {
 		}
 		db.maybeCheckpointLocked()
 	}
+	clear(db.undo)
 	db.undo = db.undo[:0]
 	return nil
 }
@@ -245,6 +234,7 @@ func (db *DB) rollbackTo(walMark, undoMark int) error {
 	}
 	recs := db.undo[undoMark:]
 	db.undo = db.undo[:undoMark]
+	defer clear(recs)
 	done := make(map[*Table]bool)
 	for i, r := range recs {
 		if done[r.t] {
@@ -299,17 +289,25 @@ type undoRec struct {
 // style: committed entries are folded into each table's final row
 // multiset inside the enclave — inserts and update post-images add a
 // row, deletes remove one equal row, journaled DDL creates and drops
-// tables — and the result is bulk-loaded. The database must be empty;
-// the journal carries the catalog. Recovery leaks only the log length
-// and the final table sizes.
+// tables — and the result is bulk-loaded. The database must be empty
+// and have no journal attached; the journal carries the catalog. A
+// recovery is one bracket, so a failed one leaves an empty engine.
+// Recovery leaks only the log length and the final table sizes.
 func (db *DB) Recover(l *wal.Log) error {
 	db.lockWrite()
 	defer db.mu.Unlock()
+	if db.wal != nil {
+		return fmt.Errorf("core: recovery requires an engine with no journal attached")
+	}
 	if len(db.tables) != 0 {
 		return fmt.Errorf("core: recovery requires an empty database, have %d tables", len(db.tables))
 	}
-	db.recovering = true
-	defer func() { db.recovering = false }()
+	wm, um := db.mutationMarks()
+	return db.endMutation(db.recoverBody(l), wm, um)
+}
+
+// recoverBody is Recover without lock or bracket.
+func (db *DB) recoverBody(l *wal.Log) error {
 	state := make(map[string][]table.Row)
 	err := l.Replay(func(e wal.Entry) error {
 		switch e.Op {

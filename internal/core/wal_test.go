@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"oblidb/internal/crypt"
+	"oblidb/internal/oberr"
 	"oblidb/internal/table"
 	"oblidb/internal/trace"
 	"oblidb/internal/wal"
@@ -468,6 +469,80 @@ func TestRecoverRequiresEmptyDB(t *testing.T) {
 	l := openTestLog(t, path, crypt.NewRandomKey(), wal.Options{})
 	if err := db.Recover(l); err == nil {
 		t.Fatal("recovery into a non-empty database succeeded")
+	}
+}
+
+// TestRecoverIsOneBracket: Recover refuses an engine with a journal
+// attached, and runs as one bracket. A recovery faulted at a sample of
+// its store accesses, its last one — in its final bulk load — included,
+// answers CodeStoreFault and leaves an empty engine: no table, no
+// oblivious memory held, no latch. The same engine then recovers the
+// journal exactly. The journal drops a table and creates another under
+// its name, so a rollback must drop the second and leave the first
+// dropped.
+func TestRecoverIsOneBracket(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.wal")
+	key := crypt.NewRandomKey()
+	db := MustOpen(Config{})
+	if err := db.AttachWAL(openTestLog(t, path, key, wal.Options{})); err != nil {
+		t.Fatal(err)
+	}
+	seededWorkload(t, db, 0)
+	if _, err := db.CreateTable("scratch", walTestSchema(), TableOptions{Kind: KindIndexed, KeyColumn: "id", Capacity: 16}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("scratch", table.Row{table.Int(1), table.Str("again")}); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string][]string)
+	for _, name := range db.Tables() {
+		want[name] = snapshotRows(t, db, name)
+	}
+	l := openTestLog(t, path, key, wal.Options{})
+
+	attached := MustOpen(Config{})
+	if err := attached.AttachWAL(openTestLog(t, filepath.Join(t.TempDir(), "other.wal"), key, wal.Options{})); err != nil {
+		t.Fatal(err)
+	}
+	if err := attached.Recover(l); err == nil || len(attached.Tables()) != 0 {
+		t.Fatalf("recovery into an engine with a journal attached answered %v, left tables %v", err, attached.Tables())
+	}
+
+	counter := new(armedFault)
+	counter.arm(-1)
+	if err := MustOpen(Config{Seed: 7, Fault: counter}).Recover(l); err != nil {
+		t.Fatal(err)
+	}
+	n := counter.n.Load()
+	var points []int64
+	for at := int64(0); at < n-1; at += n/16 + 1 {
+		points = append(points, at)
+	}
+	for _, at := range append(points, n-1) {
+		inj := new(armedFault)
+		rec := MustOpen(Config{Seed: 7, Fault: inj})
+		used := rec.enc.Used()
+		inj.arm(at)
+		err := rec.Recover(l)
+		if !inj.fired.Load() || oberr.CodeOf(err) != oberr.CodeStoreFault {
+			t.Fatalf("fault at access %d of %d: recovery answered %v, want CodeStoreFault", at, n, err)
+		}
+		if tables := rec.Tables(); len(tables) != 0 || rec.enc.Used() != used || rec.Broken() != nil {
+			t.Fatalf("fault at access %d: failed recovery left tables %v, %d B of oblivious memory held (want %d), latch %v",
+				at, tables, rec.enc.Used(), used, rec.Broken())
+		}
+		inj.arm(-1)
+		if err := rec.Recover(l); err != nil {
+			t.Fatalf("recovery after a fault at access %d: %v", at, err)
+		}
+		if len(rec.Tables()) != len(want) {
+			t.Fatalf("recovery after a fault at access %d holds tables %v", at, rec.Tables())
+		}
+		for name, rows := range want {
+			if got := snapshotRows(t, rec, name); rowsDiffer(got, rows) {
+				t.Fatalf("recovery after a fault at access %d: %s holds %v, want %v", at, name, got, rows)
+			}
+		}
 	}
 }
 

@@ -130,6 +130,7 @@ type Table struct {
 	arenaN  int
 	path    []pathEntry
 	dirty   dirtySet
+	scanRow table.Row // the row RangeScan and ScanRaw hand their callbacks
 }
 
 // treeState is the tree's trusted state, kept in the enclave.
@@ -201,6 +202,7 @@ func New(e *enclave.Enclave, name string, schema *table.Schema, keyCol, maxRows 
 		treeState:  treeState{nextNode: uint32(dataBlocks)},
 		maxRows:    maxRows,
 		buf:        make([]byte, blockSize),
+		scanRow:    make(table.Row, schema.NumColumns()),
 	}, nil
 }
 

@@ -570,3 +570,75 @@ func TestHeightGrowsPolylog(t *testing.T) {
 		t.Fatalf("height %d for 3000 rows at fanout %d", h, fanout)
 	}
 }
+
+// TestScanRawAllocsFlat pins the raw scan's decoding: it hands every row
+// to its callback in one scratch row, so a no-op scan allocates the
+// same at 100 rows as at 1 000.
+func TestScanRawAllocsFlat(t *testing.T) {
+	var allocs []float64
+	for _, n := range []int{100, 1000} {
+		tbl := newTable(t, n, Options{RowsPerBlock: 4}, nil)
+		rows := make([]table.Row, n)
+		for i := range rows {
+			rows[i] = trow(int64(i))
+		}
+		if err := tbl.BulkLoad(rows); err != nil {
+			t.Fatal(err)
+		}
+		seen := 0
+		scan := func() {
+			if err := tbl.ScanRaw(func(uint32, table.Row) error { seen++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		scan()
+		if seen != n {
+			t.Fatalf("raw scan of %d rows yielded %d", n, seen)
+		}
+		allocs = append(allocs, testing.AllocsPerRun(5, scan))
+	}
+	if allocs[0] != allocs[1] {
+		t.Fatalf("a no-op raw scan allocates %v times at 100 rows and %v at 1 000", allocs[0], allocs[1])
+	}
+}
+
+// TestTrackedBulkLoadRecordsNoBlock: a BulkLoad starts its ORAM afresh
+// and stages its blocks without an access, so a tracked load's Prior
+// holds no block, on a fresh table and on one emptied after use alike,
+// and restoring it leaves the table empty.
+func TestTrackedBulkLoadRecordsNoBlock(t *testing.T) {
+	rows := make([]table.Row, 300)
+	for i := range rows {
+		rows[i] = trow(int64(i))
+	}
+	for _, used := range []bool{false, true} {
+		tbl := newTable(t, 400, Options{RowsPerBlock: 4}, nil)
+		if used {
+			for k := int64(0); k < 40; k++ {
+				if err := tbl.Insert(trow(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for k := int64(0); k < 40; k++ {
+				if _, err := tbl.Delete(k); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		p := tbl.Track()
+		err := tbl.BulkLoad(rows)
+		tbl.Untrack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.ids) != 0 || len(p.pre) != 0 || p.target != 0 {
+			t.Fatalf("used=%v: a tracked BulkLoad recorded %d blocks, target %d", used, len(p.ids), p.target)
+		}
+		if err := tbl.Restore([]*Prior{p}); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := tbl.Rows(); err != nil || len(got) != 0 || tbl.NumRows() != 0 {
+			t.Fatalf("used=%v: restoring the load left %d rows (count %d), %v", used, len(got), tbl.NumRows(), err)
+		}
+	}
+}

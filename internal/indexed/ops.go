@@ -635,9 +635,11 @@ func (t *Table) updateInner(key int64, upd table.Updater) (bool, error) {
 }
 
 // RangeScan visits every row with lo <= key <= hi in key order, with the
-// rowID DeleteEntry takes. Its access count is height + (leaves touched) +
-// (records read); the paper counts this scanned-segment size as part of
-// the leaked intermediate sizes (§4.1, "Selection over Indexes").
+// rowID DeleteEntry takes. The row is a scratch row, valid only during
+// the callback: fn must Clone any row it retains. Its access count is
+// height + (leaves touched) + (records read); the paper counts this
+// scanned-segment size as part of the leaked intermediate sizes (§4.1,
+// "Selection over Indexes").
 func (t *Table) RangeScan(lo, hi int64, fn func(id uint32, r table.Row) error) (int, error) {
 	if t.height == 0 || lo > hi {
 		return 0, nil
@@ -658,11 +660,10 @@ func (t *Table) RangeScan(lo, hi int64, fn func(id uint32, r table.Row) error) (
 			if leaf.keys[i] > hi {
 				return count, nil
 			}
-			row, err := t.readRecord(leaf.ptrs[i])
-			if err != nil {
+			if err := t.readRecordInto(t.scanRow, leaf.ptrs[i]); err != nil {
 				return count, err
 			}
-			if err := fn(leaf.ptrs[i], row); err != nil {
+			if err := fn(leaf.ptrs[i], t.scanRow); err != nil {
 				return count, err
 			}
 			count++
@@ -680,7 +681,8 @@ func (t *Table) RangeScan(lo, hi int64, fn func(id uint32, r table.Row) error) (
 
 // ScanRaw reads the underlying ORAM buckets linearly — a fixed pattern
 // cheaper than N full ORAM accesses — and yields every stored row in
-// arbitrary order, each with its rowID (block*R + slot). This is the
+// arbitrary order, each with its rowID (block*R + slot). Like
+// RangeScan's, the row is valid only during the callback. This is the
 // paper's "scan the index as a flat table" fallback; tree nodes, dummy
 // slots, and ORAM slack all look alike to the adversary.
 func (t *Table) ScanRaw(fn func(id uint32, r table.Row) error) error {
@@ -689,14 +691,14 @@ func (t *Table) ScanRaw(fn func(id uint32, r table.Row) error) error {
 			return nil
 		}
 		for j := 0; j < t.rpb; j++ {
-			row, used, err := t.schema.DecodeRecordAt(data[1:], j)
+			used, err := t.schema.DecodeRecordInto(t.scanRow, data[1:], j)
 			if err != nil {
 				return err
 			}
 			if !used {
 				continue
 			}
-			if err := fn(uint32(id*t.rpb+j), row); err != nil {
+			if err := fn(uint32(id*t.rpb+j), t.scanRow); err != nil {
 				return err
 			}
 		}
